@@ -119,6 +119,16 @@ def action(w: History, lag: Lagrangian, convention: str = INCREMENTAL) -> float:
     raise ValueError(f"unknown action convention {convention!r}")
 
 
+def phase_factor(s: float, hbar: float, mode: str) -> complex:
+    """Weight of an action value: exp(i s / hbar) in the real mode (via libm
+    cos and sin), exp(-s / hbar) in the euclidean mode."""
+    if mode == REAL_PHASE:
+        return complex(math.cos(s / hbar), math.sin(s / hbar))
+    if mode == EUCLIDEAN:
+        return complex(math.exp(-s / hbar))
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 # ---------------------------------------------------------------------------
 # densities and the factorized state on grid histories
 
@@ -214,9 +224,7 @@ class HistoryState:
         return action(w, self.lagrangian, self.spec.convention)
 
     def phase(self, s: float) -> complex:
-        if self.spec.mode == REAL_PHASE:
-            return complex(math.cos(s / self.spec.hbar), math.sin(s / self.spec.hbar))
-        return complex(math.exp(-s / self.spec.hbar))
+        return phase_factor(s, self.spec.hbar, self.spec.mode)
 
     def value(self, w) -> complex:
         amp = math.sqrt(self.density_at(w.source) * self.density_at(w.target))

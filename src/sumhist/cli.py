@@ -92,7 +92,7 @@ def cmd_validate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = validate_axioms(g)
-    print(f"{g.name}: {report.summary()}")
+    _emit(f"{g.name}: {report.summary()}\n", args.out)
     return EXIT_OK if report.ok else EXIT_CHECK
 
 
@@ -179,8 +179,7 @@ def cmd_propagate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    table = propagator_table(g, grid, lag, spec, measure,
-                             partitions=args.threads, threads=args.threads)
+    table = propagator_table(g, grid, lag, spec, measure, partitions=args.threads)
     status = EXIT_OK
     extra = None
     extra_name = ""
@@ -254,22 +253,10 @@ def _propagate_geometry(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    out_rows = []
-    worst = 0.0
-    for x0, x1, val, ref in rows:
-        rel = abs(val - ref) / max(abs(ref), 1e-300)
-        worst = max(worst, rel)
-        out_rows.append((sio._fmt(x0), sio._fmt(0.0), sio._fmt(x1),
-                         sio._fmt(cfg.total_time), sio._fmt(val.real),
-                         sio._fmt(val.imag), sio._fmt(abs(val)),
-                         sio._fmt(math.atan2(val.imag, val.real)), sio._fmt(rel)))
-    header = ("x0", "t0", "x1", "t1", "re", "im", "abs", "phase", "rel_error")
-    if args.format == "json":
-        import json
-        text = json.dumps([dict(zip(header, r)) for r in out_rows], indent=2) + "\n"
-    else:
-        text = sio._write_rows(None, header, out_rows)
-    _emit(text, args.out)
+    rows = [(x0, x1, val, abs(val - ref) / max(abs(ref), 1e-300))
+            for x0, x1, val, ref in rows]
+    _emit(sio.kernel_comparison(rows, cfg.total_time, args.format), args.out)
+    worst = max([0.0, *(rel for *_, rel in rows)])
     print(f"max relative error against the reference kernel: {worst:.3e}", file=sys.stderr)
     return EXIT_OK
 
@@ -307,11 +294,10 @@ def cmd_converge(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_output(p: argparse.ArgumentParser, formats: bool = False) -> None:
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.add_argument("--threads", type=int, default=1)
+    if formats:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_model(p: argparse.ArgumentParser) -> None:
@@ -349,19 +335,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the groupoid axioms")
     p.add_argument("--groupoid", required=True)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("state-check",
                        help="normalization, symmetry, positivity certificate")
     _add_model(p)
-    _add_common(p)
+    _add_output(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random vectors of the identity check")
     p.set_defaults(func=cmd_state_check)
 
     p = sub.add_parser("propagate", help="endpoint amplitude table")
     _add_model(p)
     _add_geometry(p)
-    _add_common(p)
+    _add_output(p, formats=True)
+    p.add_argument("--threads", type=int, default=1, metavar="N",
+                   help="N > 1 selects the partitioned summation order (one "
+                        "exactly rounded partial per first interior object, "
+                        "then their sum); it starts no threads")
     p.add_argument("--check", choices=("reproducing",))
     p.add_argument("--at", type=int, help="interior slice for --check reproducing")
     p.add_argument("--oracle", choices=("transfer-matrix",))
@@ -371,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="error-vs-dt sweep against a reference kernel")
     _add_model(p)
     _add_geometry(p)
-    _add_common(p)
+    _add_output(p, formats=True)
     p.add_argument("--sweep", help="comma-separated slice counts")
     p.add_argument("--burnin", type=int, default=8)
     p.add_argument("--floor", type=float, default=1e-9)

@@ -11,6 +11,7 @@ import cmath
 import csv
 import io as _io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,47 @@ def _write_rows(path, header, rows) -> str:
     return text
 
 
+def render_rows(header, rows, fmt: str = "csv", path=None) -> str:
+    """Formatted rows under a header as CSV, or as an indented JSON list of
+    header-keyed objects ('json'); the text is also written to path if given."""
+    if fmt == "csv":
+        return _write_rows(path, header, rows)
+    if fmt != "json":
+        raise ValueError(f"unknown output format {fmt!r}")
+    text = json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n"
+    if path is not None:
+        Path(path).write_text(text)
+    return text
+
+
+def _id_rows(path, n: int, id_col: str, value_cols) -> list[tuple]:
+    """Rows (id, *values) of a CSV keyed by an integer id in 0..n-1, the value
+    columns read as floats.  A missing column, a malformed cell or an id out
+    of range raises ValueError naming the file, line and column."""
+    out = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for col in (id_col, *value_cols):
+            if col not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}, line 1: missing column {col!r}")
+        for row in reader:
+            where = f"{path}, line {reader.line_num}, column"
+            try:
+                i = int(row[id_col])
+            except (TypeError, ValueError):
+                raise ValueError(f"{where} {id_col!r}: bad id {row[id_col]!r}") from None
+            if not 0 <= i < n:
+                raise ValueError(f"{where} {id_col!r}: id {i} is outside 0..{n - 1}")
+            values = []
+            for col in value_cols:
+                try:
+                    values.append(float(row[col]))
+                except (TypeError, ValueError):
+                    raise ValueError(f"{where} {col!r}: bad number {row[col]!r}") from None
+            out.append((i, *values))
+    return out
+
+
 # --- algebra elements and measures
 
 
@@ -48,9 +90,8 @@ def algebra_element_csv(f: np.ndarray, path=None) -> str:
 
 def load_algebra_element_csv(path, n_morphisms: int) -> np.ndarray:
     f = np.zeros(n_morphisms, dtype=complex)
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            f[int(row["morphism_id"])] = float(row["re"]) + 1j * float(row["im"])
+    for i, re, im in _id_rows(path, n_morphisms, "morphism_id", ("re", "im")):
+        f[i] = re + 1j * im
     return f
 
 
@@ -72,9 +113,8 @@ def fiber_weights_csv(weights, path=None) -> str:
 
 def load_weights_csv(path, n: int, id_col: str, weight_col: str) -> np.ndarray:
     out = np.ones(n)
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[int(row[id_col])] = float(row[weight_col])
+    for i, w in _id_rows(path, n, id_col, (weight_col,)):
+        out[i] = w
     return out
 
 
@@ -88,9 +128,8 @@ def lagrangian_csv(values, path=None) -> str:
 
 def load_lagrangian_csv(path, n_morphisms: int) -> np.ndarray:
     vals = np.zeros(n_morphisms)
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            vals[int(row["morphism_id"])] = float(row["value"])
+    for i, v in _id_rows(path, n_morphisms, "morphism_id", ("value",)):
+        vals[i] = v
     return vals
 
 
@@ -161,6 +200,12 @@ def save_state_spec(spec: StateSpec, path) -> None:
 # --- propagator tables and convergence studies
 
 
+TABLE_HEADER = ("x0", "t0", "x1", "t1", "re", "im", "abs", "phase")
+CONVERGENCE_HEADER = ("N", "dt", "value_re", "value_im", "reference_re",
+                      "reference_im", "rel_error")
+KERNEL_HEADER = TABLE_HEADER + ("rel_error",)
+
+
 def propagator_table_rows(table: PropagatorTable, extra: dict | None = None):
     """Rows (x0, t0, x1, t1, re, im, abs, phase) [+ extra columns keyed by
     (x0, x1)]."""
@@ -172,24 +217,20 @@ def propagator_table_rows(table: PropagatorTable, extra: dict | None = None):
         yield row
 
 
+def _table_header(extra, extra_name: str) -> tuple:
+    return TABLE_HEADER if extra is None else TABLE_HEADER + (extra_name,)
+
+
 def propagator_table_csv(table: PropagatorTable, path=None,
                          extra: dict | None = None, extra_name: str = "") -> str:
-    header = ["x0", "t0", "x1", "t1", "re", "im", "abs", "phase"]
-    if extra is not None:
-        header.append(extra_name)
-    return _write_rows(path, header, propagator_table_rows(table, extra))
+    return render_rows(_table_header(extra, extra_name),
+                       propagator_table_rows(table, extra), "csv", path)
 
 
 def propagator_table_json(table: PropagatorTable, path=None,
                           extra: dict | None = None, extra_name: str = "") -> str:
-    header = ["x0", "t0", "x1", "t1", "re", "im", "abs", "phase"]
-    if extra is not None:
-        header.append(extra_name)
-    rows = [dict(zip(header, r)) for r in propagator_table_rows(table, extra)]
-    text = json.dumps(rows, indent=2) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return render_rows(_table_header(extra, extra_name),
+                       propagator_table_rows(table, extra), "json", path)
 
 
 def convergence_rows(rows: list[ConvergenceRow]):
@@ -199,19 +240,21 @@ def convergence_rows(rows: list[ConvergenceRow]):
 
 
 def convergence_csv(rows, path=None) -> str:
-    header = ("N", "dt", "value_re", "value_im", "reference_re", "reference_im",
-              "rel_error")
-    return _write_rows(path, header, convergence_rows(rows))
+    return render_rows(CONVERGENCE_HEADER, convergence_rows(rows), "csv", path)
 
 
 def convergence_json(rows, path=None) -> str:
-    header = ("N", "dt", "value_re", "value_im", "reference_re", "reference_im",
-              "rel_error")
-    data = [dict(zip(header, r)) for r in convergence_rows(rows)]
-    text = json.dumps(data, indent=2) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return render_rows(CONVERGENCE_HEADER, convergence_rows(rows), "json", path)
+
+
+def kernel_comparison(rows, total_time: float, fmt: str = "csv", path=None) -> str:
+    """Continuum kernel values against their references: rows (x0, x1, value,
+    rel_error), each written as (x0, 0, x1, total_time, re, im, abs, phase,
+    rel_error)."""
+    out = [(_fmt(x0), _fmt(0.0), _fmt(x1), _fmt(total_time), _fmt(z.real),
+            _fmt(z.imag), _fmt(abs(z)), _fmt(math.atan2(z.imag, z.real)), _fmt(rel))
+           for x0, x1, z, rel in rows]
+    return render_rows(KERNEL_HEADER, out, fmt, path)
 
 
 def report_csv(entries: list[tuple[str, str, str]], path=None) -> str:

@@ -13,15 +13,15 @@ the lattice path sum against a winding-number image-sum reference.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .action import (ANCHORED, EUCLIDEAN, INCREMENTAL, REAL_PHASE, Lagrangian,
-                     StateSpec, action)
+                     StateSpec, action, phase_factor)
 from .algebra import GroupoidMeasure, counting_measure
 from .geometry import CircleLattice
 from .groupoid import FiniteGroupoid
@@ -37,14 +37,6 @@ def fsum_complex(terms) -> complex:
     return complex(math.fsum(re), math.fsum(im))
 
 
-def _phase_factor(s: float, hbar: float, mode: str) -> complex:
-    if mode == REAL_PHASE:
-        return complex(math.cos(s / hbar), math.sin(s / hbar))
-    if mode == EUCLIDEAN:
-        return complex(math.exp(-s / hbar))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # finite-groupoid path sums
 
@@ -56,7 +48,7 @@ def transfer_matrix(g: FiniteGroupoid, lag: Lagrangian, spec: StateSpec,
     full path sum exactly."""
     m = measure if measure is not None else counting_measure(g)
     T = np.zeros((g.n_objects, g.n_objects), dtype=complex)
-    phases = np.array([_phase_factor(v, spec.hbar, spec.mode) for v in lag.values])
+    phases = np.array([phase_factor(v, spec.hbar, spec.mode) for v in lag.values])
     np.add.at(T, (g.tgt, g.src), m.fiber_weights * phases)
     return T
 
@@ -74,7 +66,8 @@ def transfer_power(T: np.ndarray, n_steps: int,
 def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
                    spec: StateSpec, x0: int, x1: int,
                    measure: GroupoidMeasure | None = None):
-    """Per-history terms weight(w) * phase(action(w)) in canonical order.
+    """Per-history pairs (mids, weight(w) * phase(action(w))) in canonical
+    order, mids being the interior slice objects of the history w.
 
     weight(w) is the cylindrical factor: the fiber weight of every link times
     the object weight of every interior slice object."""
@@ -82,73 +75,41 @@ def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     vals = lag.values
     fw = m.fiber_weights
     ow = m.object_weights
-    n = grid.n_intervals
-    if spec.convention == INCREMENTAL:
-        for links, mids in link_walks(g, x0, x1, n):
+    incremental = spec.convention == INCREMENTAL
+    for links, mids in link_walks(g, x0, x1, grid.n_intervals):
+        if incremental:
             s = math.fsum(vals[l] for l in links)
-            w = 1.0
-            for l in links:
-                w *= fw[l]
-            for c in mids:
-                w *= ow[c]
-            yield w * _phase_factor(s, spec.hbar, spec.mode)
-    else:
-        for links, mids in link_walks(g, x0, x1, n):
-            hist = from_links(g, grid, links)
-            s = action(hist, lag, ANCHORED)
-            w = 1.0
-            for l in links:
-                w *= fw[l]
-            for c in mids:
-                w *= ow[c]
-            yield w * _phase_factor(s, spec.hbar, spec.mode)
-
-
-def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
-                      spec: StateSpec, x0: int, x1: int,
-                      measure: GroupoidMeasure | None = None,
-                      partitions: int = 1, threads: int = 1) -> complex:
-    """Path-sum amplitude sqrt(p(x1, t_N) p(x0, t_0)) times the sum over all
-    histories from (x0, t_0) to (x1, t_N) of weight(w) * phase(action(w)).
-
-    The canonical result sums every term in enumeration order with exactly
-    rounded accumulation.  With partitions > 1 the sum is split by the first
-    interior object, each partition is summed canonically, and the partials
-    are combined in fixed partition order (deterministic regardless of
-    threads)."""
-    p = spec.slices(grid)
-    amp = math.sqrt(p[grid.n_intervals, x1] * p[0, x0])
-    n = grid.n_intervals
-    if partitions <= 1 or n < 2:
-        total = fsum_complex(path_sum_terms(g, grid, lag, spec, x0, x1, measure))
-        return amp * total
-
-    groups: dict[int, list[complex]] = {c: [] for c in range(g.n_objects)}
-    m = measure if measure is not None else counting_measure(g)
-    vals = lag.values
-    fw, ow = m.fiber_weights, m.object_weights
-
-    def term(links, mids):
-        s = (math.fsum(vals[l] for l in links)
-             if spec.convention == INCREMENTAL
-             else action(from_links(g, grid, links), lag, ANCHORED))
+        else:
+            s = action(from_links(g, grid, links), lag, ANCHORED)
         w = 1.0
         for l in links:
             w *= fw[l]
         for c in mids:
             w *= ow[c]
-        return w * _phase_factor(s, spec.hbar, spec.mode)
+        yield mids, w * phase_factor(s, spec.hbar, spec.mode)
 
-    for links, mids in link_walks(g, x0, x1, n):
-        groups[mids[0]].append(term(links, mids))
 
-    keys = sorted(groups)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda k: fsum_complex(groups[k]), keys))
-    else:
-        partials = [fsum_complex(groups[k]) for k in keys]
-    return amp * fsum_complex(partials)
+def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
+                      spec: StateSpec, x0: int, x1: int,
+                      measure: GroupoidMeasure | None = None,
+                      partitions: int = 1) -> complex:
+    """Path-sum amplitude sqrt(p(x1, t_N) p(x0, t_0)) times the sum over all
+    histories from (x0, t_0) to (x1, t_N) of weight(w) * phase(action(w)).
+
+    The canonical result sums every term in enumeration order with exactly
+    rounded accumulation.  With partitions > 1 the sum is split by the first
+    interior object, each partition is summed with exactly rounded
+    accumulation, and the rounded partials are summed in object order; the
+    result may differ from the canonical one in the last bit."""
+    p = spec.slices(grid)
+    amp = math.sqrt(p[grid.n_intervals, x1] * p[0, x0])
+    terms = path_sum_terms(g, grid, lag, spec, x0, x1, measure)
+    if partitions <= 1 or grid.n_intervals < 2:
+        return amp * fsum_complex(t for _, t in terms)
+    groups: dict[int, list[complex]] = {c: [] for c in range(g.n_objects)}
+    for mids, t in terms:
+        groups[mids[0]].append(t)
+    return amp * fsum_complex([fsum_complex(groups[c]) for c in range(g.n_objects)])
 
 
 @dataclass(frozen=True)
@@ -166,12 +127,12 @@ class PropagatorTable:
 
 def propagator_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
                      spec: StateSpec, measure: GroupoidMeasure | None = None,
-                     partitions: int = 1, threads: int = 1) -> PropagatorTable:
+                     partitions: int = 1) -> PropagatorTable:
     amps = {}
     for x0 in range(g.n_objects):
         for x1 in range(g.n_objects):
             amps[(x0, x1)] = finite_propagator(g, grid, lag, spec, x0, x1,
-                                               measure, partitions, threads)
+                                               measure, partitions)
     return PropagatorTable(grid, amps)
 
 
@@ -292,17 +253,14 @@ def velocity_form_propagator(geometry, grid: TimeGrid, spec: StateSpec,
     amp = math.sqrt(p[n, x1] * p[0, x0])
     h = geometry.spacing
     terms = []
-
-    def walk(k, site, s_acc):
-        if k == n:
-            if site == x1:
-                terms.append(_phase_factor(s_acc, spec.hbar, spec.mode))
-            return
-        for nxt in range(geometry.n_sites):
+    for mids in itertools.product(range(geometry.n_sites), repeat=n - 1):
+        s = 0.0
+        site = x0
+        for nxt in (*mids, x1):
             v = geometry.displacement_steps(site, nxt) * h / dt
-            walk(k + 1, nxt, s_acc + kinetic_lagrangian_value(mass, v, dt))
-
-    walk(0, x0, 0.0)
+            s += kinetic_lagrangian_value(mass, v, dt)
+            site = nxt
+        terms.append(phase_factor(s, spec.hbar, spec.mode))
     return amp * fsum_complex(terms)
 
 

@@ -149,6 +149,18 @@ def test_propagate_json_format(capsys, tmp_path):
     assert set(rows[0]) == {"x0", "t0", "x1", "t1", "re", "im", "abs", "phase"}
 
 
+def test_propagate_geometry_json_format(capsys, tmp_path):
+    out_file = tmp_path / "line.json"
+    code, _, _ = run(capsys, "propagate", "--geometry", "line", "--mode", "euclidean",
+                     "--N", "4", "--x1", "0.5,1.0", "--format", "json",
+                     "--out", str(out_file))
+    assert code == 0
+    rows = json.loads(out_file.read_text())
+    assert [r["x1"] for r in rows] == ["0.5", "1.0"]
+    assert list(rows[0]) == ["x0", "t0", "x1", "t1", "re", "im", "abs", "phase",
+                             "rel_error"]
+
+
 def test_propagate_threads_deterministic(capsys, tmp_path):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for f, threads in ((f1, "1"), (f2, "4")):
@@ -245,3 +257,64 @@ def test_geometry_bad_endpoint_list(capsys):
     code, _, err = run(capsys, "converge", "--geometry", "line",
                        "--mode", "euclidean", "--x1", "nope")
     assert code == 2
+
+
+def test_validate_out_writes_the_summary(capsys, tmp_path):
+    out_file = tmp_path / "summary.txt"
+    code, out, _ = run(capsys, "validate", "--groupoid", "pair:3", "--out", str(out_file))
+    assert code == 0
+    assert out == ""
+    assert out_file.read_text().startswith("pair:3: ok")
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--groupoid", "pair:2", "--threads", "2"),
+    ("state-check", "--groupoid", "pair:2", "--grid", "0,1,2", "--format", "json"),
+    ("propagate", "--groupoid", "pair:2", "--grid", "0,1,2", "--seed", "1"),
+    ("converge", "--geometry", "line", "--threads", "2"),
+])
+def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _one_line_error(err):
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_measure_id_out_of_range_is_an_input_error(capsys, tmp_path):
+    (tmp_path / "ow.csv").write_text("object_id,weight\n0,1.0\n2,1.0\n")
+    code, _, err = run(capsys, "propagate", "--groupoid", "pair:2", "--grid", "0,1,2",
+                       "--measure", str(tmp_path / "ow.csv"))
+    assert code == 2
+    line = _one_line_error(err)
+    assert "ow.csv" in line and "line 3" in line and "'object_id'" in line
+
+
+def test_lagrangian_missing_column_is_an_input_error(capsys, tmp_path):
+    (tmp_path / "lag.csv").write_text("morphism_id,val\n0,0.0\n")
+    code, _, err = run(capsys, "propagate", "--groupoid", "pair:2", "--grid", "0,1,2",
+                       "--lagrangian", str(tmp_path / "lag.csv"))
+    assert code == 2
+    line = _one_line_error(err)
+    assert "lag.csv" in line and "'value'" in line
+
+
+def test_loaders_refuse_negative_ids_and_bad_numbers(tmp_path):
+    from sumhist.io import (load_algebra_element_csv, load_lagrangian_csv,
+                            load_weights_csv)
+    path = tmp_path / "f.csv"
+    path.write_text("morphism_id,value,fiber_weight,re,im\n-1,0.5,0.5,0.5,0.5\n")
+    with pytest.raises(ValueError, match="line 2, column 'morphism_id'"):
+        load_lagrangian_csv(path, 4)
+    with pytest.raises(ValueError, match="outside 0..3"):
+        load_weights_csv(path, 4, "morphism_id", "fiber_weight")
+    with pytest.raises(ValueError, match="line 2, column 'morphism_id'"):
+        load_algebra_element_csv(path, 4)
+    path.write_text("morphism_id,re,im\n1,0.5,x\n")
+    with pytest.raises(ValueError, match="column 'im': bad number 'x'"):
+        load_algebra_element_csv(path, 4)

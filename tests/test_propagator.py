@@ -1,8 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import sumhist as sh
-from sumhist.action import EUCLIDEAN
+from sumhist.action import EUCLIDEAN, phase_factor
+from sumhist.propagator import kinetic_lagrangian_value
 
 from conftest import symmetric_lagrangian
 
@@ -146,9 +150,30 @@ def test_partitioned_reduction_reproduces_canonical(rng):
     for parts in (2, 4):
         split = sh.finite_propagator(g, grid, lag, spec, 0, 3, m, partitions=parts)
         assert abs(split - canonical) <= 1e-13
-    threaded = sh.finite_propagator(g, grid, lag, spec, 0, 3, m,
-                                    partitions=4, threads=4)
-    assert abs(threaded - canonical) <= 1e-13
+
+
+@pytest.mark.parametrize("convention", [sh.INCREMENTAL, sh.ANCHORED])
+def test_partitioned_sum_is_the_sum_of_first_object_partials(rng, convention):
+    g = sh.pair_groupoid(3)
+    m = sh.GroupoidMeasure(g, rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3)[g.src])
+    lag = symmetric_lagrangian(g, rng)
+    p = rng.uniform(0.2, 1.0, (1, 3))
+    p /= (p * m.object_weights).sum()
+    spec = sh.StateSpec(p, convention=convention)
+    grid = sh.TimeGrid.uniform(0.0, 1.0, 4)
+    for x0, x1 in itertools.product(range(g.n_objects), repeat=2):
+        groups = {c: [] for c in range(g.n_objects)}
+        for w in sh.enumerate_histories(g, grid, x0, x1):
+            weight = 1.0
+            for l in sh.links_of(w):
+                weight *= m.fiber_weights[l]
+            for k in range(1, grid.n_intervals):
+                weight *= m.object_weights[w.object_at(k)]
+            s = sh.action(w, lag, convention)
+            groups[w.object_at(1)].append(weight * phase_factor(s, spec.hbar, spec.mode))
+        total = sh.fsum_complex([sh.fsum_complex(groups[c]) for c in range(g.n_objects)])
+        expect = math.sqrt(p[0, x1] * p[0, x0]) * total
+        assert sh.finite_propagator(g, grid, lag, spec, x0, x1, m, partitions=2) == expect
 
 
 def test_deterministic_bit_identical(rng):
@@ -227,6 +252,40 @@ def test_velocity_form_equals_position_form(rng):
         a = sh.velocity_form_propagator(geom, grid, spec, mass, x0, x1)
         b = sh.finite_propagator(g, grid, lag, spec, x0, x1)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def _recursive_velocity_form(geometry, grid, spec, mass, x0, x1):
+    """Reference: depth-first walk over every site sequence, kinetic values
+    added left to right from 0.0, keeping the walks that end at x1."""
+    n, dt, h = grid.n_intervals, grid.dt(0), geometry.spacing
+    terms = []
+
+    def walk(k, site, s_acc):
+        if k == n:
+            if site == x1:
+                terms.append(phase_factor(s_acc, spec.hbar, spec.mode))
+            return
+        for nxt in range(geometry.n_sites):
+            v = geometry.displacement_steps(site, nxt) * h / dt
+            walk(k + 1, nxt, s_acc + kinetic_lagrangian_value(mass, v, dt))
+
+    walk(0, x0, 0.0)
+    p = spec.slices(grid)
+    return math.sqrt(p[n, x1] * p[0, x0]) * sh.fsum_complex(terms)
+
+
+@pytest.mark.parametrize("mode", ["real", EUCLIDEAN])
+def test_velocity_form_is_bit_identical_to_recursive_walk(rng, mode):
+    for geom in (sh.LineLattice(4, 0.7), sh.CircleLattice(5, 2.5)):
+        g = sh.pair_groupoid(geom.n_sites)
+        spec = sh.uniform_state_spec(g, mode=mode)
+        for n in (1, 3, 5):
+            grid = sh.TimeGrid.uniform(0.0, float(rng.uniform(0.5, 2.0)), n)
+            mass = float(rng.uniform(0.5, 2.0))
+            for x0 in range(geom.n_sites):
+                for x1 in range(geom.n_sites):
+                    assert sh.velocity_form_propagator(geom, grid, spec, mass, x0, x1) \
+                        == _recursive_velocity_form(geom, grid, spec, mass, x0, x1)
 
 
 def test_velocity_form_single_slice_values():
