@@ -14,6 +14,7 @@ failure on a three-interval example.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,6 +32,10 @@ ANCHORED = "anchored"
 
 REAL_PHASE = "real"
 EUCLIDEAN = "euclidean"
+
+# Weights are exp(sigma S / hbar), sigma = i (real) or -1 (euclidean); i has
+# real part -0.0 so that a signed zero action keeps its sign in the product.
+PHASE_SIGMA = {REAL_PHASE: complex(-0.0, 1.0), EUCLIDEAN: -1.0}
 
 
 class SymmetryError(ValueError):
@@ -119,14 +124,17 @@ def action(w: History, lag: Lagrangian, convention: str = INCREMENTAL) -> float:
     raise ValueError(f"unknown action convention {convention!r}")
 
 
-def phase_factor(s: float, hbar: float, mode: str) -> complex:
-    """Weight of an action value: exp(i s / hbar) in the real mode (via libm
-    cos and sin), exp(-s / hbar) in the euclidean mode."""
-    if mode == REAL_PHASE:
-        return complex(math.cos(s / hbar), math.sin(s / hbar))
-    if mode == EUCLIDEAN:
-        return complex(math.exp(-s / hbar))
+def phase_sigma(mode: str) -> complex | float:
+    """The constant sigma of a mode's weight exp(sigma * S / hbar)."""
+    if isinstance(mode, str) and mode in PHASE_SIGMA:
+        return PHASE_SIGMA[mode]
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def phase_factor(s: float, hbar: float, mode: str) -> complex:
+    """Weight of an action value: exp(sigma s / hbar), i.e. exp(i s / hbar) in
+    the real mode and exp(-s / hbar) in the euclidean mode."""
+    return cmath.exp(phase_sigma(mode) * s / hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +162,7 @@ class StateSpec:
             raise NormalizationError("density values must be non-negative")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
-        if self.mode not in (REAL_PHASE, EUCLIDEAN):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        phase_sigma(self.mode)
         if self.convention not in (INCREMENTAL, ANCHORED):
             raise ValueError(f"unknown convention {self.convention!r}")
         object.__setattr__(self, "density", p)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .action import (EUCLIDEAN, REAL_PHASE, Lagrangian, NormalizationError,
+from .action import (EUCLIDEAN, Lagrangian, NormalizationError,
                      StateSpec, SymmetryError, asymmetric_morphisms,
                      energy_lagrangian, family_certificate, family_form_value,
                      family_gns_vector, full_interval_family,
@@ -161,6 +161,9 @@ def cmd_state_check(args) -> int:
 
 
 def cmd_propagate(args) -> int:
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, not {args.threads}", file=sys.stderr)
+        return EXIT_INPUT
     if args.geometry:
         return _propagate_geometry(args)
     if not args.groupoid or not args.grid:
@@ -216,8 +219,7 @@ def _slice_config(args, n_slices) -> SliceConfig:
         grid = _parse_grid(args.grid)
         total = grid.times[-1] - grid.times[0]
         n_slices = grid.n_intervals
-    return SliceConfig(n_slices, total, args.mass, args.hbar,
-                       EUCLIDEAN if args.mode == "euclidean" else REAL_PHASE,
+    return SliceConfig(n_slices, total, args.mass, args.hbar, args.mode,
                        args.quad_halfwidth, args.quad_nodes)
 
 

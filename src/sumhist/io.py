@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .action import StateSpec
+from .action import StateSpec, uniform_state_spec
 from .groupoid import FiniteGroupoid
 from .histories import History, HistoryWord
 from .propagator import ConvergenceRow, PropagatorTable
@@ -157,32 +157,60 @@ def load_state_spec(path, groupoid: FiniteGroupoid, measure=None) -> StateSpec:
 
     density is either the string 'uniform' (normalized against the object
     measure), a list of [object, p] rows (time independent), or
-    [object, slice, p] rows."""
-    data = yaml.safe_load(Path(path).read_text())
+    [object, slice, p] rows; objects without a row get density 0.  A
+    malformed file raises ValueError naming the file and the offending row."""
+    try:
+        data = yaml.safe_load(Path(path).read_text())
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f", line {mark.line + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ValueError(f"state spec {path}{where}: not valid YAML: {problem}") from None
     if not isinstance(data, dict):
         raise ValueError(f"state spec {path} must be a mapping")
-    hbar = float(data.get("hbar", 1.0))
+    try:
+        hbar = float(data.get("hbar", 1.0))
+    except (TypeError, ValueError):
+        raise ValueError(f"state spec {path}: bad hbar {data.get('hbar')!r}") from None
     mode = data.get("mode", "real")
     convention = data.get("convention", "incremental")
     density = data.get("density", "uniform")
-    if isinstance(density, str):
-        if density != "uniform":
-            raise ValueError(f"unknown density spec {density!r}")
-        from .action import uniform_state_spec
-        return uniform_state_spec(groupoid, hbar, mode, convention, measure)
-    rows = list(density)
-    if rows and len(rows[0]) == 2:
-        n = max(int(r[0]) for r in rows) + 1
-        p = np.zeros((1, n))
-        for x, v in rows:
-            p[0, int(x)] = float(v)
-    else:
-        n = max(int(r[0]) for r in rows) + 1
-        ks = max(int(r[1]) for r in rows) + 1
-        p = np.zeros((ks, n))
-        for x, k, v in rows:
-            p[int(k), int(x)] = float(v)
-    return StateSpec(p, hbar, mode, convention)
+    try:
+        if density == "uniform":
+            return uniform_state_spec(groupoid, hbar, mode, convention, measure)
+        return StateSpec(_density_table(density, groupoid.n_objects), hbar, mode,
+                         convention)
+    except ValueError as exc:
+        raise ValueError(f"state spec {path}: {exc}") from None
+
+
+def _density_table(rows, n_objects: int) -> np.ndarray:
+    """(n_slices, n_objects) table from [object, p] or [object, slice, p] rows."""
+    if not isinstance(rows, list) or not rows:
+        raise ValueError(f"density must be 'uniform' or a list of rows, not {rows!r}")
+    width = len(rows[0]) if isinstance(rows[0], list) else 0
+    cells = {}
+    for i, row in enumerate(rows, start=1):
+        where = f"density row {i} {row!r}"
+        if width not in (2, 3) or not isinstance(row, list) or len(row) != width:
+            raise ValueError(f"{where}: expected [object, p] or [object, slice, p] "
+                             "rows, all of one length")
+        *ids, v = row
+        if not all(isinstance(j, int) and not isinstance(j, bool) for j in ids):
+            raise ValueError(f"{where}: object and slice must be integers")
+        x, k = ids if width == 3 else (ids[0], 0)
+        if not 0 <= x < n_objects:
+            raise ValueError(f"{where}: object {x} is outside 0..{n_objects - 1}")
+        if k < 0:
+            raise ValueError(f"{where}: slice {k} is negative")
+        try:
+            cells[k, x] = float(v)
+        except (TypeError, ValueError):
+            raise ValueError(f"{where}: bad density {v!r}") from None
+    p = np.zeros((max(k for k, _ in cells) + 1, n_objects))
+    for kx, v in cells.items():
+        p[kx] = v
+    return p
 
 
 def save_state_spec(spec: StateSpec, path) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import (ANCHORED, EUCLIDEAN, INCREMENTAL, REAL_PHASE, Lagrangian,
-                     StateSpec, action, phase_factor)
+                     StateSpec, action, phase_factor, phase_sigma)
 from .algebra import GroupoidMeasure, counting_measure
 from .geometry import CircleLattice
 from .groupoid import FiniteGroupoid
@@ -285,6 +285,7 @@ class SliceConfig:
             raise ValueError("mass and hbar must be positive")
         if self.quad_nodes < 2:
             raise ValueError("need at least two quadrature nodes")
+        phase_sigma(self.mode)
 
     @property
     def dt(self) -> float:
@@ -293,25 +294,18 @@ class SliceConfig:
 
 def line_kernel(mass: float, hbar: float, t: float, dx: float,
                 mode: str = REAL_PHASE) -> complex:
-    """Closed-form free kernel on the line.
-
-    real:      sqrt(m / (2 pi i hbar t)) * exp(i m dx^2 / (2 hbar t))
-    euclidean: sqrt(m / (2 pi hbar t))   * exp(-  m dx^2 / (2 hbar t))
-    """
-    if mode == REAL_PHASE:
-        return (cmath.sqrt(mass / (2j * math.pi * hbar * t))
-                * cmath.exp(1j * mass * dx * dx / (2 * hbar * t)))
-    if mode == EUCLIDEAN:
-        return complex(math.sqrt(mass / (2 * math.pi * hbar * t))
-                       * math.exp(-mass * dx * dx / (2 * hbar * t)))
-    raise ValueError(f"unknown mode {mode!r}")
+    """Closed-form free kernel on the line, sqrt(-sigma m / (2 pi hbar t)) *
+    exp(sigma m dx^2 / (2 hbar t)) with sigma = i (real) or -1 (euclidean)."""
+    sigma = phase_sigma(mode)
+    return (cmath.sqrt(-sigma * mass / (2 * math.pi * hbar * t))
+            * cmath.exp(sigma * mass * dx * dx / (2 * hbar * t)))
 
 
 def gaussian_slice_params(cfg: SliceConfig) -> tuple[complex, complex]:
     """One-slice kernel written as A * exp(B (x - y)^2)."""
-    sigma = 1j if cfg.mode == REAL_PHASE else -1.0
+    sigma = phase_sigma(cfg.mode)
+    A = cmath.sqrt(-sigma * cfg.mass / (2 * math.pi * cfg.hbar * cfg.dt))
     B = sigma * cfg.mass / (2 * cfg.hbar * cfg.dt)
-    A = cmath.sqrt(cfg.mass / (2 * math.pi * cfg.hbar * cfg.dt * (1j if cfg.mode == REAL_PHASE else 1.0)))
     return A, B
 
 
@@ -376,11 +370,9 @@ def sliced_line_propagator(cfg: SliceConfig, x0: float, x1: float,
 def lattice_transfer(geometry, cfg: SliceConfig) -> np.ndarray:
     """One-slice lattice kernel with the continuum normalization and the
     Riemann measure factor: N(dt) * spacing * phase(m d^2 / (2 dt))."""
-    sigma = 1j if cfg.mode == REAL_PHASE else -1.0
-    norm = cmath.sqrt(cfg.mass / (2 * math.pi * cfg.hbar * cfg.dt
-                                  * (1j if cfg.mode == REAL_PHASE else 1.0)))
+    norm, _ = gaussian_slice_params(cfg)
     d = geometry.distance_matrix
-    expo = sigma * cfg.mass * d * d / (2 * cfg.hbar * cfg.dt)
+    expo = phase_sigma(cfg.mode) * cfg.mass * d * d / (2 * cfg.hbar * cfg.dt)
     return norm * geometry.spacing * np.exp(expo)
 
 

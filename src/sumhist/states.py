@@ -114,16 +114,18 @@ class PhaseState:
         s.setflags(write=False)
 
     @cached_property
+    def phase(self) -> np.ndarray:
+        return np.exp(1j * self.action / self.hbar)
+
+    @cached_property
     def values(self) -> np.ndarray:
         g = self.groupoid
-        amp = np.sqrt(self.density[g.src] * self.density[g.tgt])
-        return amp * np.exp(1j * self.action / self.hbar)
+        return np.sqrt(self.density[g.src] * self.density[g.tgt]) * self.phase
 
     @cached_property
     def psi(self) -> np.ndarray:
         """Gram factor sqrt(p(src m)) * exp(i S(m) / hbar)."""
-        g = self.groupoid
-        return np.sqrt(self.density[g.src]) * np.exp(1j * self.action / self.hbar)
+        return np.sqrt(self.density[self.groupoid.src]) * self.phase
 
 
 def check_log_like(action: np.ndarray, g: FiniteGroupoid) -> float:
@@ -174,8 +176,7 @@ def gns_matrix(state: PhaseState, algebra_element: np.ndarray,
     """Matrix of the GNS action of an algebra element g on object vectors:
     entry [a, b] = sum over morphisms b -> a of nu_fiber * g * exp(i S / hbar)."""
     g = state.groupoid
-    phase = np.exp(1j * state.action / state.hbar)
-    terms = m.fiber_weights * np.asarray(algebra_element, dtype=complex) * phase
+    terms = m.fiber_weights * np.asarray(algebra_element, dtype=complex) * state.phase
     out = np.zeros((g.n_objects, g.n_objects), dtype=complex)
     np.add.at(out, (g.tgt, g.src), terms)
     return out

@@ -318,3 +318,45 @@ def test_loaders_refuse_negative_ids_and_bad_numbers(tmp_path):
     path.write_text("morphism_id,re,im\n1,0.5,x\n")
     with pytest.raises(ValueError, match="column 'im': bad number 'x'"):
         load_algebra_element_csv(path, 4)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("density: 5\n", "density must be 'uniform' or a list of rows, not 5"),
+    ("density: other\n", "not 'other'"),
+    ("density: [[2, 0.5], [0, 0.5]]\n", "density row 1 [2, 0.5]: object 2 is outside 0..1"),
+    ("density: [[0, 0.5], [-1, 0.5]]\n", "density row 2 [-1, 0.5]: object -1 is outside"),
+    ("density: [[0, 0, 0.5], [1, 0.5]]\n", "density row 2 [1, 0.5]: expected"),
+    ("density: [[0, 0.5], [1, x]]\n", "density row 2 [1, 'x']: bad density 'x'"),
+    ("density: [[0, -1, 0.5]]\n", "density row 1 [0, -1, 0.5]: slice -1 is negative"),
+    ("density: [[0.5, 0.5]]\n", "density row 1 [0.5, 0.5]: object and slice must be integers"),
+    ("mode: Real\n", "unknown mode 'Real'"),
+    ("hbar: [1]\n", "bad hbar [1]"),
+    ("density: [}\n", "not valid YAML"),
+    ("- 1\n", "must be a mapping"),
+])
+def test_malformed_state_spec_is_an_input_error(capsys, tmp_path, text, message):
+    path = tmp_path / "spec.yaml"
+    path.write_text(text)
+    code, out, err = run(capsys, "propagate", "--groupoid", "pair:2", "--grid", "0,1,2",
+                         "--dfs", str(path))
+    assert code == 2 and out == ""
+    line = _one_line_error(err)
+    assert "spec.yaml" in line and message in line
+
+
+def test_state_spec_objects_without_a_row_get_density_zero(tmp_path):
+    from sumhist.io import load_state_spec
+    path = tmp_path / "spec.yaml"
+    path.write_text("density: [[0, 1.0]]\n")
+    assert load_state_spec(path, sh.pair_groupoid(3)).density.tolist() == [[1.0, 0.0, 0.0]]
+    path.write_text("density: [[1, 2, 1.0], [0, 0, 1.0]]\n")
+    assert load_state_spec(path, sh.pair_groupoid(2)).density.tolist() == [
+        [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_propagate_threads_below_one_is_an_input_error(capsys, threads):
+    code, out, err = run(capsys, "propagate", "--groupoid", "pair:2", "--grid", "0,1,2",
+                         "--threads", threads)
+    assert code == 2 and out == ""
+    assert f"--threads must be at least 1, not {threads}" in _one_line_error(err)

@@ -1,4 +1,6 @@
+import cmath
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 
 import sumhist as sh
 from sumhist.action import EUCLIDEAN, REAL_PHASE
-from sumhist.propagator import SliceConfig
+from sumhist.geometry import CircleLattice, LineLattice
+from sumhist.propagator import SliceConfig, gaussian_slice_params, lattice_transfer
 
 
 def test_line_kernel_closed_forms():
@@ -148,3 +151,63 @@ def test_convergence_csv(tmp_path):
     lines = text.strip().split("\n")
     assert lines[0] == "N,dt,value_re,value_im,reference_re,reference_im,rel_error"
     assert len(lines) == 4
+
+
+# ---------------------------------------------------------------------------
+# the phase constant sigma against the per-mode formulas it replaced
+
+
+def _branch_slice_params(cfg):
+    sigma = 1j if cfg.mode == REAL_PHASE else -1.0
+    B = sigma * cfg.mass / (2 * cfg.hbar * cfg.dt)
+    A = cmath.sqrt(cfg.mass / (2 * math.pi * cfg.hbar * cfg.dt
+                               * (1j if cfg.mode == REAL_PHASE else 1.0)))
+    return A, B
+
+
+def _branch_lattice_transfer(geometry, cfg):
+    sigma = 1j if cfg.mode == REAL_PHASE else -1.0
+    norm = cmath.sqrt(cfg.mass / (2 * math.pi * cfg.hbar * cfg.dt
+                                  * (1j if cfg.mode == REAL_PHASE else 1.0)))
+    d = geometry.distance_matrix
+    expo = sigma * cfg.mass * d * d / (2 * cfg.hbar * cfg.dt)
+    return norm * geometry.spacing * np.exp(expo)
+
+
+def _bits(*zs):
+    return b"".join(struct.pack("<dd", z.real, z.imag) for z in zs)
+
+
+def _seeded_configs(seed, count, mode):
+    rng = np.random.default_rng(seed)
+    out = [SliceConfig(1, 1.0, mode=mode), SliceConfig(64, 1.0, mode=mode)]
+    for _ in range(count):
+        n = int(rng.integers(1, 300))
+        total, mass, hbar = rng.uniform(0.01, 5.0, 3)
+        out.append(SliceConfig(n, float(total), float(mass), float(hbar), mode))
+    return out
+
+
+@pytest.mark.parametrize("mode", [REAL_PHASE, EUCLIDEAN])
+def test_gaussian_slice_params_are_bit_identical_to_branch_formula(mode):
+    for cfg in _seeded_configs(81, 1500, mode):
+        assert _bits(*gaussian_slice_params(cfg)) == _bits(*_branch_slice_params(cfg)), cfg
+
+
+@pytest.mark.parametrize("mode", [REAL_PHASE, EUCLIDEAN])
+def test_lattice_transfer_is_bit_identical_to_branch_formula(mode):
+    rng = np.random.default_rng(82)
+    for k, cfg in enumerate(_seeded_configs(83, 120, mode)):
+        n_sites = int(rng.integers(1, 40))
+        geom = (CircleLattice(n_sites, float(rng.uniform(0.5, 10.0))) if k % 2
+                else LineLattice(n_sites, float(rng.uniform(0.05, 2.0))))
+        got = lattice_transfer(geom, cfg)
+        want = _branch_lattice_transfer(geom, cfg)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), cfg
+
+
+def test_slice_config_refuses_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode"):
+        SliceConfig(4, 1.0, mode="Real")
+    with pytest.raises(ValueError, match="unknown mode"):
+        SliceConfig(4, 1.0, mode="bogus")

@@ -1,0 +1,61 @@
+"""Golden outputs: the sha256 of stdout and the exit code of small CLI calls.
+
+The digests pin the exact bytes of the finite path sum (real, euclidean,
+anchored, partitioned order, JSON), the line kernels on both routes, the
+circle lattice power and a convergence sweep.  A change that is meant to
+keep every output byte-identical must leave them all unchanged.  They were
+recorded on x86-64 Linux with CPython 3.11 and numpy 2.4; another libm or
+numpy build may round the last bits differently.
+"""
+
+import hashlib
+
+import pytest
+
+from sumhist.cli import main
+
+ANCHORED_SPEC = "hbar: 0.7\nmode: real\nconvention: anchored\ndensity: uniform\n"
+
+GOLDEN = {
+    "finite-real": (
+        ["propagate", "--groupoid", "pair:3", "--grid", "0,1,3",
+         "--lagrangian", "energy:line,0.5"],
+        0, "9fc651990148de54ce3faead1fbb57f50cecb1cef191445a379fda5a1c3f20c2"),
+    "finite-euclidean": (
+        ["propagate", "--groupoid", "pair:3", "--grid", "0,1,3",
+         "--lagrangian", "energy:line,0.5", "--mode", "euclidean", "--hbar", "0.3"],
+        0, "439faa7dc525b9c42d7b6d0ac52c0b98730a233f05c6facc796dffbecdc85a63"),
+    "finite-anchored-dfs": (
+        ["propagate", "--groupoid", "pair:3", "--grid", "0,1,3",
+         "--lagrangian", "energy:line,0.5", "--dfs", "{spec}"],
+        0, "b04edb78bfaeeaf720ebf51b64e8d36c213ab69fa2663678f6e5281ee4e02010"),
+    "finite-json-partitioned": (
+        ["propagate", "--groupoid", "pair_x_cyclic:2,2", "--grid", "0,1,3",
+         "--lagrangian", "energy:circle,2.0", "--threads", "2", "--format", "json"],
+        0, "f4624528c27cca165cd60b696a97eda6e140009224c5cabb3ff604eeac37eb22"),
+    "line-real": (
+        ["propagate", "--geometry", "line", "--N", "8", "--T", "0.7",
+         "--x1=-1.5,0,0.25,2"],
+        0, "258567965ff9b30bb7c70c703ebb3e294b51ab68eaa3903859cb86a74eda5e31"),
+    "line-euclidean": (
+        ["propagate", "--geometry", "line", "--mode", "euclidean", "--N", "4",
+         "--quad-nodes", "120", "--x1", "0,0.5,1"],
+        0, "8ef0d6030eae2d49e906c54df81309bb4ad5f2cef7e98d69f2f3a722a0f34854"),
+    "circle-euclidean": (
+        ["propagate", "--geometry", "circle", "--mode", "euclidean", "--N", "4",
+         "--T", "0.5", "--sites", "48"],
+        0, "a2620b72aa3544c59e6f6a54210258ce0cce67cc8c71ef83cfa2a435225792e4"),
+    "converge-line": (
+        ["converge", "--geometry", "line", "--sweep", "1,2,4,8", "--x1", "0.75"],
+        0, "b636e23497d168ad43b78125f860840f2c195cc5e2fc78efc77a4f9b5b2ba40b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_stdout_is_byte_identical(name, capsys, tmp_path):
+    argv, want_code, want_digest = GOLDEN[name]
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(ANCHORED_SPEC)
+    code = main([a.format(spec=spec) for a in argv])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == (want_code, want_digest)

@@ -1,11 +1,13 @@
+import cmath
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 
 import sumhist as sh
-from sumhist.action import EUCLIDEAN, phase_factor
+from sumhist.action import EUCLIDEAN, REAL_PHASE, phase_factor
 from sumhist.propagator import kinetic_lagrangian_value
 
 from conftest import symmetric_lagrangian
@@ -312,3 +314,89 @@ def test_propagator_table_csv(tmp_path, rng):
     lines = text.strip().split("\n")
     assert lines[0] == "x0,t0,x1,t1,re,im,abs,phase"
     assert len(lines) == 10
+
+
+# ---------------------------------------------------------------------------
+# the phase constant sigma against the per-mode formulas it replaced
+
+
+def _branch_phase_factor(s, hbar, mode):
+    if mode == REAL_PHASE:
+        return complex(math.cos(s / hbar), math.sin(s / hbar))
+    return complex(math.exp(-s / hbar))
+
+
+def _branch_line_kernel(mass, hbar, t, dx, mode):
+    if mode == REAL_PHASE:
+        return (cmath.sqrt(mass / (2j * math.pi * hbar * t))
+                * cmath.exp(1j * mass * dx * dx / (2 * hbar * t)))
+    return complex(math.sqrt(mass / (2 * math.pi * hbar * t))
+                   * math.exp(-mass * dx * dx / (2 * hbar * t)))
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _signed_samples(rng, n, scale):
+    """Seeded values of both signs, with exact signed zeros mixed in."""
+    vals = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]
+    vals += list(rng.standard_normal(n) * scale)
+    vals += list(rng.uniform(-700.0, 700.0, n))
+    return [float(v) for v in vals]
+
+
+@pytest.mark.parametrize("mode", [REAL_PHASE, EUCLIDEAN])
+def test_phase_factor_is_bit_identical_to_branch_formula(mode):
+    rng = np.random.default_rng(71)
+    samples = _signed_samples(rng, 10000, 10.0)
+    hbars = [1.0, *rng.uniform(0.05, 3.0, 7)]
+    pairs = [(s, h) for s in samples for h in hbars if abs(s / h) <= 708.0]
+    assert len(pairs) > 100000
+    mismatches = [(s, h) for s, h in pairs
+                  if _bits(phase_factor(s, h, mode)) != _bits(_branch_phase_factor(s, h, mode))]
+    assert mismatches == []
+
+
+def test_phase_factor_keeps_the_sign_of_a_zero_action():
+    assert _bits(phase_factor(-0.0, 1.0, REAL_PHASE)) == _bits(complex(1.0, -0.0))
+    assert _bits(phase_factor(0.0, 1.0, REAL_PHASE)) == _bits(complex(1.0, 0.0))
+    past_zero = -1.0 * 0.0
+    assert _bits(phase_factor(past_zero, 0.5, REAL_PHASE)) == _bits(complex(1.0, -0.0))
+
+
+def test_euclidean_weights_near_overflow_differ_by_at_most_two_ulp():
+    # cmath.exp evaluates exp(x) as exp(x - 1) * e once x > log(DBL_MAX / 4)
+    # (about 708.396), so in the last unit and a half below the overflow
+    # threshold the weight of a large negative euclidean action may differ
+    # from libm exp in the last two bits; below that band the two are
+    # bit-identical (test above), and past the threshold both overflow.
+    for s in np.linspace(-709.78, -708.3, 2001):
+        new = phase_factor(float(s), 1.0, EUCLIDEAN)
+        old = _branch_phase_factor(float(s), 1.0, EUCLIDEAN)
+        assert new.imag == old.imag == 0.0
+        assert abs(new.real - old.real) <= 2 * math.ulp(old.real)
+    for fn in (phase_factor, _branch_phase_factor):
+        with pytest.raises(OverflowError):
+            fn(-710.0, 1.0, EUCLIDEAN)
+
+
+@pytest.mark.parametrize("mode", [REAL_PHASE, EUCLIDEAN])
+def test_line_kernel_is_bit_identical_to_branch_formula(mode):
+    rng = np.random.default_rng(72)
+    dxs = _signed_samples(rng, 2000, 3.0)
+    params = [(1.0, 1.0, 1.0)] + [tuple(rng.uniform(0.05, 4.0, 3)) for _ in range(9)]
+    mismatches = [(m, h, t, dx) for m, h, t in params for dx in dxs
+                  if _bits(sh.line_kernel(m, h, t, dx, mode))
+                  != _bits(_branch_line_kernel(m, h, t, dx, mode))]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("bad", ["bogus", "Real", "EUCLIDEAN", ""])
+def test_unknown_mode_is_refused(bad):
+    with pytest.raises(ValueError, match="unknown mode"):
+        phase_factor(0.0, 1.0, bad)
+    with pytest.raises(ValueError, match="unknown mode"):
+        sh.line_kernel(1.0, 1.0, 1.0, 0.5, bad)
+    with pytest.raises(ValueError, match="unknown mode"):
+        sh.StateSpec(np.full((1, 2), 0.5), mode=bad)
