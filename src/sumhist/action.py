@@ -60,10 +60,6 @@ class Lagrangian:
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return check_symmetry(self)
-
 
 def check_symmetry(lag: Lagrangian) -> bool:
     """True iff the Lagrangian takes equal values on each morphism and its inverse."""
@@ -90,7 +86,7 @@ def energy_lagrangian_from_metric(g: FiniteGroupoid, metric: np.ndarray,
         raise ValueError("metric must be a square matrix over the objects")
     if not np.array_equal(metric, metric.T) or np.any(np.diag(metric) != 0):
         raise ValueError("metric must be symmetric with zero diagonal")
-    if slice_dt <= 0 or mass <= 0:
+    if not (0 < slice_dt < math.inf and 0 < mass < math.inf):
         raise ValueError("slice_dt and mass must be positive")
     d = metric[g.src, g.tgt]
     return Lagrangian(g, mass * d * d / (2.0 * slice_dt))
@@ -160,7 +156,9 @@ class StateSpec:
         p = np.atleast_2d(np.asarray(self.density, dtype=float))
         if (p < 0).any():
             raise NormalizationError("density values must be non-negative")
-        if self.hbar <= 0:
+        if not np.isfinite(p).all():
+            raise NormalizationError("density values must be finite")
+        if not 0 < self.hbar < math.inf:  # also refuses NaN
             raise ValueError("hbar must be positive")
         phase_sigma(self.mode)
         if self.convention not in (INCREMENTAL, ANCHORED):

@@ -34,6 +34,8 @@ class GroupoidMeasure:
             raise MeasureError("object_weights must have one entry per object")
         if fw.shape != (self.groupoid.n_morphisms,):
             raise MeasureError("fiber_weights must have one entry per morphism")
+        if not (np.isfinite(ow).all() and np.isfinite(fw).all()):
+            raise MeasureError("measure weights must be finite")
         if not (ow > 0).all() or not (fw > 0).all():
             raise MeasureError("measure weights must be strictly positive")
         object.__setattr__(self, "object_weights", ow)

@@ -1,7 +1,9 @@
 """Command-line surface: groupoid validation, state checks, propagator tables,
 and convergence studies.
 
-Exit codes: 0 success, 2 input error, 3 check failure.
+Exit codes: 0 success, 2 input error, 3 check failure.  ``main`` is the one
+place that turns an input error, any ValueError or OSError, into exit 2 with a
+one-line ``error:`` message.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ import numpy as np
 
 from . import io as sio
 from .action import (EUCLIDEAN, Lagrangian, NormalizationError,
-                     StateSpec, SymmetryError, asymmetric_morphisms,
+                     StateSpec, asymmetric_morphisms,
                      energy_lagrangian, family_certificate, family_form_value,
                      family_gns_vector, full_interval_family,
                      state_from_lagrangian, uniform_state_spec, zero_lagrangian)
 from .algebra import GroupoidMeasure, counting_measure
 from .geometry import CircleLattice, LineLattice
-from .groupoid import (GroupoidFormatError, InvalidGroupError, resolve_groupoid,
-                       validate_axioms)
+from .groupoid import resolve_groupoid, validate_axioms
 from .histories import TimeGrid
 from .propagator import (SliceConfig, circle_convergence, circle_propagator,
                          errors_decrease, image_sum_circle_kernel,
@@ -36,11 +37,10 @@ EXIT_CHECK = 3
 
 
 def _parse_grid(text: str) -> TimeGrid:
-    try:
-        t0s, t1s, ns = text.split(",")
-        return TimeGrid.uniform(float(t0s), float(t1s), int(ns))
-    except Exception as exc:
-        raise ValueError(f"bad grid spec {text!r}: expected t0,t1,N") from exc
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"bad grid spec {text!r}: expected t0,t1,N")
+    return TimeGrid.uniform(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
 def _load_measure(g, arg: str | None) -> GroupoidMeasure:
@@ -78,6 +78,15 @@ def _load_spec(g, args, measure) -> StateSpec:
                               convention="incremental", measure=measure)
 
 
+def _load_model(args):
+    """Groupoid, grid, measure, Lagrangian and state spec named by the flags."""
+    g = resolve_groupoid(args.groupoid)
+    grid = _parse_grid(args.grid)
+    measure = _load_measure(g, args.measure)
+    lag = _load_lagrangian(g, args.lagrangian, grid, args.mass)
+    return g, grid, measure, lag, _load_spec(g, args, measure)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -86,11 +95,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        g = resolve_groupoid(args.groupoid)
-    except (GroupoidFormatError, InvalidGroupError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = resolve_groupoid(args.groupoid)
     report = validate_axioms(g)
     _emit(f"{g.name}: {report.summary()}\n", args.out)
     return EXIT_OK if report.ok else EXIT_CHECK
@@ -98,17 +103,8 @@ def cmd_validate(args) -> int:
 
 def cmd_state_check(args) -> int:
     if not args.groupoid or not args.grid:
-        print("error: state-check needs --groupoid and --grid", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        g = resolve_groupoid(args.groupoid)
-        grid = _parse_grid(args.grid)
-        measure = _load_measure(g, args.measure)
-        lag = _load_lagrangian(g, args.lagrangian, grid, args.mass)
-        spec = _load_spec(g, args, measure)
-    except (GroupoidFormatError, InvalidGroupError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("state-check needs --groupoid and --grid")
+    g, grid, measure, lag, spec = _load_model(args)
 
     entries = []
     status = EXIT_OK
@@ -134,9 +130,8 @@ def cmd_state_check(args) -> int:
         np.add.at(hom_sizes, (g.tgt, g.src), 1.0)
         count = int(round(np.linalg.matrix_power(hom_sizes, grid.n_intervals).sum()))
         if count > 20000:
-            print(f"error: {count} histories on this grid; the positivity "
-                  "certificate needs <= 20000 (use a coarser grid)", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"{count} histories on this grid; the positivity "
+                             "certificate needs <= 20000 (use a coarser grid)")
         family = full_interval_family(g, grid)
         cert = family_certificate(state, family)
         entries.append(("positivity_min_eigenvalue", repr(cert.min_eigenvalue),
@@ -162,25 +157,15 @@ def cmd_state_check(args) -> int:
 
 def cmd_propagate(args) -> int:
     if args.threads < 1:
-        print(f"error: --threads must be at least 1, not {args.threads}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"--threads must be at least 1, not {args.threads}")
     if args.geometry:
         return _propagate_geometry(args)
     if not args.groupoid or not args.grid:
-        print("error: propagate needs --geometry, or --groupoid with --grid",
-              file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        g = resolve_groupoid(args.groupoid)
-        grid = _parse_grid(args.grid)
-        measure = _load_measure(g, args.measure)
-        lag = _load_lagrangian(g, args.lagrangian, grid, args.mass)
-        spec = _load_spec(g, args, measure)
-        state_from_lagrangian(lag, spec, g, grid, measure)  # symmetry + normalization
-    except (GroupoidFormatError, InvalidGroupError, SymmetryError,
-            NormalizationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("propagate needs --geometry, or --groupoid with --grid")
+    g, grid, measure, lag, spec = _load_model(args)
+    if args.check and (args.at is None or not 0 < args.at < grid.n_intervals):
+        raise ValueError("--check reproducing needs an interior --at slice")
+    state_from_lagrangian(lag, spec, g, grid, measure)  # symmetry + normalization
 
     table = propagator_table(g, grid, lag, spec, measure, partitions=args.threads)
     status = EXIT_OK
@@ -199,10 +184,6 @@ def cmd_propagate(args) -> int:
         if worst > args.tol:
             status = EXIT_CHECK
     if args.check == "reproducing":
-        if args.at is None or not (0 < args.at < grid.n_intervals):
-            print("error: --check reproducing needs an interior --at slice",
-                  file=sys.stderr)
-            return EXIT_INPUT
         res = reproducing_residual(g, grid, lag, spec, args.at, measure)
         print(f"reproducing residual at slice {args.at}: {res:.3e}", file=sys.stderr)
         if res > args.tol:
@@ -223,37 +204,32 @@ def _slice_config(args, n_slices) -> SliceConfig:
                        args.quad_halfwidth, args.quad_nodes)
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(s) for s in text.split(",")]
+def _endpoints(args, default: list[float]) -> tuple[float, list[float]]:
+    """--x0 and the --x1 list (default when absent); given endpoints must be finite."""
+    x1s = [float(s) for s in args.x1.split(",")] if args.x1 else []
+    if not all(map(math.isfinite, (args.x0, *x1s))):
+        raise ValueError(f"endpoints must be finite: --x0 {args.x0!r}, --x1 {args.x1!r}")
+    return args.x0, x1s or default
 
 
 def _propagate_geometry(args) -> int:
+    cfg = _slice_config(args, args.N)
     rows = []
-    try:
-        cfg = _slice_config(args, args.N)
-        if args.geometry == "line":
-            x0 = args.x0
-            x1s = _float_list(args.x1) if args.x1 else [round(-2.0 + 0.5 * k, 10)
-                                                        for k in range(9)]
-            method = "quadrature" if cfg.mode == EUCLIDEAN else "recursion"
-            for x1 in x1s:
-                val = sliced_line_propagator(cfg, x0, x1, method)
-                ref = line_kernel(cfg.mass, cfg.hbar, cfg.total_time, x1 - x0, cfg.mode)
-                rows.append((x0, x1, val, ref))
-        elif args.geometry == "circle":
-            th0 = args.x0
-            lc = args.circumference
-            th1s = _float_list(args.x1) if args.x1 else [lc * k / 8 for k in range(8)]
-            for th1 in th1s:
-                val = circle_propagator(cfg, lc, th0, th1, args.sites)
-                ref = image_sum_circle_kernel(cfg, lc, th0, th1, args.winding_max)
-                rows.append((th0, th1, val, ref))
-        else:
-            print(f"error: unknown geometry {args.geometry!r}", file=sys.stderr)
-            return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.geometry == "line":
+        x0, x1s = _endpoints(args, [round(-2.0 + 0.5 * k, 10) for k in range(9)])
+        method = "quadrature" if cfg.mode == EUCLIDEAN else "recursion"
+        for x1 in x1s:
+            val = sliced_line_propagator(cfg, x0, x1, method)
+            ref = line_kernel(cfg.mass, cfg.hbar, cfg.total_time, x1 - x0, cfg.mode)
+            rows.append((x0, x1, val, ref))
+    else:
+        lc = args.circumference
+        th0, th1s = _endpoints(args, [lc * k / 8 for k in range(8)])
+        for th1 in th1s:
+            # the reference first: it refuses real time before any lattice work
+            ref = image_sum_circle_kernel(cfg, lc, th0, th1, args.winding_max)
+            val = circle_propagator(cfg, lc, th0, th1, args.sites)
+            rows.append((th0, th1, val, ref))
 
     rows = [(x0, x1, val, abs(val - ref) / max(abs(ref), 1e-300))
             for x0, x1, val, ref in rows]
@@ -264,28 +240,19 @@ def _propagate_geometry(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    try:
-        cfg = _slice_config(args, args.N)
-        sweep = [int(s) for s in args.sweep.split(",")] if args.sweep else None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if args.geometry == "line":
-            sweep = sweep or [1, 2, 4, 8, 16, 32, 64, 128, 256]
-            x1 = _float_list(args.x1)[0] if args.x1 else 1.0
-            rows = line_convergence(cfg, args.x0, x1, sweep)
-        elif args.geometry == "circle":
-            sweep = sweep or [1, 2, 4, 8, 16, 32, 64]
-            th1 = _float_list(args.x1)[0] if args.x1 else args.circumference / 2
-            rows = circle_convergence(cfg, args.circumference, args.x0, th1, sweep,
-                                      args.sites, args.winding_max)
-        else:
-            print("error: converge needs --geometry line|circle", file=sys.stderr)
-            return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    cfg = _slice_config(args, args.N)
+    sweep = [int(s) for s in args.sweep.split(",")] if args.sweep else None
+    if args.geometry == "line":
+        sweep = sweep or [1, 2, 4, 8, 16, 32, 64, 128, 256]
+        x0, x1s = _endpoints(args, [1.0])
+        rows = line_convergence(cfg, x0, x1s[0], sweep)
+    elif args.geometry == "circle":
+        sweep = sweep or [1, 2, 4, 8, 16, 32, 64]
+        th0, th1s = _endpoints(args, [args.circumference / 2])
+        rows = circle_convergence(cfg, args.circumference, th0, th1s[0], sweep,
+                                  args.sites, args.winding_max)
+    else:
+        raise ValueError("converge needs --geometry line|circle")
     writer = sio.convergence_json if args.format == "json" else sio.convergence_csv
     _emit(writer(rows), args.out)
     ok = errors_decrease(rows, burn_in=args.burnin, floor=args.floor)
@@ -379,6 +346,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

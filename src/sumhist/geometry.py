@@ -4,6 +4,7 @@ geodesic distances used by the energy Lagrangian."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +18,7 @@ class LineLattice:
     origin: float = 0.0
 
     def __post_init__(self):
-        if self.n_sites < 1 or self.spacing <= 0:
+        if self.n_sites < 1 or not 0 < self.spacing < math.inf:
             raise ValueError("line lattice needs n_sites >= 1 and positive spacing")
 
     def position(self, i: int) -> float:
@@ -50,7 +51,7 @@ class CircleLattice:
     circumference: float
 
     def __post_init__(self):
-        if self.n_sites < 1 or self.circumference <= 0:
+        if self.n_sites < 1 or not 0 < self.circumference < math.inf:
             raise ValueError("circle lattice needs n_sites >= 1 and positive circumference")
 
     @property

@@ -96,9 +96,6 @@ class FiniteGroupoid:
     def is_unit(self, m: int) -> bool:
         return int(self.unit_of[self.src[m]]) == m
 
-    def is_composable(self, a: int, b: int) -> bool:
-        return bool(self.src[a] == self.tgt[b])
-
     def compose(self, a: int, b: int) -> int:
         c = int(self.table[a, b])
         if c == UNDEFINED:
@@ -107,16 +104,6 @@ class FiniteGroupoid:
                 f"(src({a})={self.source(a)} != tgt({b})={self.target(b)})"
             )
         return c
-
-    def compose_chain(self, ms) -> int:
-        """Compose ms[-1] first, ..., ms[0] last (same order as a∘b∘c)."""
-        ms = list(ms)
-        if not ms:
-            raise ValueError("empty composition chain")
-        acc = ms[-1]
-        for m in reversed(ms[:-1]):
-            acc = self.compose(m, acc)
-        return acc
 
     @cached_property
     def _hom(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -365,10 +352,39 @@ def builtin_groupoid(name: str) -> FiniteGroupoid:
     raise GroupoidFormatError(f"unknown builtin groupoid {name!r}")
 
 
-def _unique(seq, what):
+def read_yaml(path, what: str, error: type[ValueError] = ValueError):
+    """Parsed YAML of a description file.  Invalid YAML raises ``error`` with a
+    one-line message naming what is read, the file, the line and the problem."""
+    try:
+        return yaml.safe_load(Path(path).read_text())
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f", line {mark.line + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise error(f"{what} {path}{where}: not valid YAML: {problem}") from None
+
+
+def is_int(v) -> bool:
+    """True for an int that is not a bool (YAML reads true/false as bools)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_rows(path, data: dict, key: str, width: int) -> list[list[int]]:
+    """The rows of an optional section, each a list of ``width`` integers."""
+    rows = data[key]
+    if not isinstance(rows, list):
+        raise GroupoidFormatError(f"{path}: '{key}' must be a list of rows")
+    for i, row in enumerate(rows, start=1):
+        if not (isinstance(row, list) and len(row) == width and all(map(is_int, row))):
+            raise GroupoidFormatError(
+                f"{path}: {key} row {i} {row!r}: expected {width} integers")
+    return rows
+
+
+def _unique(path, seq, what):
     if len(seq) != 1:
-        raise GroupoidFormatError(
-            f"cannot infer {what}: expected exactly one candidate, found {len(seq)}")
+        raise GroupoidFormatError(f"{path}: cannot infer {what}: expected exactly "
+                                  f"one candidate, found {len(seq)}")
     return seq[0]
 
 
@@ -381,27 +397,25 @@ def load_groupoid_file(path) -> FiniteGroupoid:
     relevant hom sets are singletons; otherwise loading fails.
     """
     path = Path(path)
-    try:
-        data = yaml.safe_load(path.read_text())
-    except (OSError, yaml.YAMLError) as exc:
-        raise GroupoidFormatError(f"cannot read groupoid file {path}: {exc}") from exc
+    data = read_yaml(path, "groupoid file", GroupoidFormatError)
     if not isinstance(data, dict):
         raise GroupoidFormatError(f"groupoid file {path} must be a mapping")
-    try:
-        n = int(data["objects"])
-        morphs = data["morphisms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GroupoidFormatError(f"{path}: missing/invalid 'objects' or 'morphisms'") from exc
-    if n < 1 or not isinstance(morphs, list) or not morphs:
+    n, morphs = data.get("objects"), data.get("morphisms")
+    if not is_int(n) or not isinstance(morphs, list):
+        raise GroupoidFormatError(f"{path}: missing/invalid 'objects' or 'morphisms'")
+    if n < 1 or not morphs:
         raise GroupoidFormatError(f"{path}: need at least one object and one morphism")
     M = len(morphs)
+    if n > M:
+        raise GroupoidFormatError(f"{path}: {n} objects need at least {n} morphisms, "
+                                  "one unit each")
     src = np.full(M, -1, dtype=np.int64)
     tgt = np.full(M, -1, dtype=np.int64)
     for row in morphs:
-        try:
-            i, s, t = int(row["id"]), int(row["src"]), int(row["tgt"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GroupoidFormatError(f"{path}: bad morphism row {row!r}") from exc
+        ids = [row.get(k) for k in ("id", "src", "tgt")] if isinstance(row, dict) else []
+        if len(ids) != 3 or not all(map(is_int, ids)):
+            raise GroupoidFormatError(f"{path}: bad morphism row {row!r}")
+        i, s, t = ids
         if not (0 <= i < M):
             raise GroupoidFormatError(f"{path}: morphism id {i} not in 0..{M-1}")
         if src[i] != -1:
@@ -416,29 +430,28 @@ def load_groupoid_file(path) -> FiniteGroupoid:
 
     if "units" in data:
         unit_of = np.full(n, -1, dtype=np.int64)
-        for x, u in data["units"]:
-            if not (0 <= int(x) < n and 0 <= int(u) < M):
+        for x, u in _int_rows(path, data, "units", 2):
+            if not (0 <= x < n and 0 <= u < M):
                 raise GroupoidFormatError(f"{path}: bad units row [{x}, {u}]")
-            unit_of[int(x)] = int(u)
+            unit_of[x] = u
     else:
-        unit_of = np.array([_unique(hom.get((x, x), []), f"unit at object {x}")
+        unit_of = np.array([_unique(path, hom.get((x, x), []), f"unit at object {x}")
                             for x in range(n)], dtype=np.int64)
 
     if "inverse" in data:
         inverse_of = np.full(M, -1, dtype=np.int64)
-        for m, i in data["inverse"]:
-            if not (0 <= int(m) < M and 0 <= int(i) < M):
+        for m, i in _int_rows(path, data, "inverse", 2):
+            if not (0 <= m < M and 0 <= i < M):
                 raise GroupoidFormatError(f"{path}: bad inverse row [{m}, {i}]")
-            inverse_of[int(m)] = int(i)
+            inverse_of[m] = i
     else:
         inverse_of = np.array(
-            [_unique(hom.get((int(tgt[m]), int(src[m])), []), f"inverse of morphism {m}")
+            [_unique(path, hom.get((int(tgt[m]), int(src[m])), []), f"inverse of morphism {m}")
              for m in range(M)], dtype=np.int64)
 
     table = np.full((M, M), UNDEFINED, dtype=np.int32)
     if "compose" in data:
-        for a, b, c in data["compose"]:
-            a, b, c = int(a), int(b), int(c)
+        for a, b, c in _int_rows(path, data, "compose", 3):
             if not (0 <= a < M and 0 <= b < M and 0 <= c < M):
                 raise GroupoidFormatError(f"{path}: bad compose row [{a}, {b}, {c}]")
             table[a, b] = c
@@ -447,7 +460,7 @@ def load_groupoid_file(path) -> FiniteGroupoid:
             for b in range(M):
                 if src[a] == tgt[b]:
                     table[a, b] = _unique(
-                        hom.get((int(src[b]), int(tgt[a])), []),
+                        path, hom.get((int(src[b]), int(tgt[a])), []),
                         f"composition {a}∘{b}")
 
     return FiniteGroupoid(n, src, tgt, unit_of, inverse_of, table, name=path.stem)

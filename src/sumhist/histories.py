@@ -14,6 +14,7 @@ reduced words whose adjacent (segment, inverse-segment) pairs cancel.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ class TimeGrid:
         times = tuple(float(t) for t in self.times)
         if not times:
             raise GridError("a time grid needs at least one time")
+        if not all(map(math.isfinite, times)):
+            raise GridError("grid times must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise GridError("grid times must be strictly increasing")
         object.__setattr__(self, "times", times)

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .action import StateSpec, uniform_state_spec
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, is_int, read_yaml
 from .histories import History, HistoryWord
 from .propagator import ConvergenceRow, PropagatorTable
 
@@ -159,13 +159,7 @@ def load_state_spec(path, groupoid: FiniteGroupoid, measure=None) -> StateSpec:
     measure), a list of [object, p] rows (time independent), or
     [object, slice, p] rows; objects without a row get density 0.  A
     malformed file raises ValueError naming the file and the offending row."""
-    try:
-        data = yaml.safe_load(Path(path).read_text())
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f", line {mark.line + 1}" if mark else ""
-        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
-        raise ValueError(f"state spec {path}{where}: not valid YAML: {problem}") from None
+    data = read_yaml(path, "state spec")
     if not isinstance(data, dict):
         raise ValueError(f"state spec {path} must be a mapping")
     try:
@@ -196,7 +190,7 @@ def _density_table(rows, n_objects: int) -> np.ndarray:
             raise ValueError(f"{where}: expected [object, p] or [object, slice, p] "
                              "rows, all of one length")
         *ids, v = row
-        if not all(isinstance(j, int) and not isinstance(j, bool) for j in ids):
+        if not all(map(is_int, ids)):
             raise ValueError(f"{where}: object and slice must be integers")
         x, k = ids if width == 3 else (ids[0], 0)
         if not 0 <= x < n_objects:

@@ -279,10 +279,13 @@ class SliceConfig:
     quad_nodes: int = 400
 
     def __post_init__(self):
-        if self.n_slices < 1 or self.total_time <= 0:
+        # 0 < x < inf also refuses NaN
+        if self.n_slices < 1 or not 0 < self.total_time < math.inf:
             raise ValueError("need n_slices >= 1 and positive total_time")
-        if self.mass <= 0 or self.hbar <= 0:
+        if not (0 < self.mass < math.inf and 0 < self.hbar < math.inf):
             raise ValueError("mass and hbar must be positive")
+        if not 0 < self.quad_halfwidth < math.inf:
+            raise ValueError("quad_halfwidth must be positive")
         if self.quad_nodes < 2:
             raise ValueError("need at least two quadrature nodes")
         phase_sigma(self.mode)
@@ -400,7 +403,12 @@ def circle_propagator(cfg: SliceConfig, circumference: float, theta0: float,
 def image_sum_circle_kernel(cfg: SliceConfig, circumference: float, theta0: float,
                             theta1: float, winding_max: int = 10) -> complex:
     """Reference circle kernel as the sum of line kernels over winding images:
-    sum over |n| <= winding_max of K_line(dtheta + n * circumference, T)."""
+    sum over |n| <= winding_max of K_line(dtheta + n * circumference, T).
+    Euclidean only: at real time the images do not decay and the sum does not
+    converge, so mode 'real' raises ValueError."""
+    if cfg.mode != EUCLIDEAN:
+        raise ValueError("the circle image sum does not converge at real time; "
+                         "only mode 'euclidean' has a circle reference")
     d = (theta1 - theta0) % circumference
     terms = [line_kernel(cfg.mass, cfg.hbar, cfg.total_time, d + n * circumference, cfg.mode)
              for n in range(-winding_max, winding_max + 1)]

@@ -271,3 +271,20 @@ def test_lagrangian_csv_round_trip(tmp_path, rng):
     lagrangian_csv(lag.values, tmp_path / "l.csv")
     vals = load_lagrangian_csv(tmp_path / "l.csv", 9)
     assert np.array_equal(vals, lag.values)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda g: sh.StateSpec(np.full((1, 2), 0.5), hbar=math.nan), "hbar must be positive"),
+    (lambda g: sh.StateSpec(np.full((1, 2), 0.5), hbar=math.inf), "hbar must be positive"),
+    (lambda g: sh.StateSpec(np.array([[0.5, math.nan]])), "density values must be finite"),
+    (lambda g: sh.energy_lagrangian_from_metric(g, np.zeros((2, 2)), math.nan, 1.0),
+     "slice_dt and mass must be positive"),
+    (lambda g: sh.energy_lagrangian_from_metric(g, np.zeros((2, 2)), 0.5, math.inf),
+     "slice_dt and mass must be positive"),
+    (lambda g: sh.GroupoidMeasure(g, np.array([1.0, math.inf]), np.ones(4)),
+     "measure weights must be finite"),
+])
+def test_non_finite_physical_parameters_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make(sh.pair_groupoid(2))
+

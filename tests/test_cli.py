@@ -1,8 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sumhist as sh
 from sumhist.cli import main
@@ -360,3 +367,135 @@ def test_propagate_threads_below_one_is_an_input_error(capsys, threads):
                          "--threads", threads)
     assert code == 2 and out == ""
     assert f"--threads must be at least 1, not {threads}" in _one_line_error(err)
+
+
+ONE_MORPHISM = "objects: 1\nmorphisms:\n  - {id: 0, src: 0, tgt: 0}\n"
+CONTRACT_FILES = {
+    "syntax.yaml": "objects: [}{\n",
+    "units.yaml": ONE_MORPHISM + "units: 5\n",
+    "compose.yaml": ONE_MORPHISM + "compose: [[0, 0]]\n",
+    "junction.yaml": "density: [[0, 1.0]]\n",
+}
+MISSING = "{d}/missing/out.txt"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("validate", "--groupoid", "pair:2", "--out", MISSING), "No such file"),
+    (("state-check", "--groupoid", "pair:2", "--grid", "0,1,2", "--out", MISSING),
+     "No such file"),
+    (("propagate", "--groupoid", "pair:2", "--grid", "0,1,2", "--out", MISSING),
+     "No such file"),
+    (("converge", "--geometry", "line", "--sweep", "1,2", "--out", MISSING), "No such file"),
+    (("propagate", "--groupoid", "pair:2", "--grid", "0,1,2", "--dfs", "{d}/junction.yaml",
+      "--check", "reproducing", "--at", "1"), "strictly positive density at the junction"),
+    (("validate", "--groupoid", "{d}/syntax.yaml"), "syntax.yaml, line 1: not valid YAML"),
+    (("validate", "--groupoid", "{d}/units.yaml"), "units.yaml: 'units' must be a list"),
+    (("validate", "--groupoid", "{d}/compose.yaml"),
+     "compose.yaml: compose row 1 [0, 0]: expected 3 integers"),
+    (("propagate", "--groupoid", "pair:2", "--grid", "0,1,2", "--hbar", "nan",
+      "--lagrangian", "energy:line"), "hbar must be positive"),
+    (("propagate", "--geometry", "line", "--T", "nan", "--N", "2", "--x1", "1"),
+     "positive total_time"),
+    (("propagate", "--groupoid", "pair:2", "--grid", "0,nan,2"), "grid times must be finite"),
+    (("propagate", "--geometry", "line", "--N", "2", "--x1", "nan"),
+     "endpoints must be finite"),
+    (("propagate", "--geometry", "circle", "--mode", "real", "--N", "8"),
+     "does not converge at real time"),
+    (("converge", "--geometry", "circle", "--mode", "real"), "does not converge at real time"),
+], ids=["out-validate", "out-state-check", "out-propagate", "out-converge",
+        "zero-density-junction", "yaml-syntax", "units-scalar", "compose-short-row",
+        "hbar-nan", "T-nan", "grid-nan", "x1-nan", "circle-real-propagate",
+        "circle-real-converge"])
+def test_input_errors_exit_2_with_one_line(capsys, recwarn, tmp_path, argv, message):
+    for name, text in CONTRACT_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    assert message in _one_line_error(err)
+    assert not recwarn.list  # refused before any work that warns
+
+
+SMALL = st.integers(-1, 3)
+JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+                 st.integers(-2, 3), st.lists(SMALL, max_size=2))
+ROW = st.lists(st.one_of(SMALL, SMALL, st.floats(0, 1), JUNK), max_size=4)
+SECTION = st.one_of(st.lists(st.one_of(ROW, ROW, JUNK), max_size=5), JUNK)
+MORPHISM = st.one_of(
+    st.fixed_dictionaries({"id": SMALL, "src": SMALL, "tgt": SMALL}),
+    st.dictionaries(st.sampled_from(("id", "src", "tgt")), st.one_of(SMALL, JUNK)),
+    JUNK)
+GROUPOID_DOC = st.fixed_dictionaries(
+    {"objects": st.one_of(st.integers(0, 3), JUNK),
+     "morphisms": st.one_of(st.lists(MORPHISM, max_size=6), JUNK)},
+    optional={"units": SECTION, "inverse": SECTION, "compose": SECTION})
+
+
+def _saved_description(name):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "g.yaml"
+        sh.save_groupoid_file(sh.resolve_groupoid(name), path)
+        return path.read_text()
+
+
+SAVED_DESCRIPTIONS = [_saved_description(n) for n in ("pair:1", "pair:2", "cyclic:2")]
+
+
+@st.composite
+def _perturbed_groupoid_doc(draw):
+    """The full description of a small builtin groupoid with up to two sections
+    dropped or replaced, or single rows replaced."""
+    doc = yaml.safe_load(draw(st.sampled_from(SAVED_DESCRIPTIONS)))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(doc)))
+        how = draw(st.sampled_from(("drop", "replace", "row")))
+        if how == "drop":
+            del doc[key]
+        elif how == "replace" or not isinstance(doc[key], list) or not doc[key]:
+            doc[key] = draw(SECTION)
+        else:
+            doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(st.one_of(ROW, MORPHISM))
+        if not doc:
+            break
+    return doc
+
+
+SPEC_DOC = st.fixed_dictionaries({}, optional={
+    "hbar": st.one_of(st.floats(), JUNK),
+    "mode": st.one_of(st.sampled_from(("real", "euclidean")), JUNK),
+    "convention": st.one_of(st.sampled_from(("incremental", "anchored")), JUNK),
+    "density": st.one_of(st.just("uniform"), st.just([[0, 0.5], [1, 0.5]]),
+                         st.lists(ROW, max_size=4), JUNK)})
+
+
+def _file_text(doc):
+    """A dumped document, sometimes with a few characters appended, or raw text."""
+    dumped = doc.map(yaml.safe_dump)
+    return st.one_of(dumped, dumped, st.tuples(dumped, st.text(max_size=3)).map("".join),
+                     st.text(st.characters(exclude_categories=("Cs",)), max_size=40))
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=st.one_of(
+    _file_text(st.one_of(_perturbed_groupoid_doc(), _perturbed_groupoid_doc(),
+                          GROUPOID_DOC)).map(lambda text: (["validate", "--groupoid"], text)),
+    _file_text(SPEC_DOC).map(lambda text: (["propagate", "--groupoid", "pair:2",
+                                            "--grid", "0,1,2", "--dfs"], text)),
+    _file_text(SPEC_DOC).map(lambda text: (["state-check", "--groupoid", "pair:2",
+                                            "--grid", "0,1,2", "--dfs"], text))))
+def test_generated_description_files_never_escape_main(case):
+    argv, text = case
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "input.yaml"
+        path.write_bytes(text.encode())
+        code, out, err = _main_captured([*argv, str(path)])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out == ""
+        _one_line_error(err)

@@ -211,3 +211,27 @@ def test_slice_config_refuses_unknown_mode():
         SliceConfig(4, 1.0, mode="Real")
     with pytest.raises(ValueError, match="unknown mode"):
         SliceConfig(4, 1.0, mode="bogus")
+
+
+@pytest.mark.parametrize("field", ["total_time", "mass", "hbar", "quad_halfwidth"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_slice_config_refuses_non_finite_parameters(field, value):
+    kwargs = {"n_slices": 4, "total_time": 1.0, field: value}
+    with pytest.raises(ValueError, match="positive"):
+        SliceConfig(**kwargs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LineLattice(3, math.nan),
+    lambda: CircleLattice(3, math.inf),
+    lambda: sh.TimeGrid((0.0, math.nan, 2.0)),
+    lambda: sh.TimeGrid((0.0, 1.0, math.inf)),
+])
+def test_geometry_and_grid_refuse_non_finite_values(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_image_sum_refuses_real_time():
+    with pytest.raises(ValueError, match="does not converge at real time"):
+        sh.image_sum_circle_kernel(SliceConfig(8, 1.0, mode=REAL_PHASE), 2 * math.pi, 0.0, 1.0)

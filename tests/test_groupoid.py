@@ -200,3 +200,36 @@ def test_builtin_names():
     assert sh.builtin_groupoid("pair_x_cyclic:2,3").n_morphisms == 12
     with pytest.raises(sh.GroupoidFormatError):
         sh.builtin_groupoid("moebius:7")
+
+
+ONE_MORPHISM = "objects: 1\nmorphisms:\n  - {id: 0, src: 0, tgt: 0}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (ONE_MORPHISM + "units: [[0]]\n", "units row 1 [0]: expected 2 integers"),
+    (ONE_MORPHISM + "inverse: [[0, x]]\n", "inverse row 1 [0, 'x']: expected 2 integers"),
+    (ONE_MORPHISM + "compose: [[0, 0, 0], [0, 0, true]]\n",
+     "compose row 2 [0, 0, True]: expected 3 integers"),
+    (ONE_MORPHISM + "compose: 7\n", "'compose' must be a list of rows"),
+    ("objects: .inf\nmorphisms: [{id: 0, src: 0, tgt: 0}]\n", "invalid 'objects'"),
+    ("objects: 1\nmorphisms: [{id: .inf, src: 0, tgt: 0}]\n", "bad morphism row"),
+    ("objects: 2\nmorphisms: [{id: 0, src: 0, tgt: 0}]\n",
+     "2 objects need at least 2 morphisms"),
+    ("objects: 1\nmorphisms:\n  - {id: 0, src: 0, tgt: 0}\n  - {id: 1, src: 0, tgt: 0}\n",
+     "cannot infer unit at object 0"),
+])
+def test_description_file_errors_name_the_file_and_row(tmp_path, text, message):
+    path = tmp_path / "g.yaml"
+    path.write_text(text)
+    with pytest.raises(sh.GroupoidFormatError) as exc:
+        sh.load_groupoid_file(path)
+    assert str(path) in str(exc.value) and message in str(exc.value)
+
+
+def test_yaml_errors_are_one_line(tmp_path):
+    path = tmp_path / "g.yaml"
+    path.write_text("objects: 1\nmorphisms: [}{\n")
+    with pytest.raises(sh.GroupoidFormatError) as exc:
+        sh.load_groupoid_file(path)
+    assert str(exc.value) == (f"groupoid file {path}, line 2: not valid YAML: "
+                              "expected the node content, but found '}'")
