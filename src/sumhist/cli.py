@@ -9,7 +9,9 @@ one-line ``error:`` message.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from .action import (EUCLIDEAN, Lagrangian, NormalizationError,
                      state_from_lagrangian, uniform_state_spec, zero_lagrangian)
 from .algebra import GroupoidMeasure, counting_measure
 from .geometry import CircleLattice, LineLattice
-from .groupoid import resolve_groupoid, validate_axioms
+from .groupoid import is_builtin_name, resolve_groupoid, validate_axioms
 from .histories import TimeGrid
 from .propagator import (SliceConfig, circle_convergence, circle_propagator,
                          errors_decrease, image_sum_circle_kernel,
@@ -78,13 +80,39 @@ def _load_spec(g, args, measure) -> StateSpec:
                               convention="incremental", measure=measure)
 
 
+def _load_groupoid(source: str):
+    """The groupoid named by --groupoid; a description file must satisfy the
+    groupoid axioms (builtins do by construction)."""
+    g = resolve_groupoid(source)
+    if not is_builtin_name(source):
+        report = validate_axioms(g, limit=1)
+        if not report.ok:
+            raise ValueError(f"groupoid file {source} fails the groupoid axioms: "
+                             f"{report.violations[0]}")
+    return g
+
+
 def _load_model(args):
     """Groupoid, grid, measure, Lagrangian and state spec named by the flags."""
-    g = resolve_groupoid(args.groupoid)
+    g = _load_groupoid(args.groupoid)
     grid = _parse_grid(args.grid)
     measure = _load_measure(g, args.measure)
     lag = _load_lagrangian(g, args.lagrangian, grid, args.mass)
     return g, grid, measure, lag, _load_spec(g, args, measure)
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an --out that cannot be written, before any work; the file is
+    neither created nor truncated here, only by the final write."""
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path.parent))
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -343,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK

@@ -119,6 +119,24 @@ class FiniteGroupoid:
         return self._hom.get((a, b), ())
 
     @cached_property
+    def hom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hom sets as arrays indexed by the object pair a * n_objects + b:
+        sizes[ab] = |hom_set(a, b)|, and homs[ab, j] is its j-th morphism for
+        j < sizes[ab], UNDEFINED after that."""
+        n = self.n_objects
+        homs_of = {a * n + b: ms for (a, b), ms in self._hom.items()
+                   if 0 <= a < n and 0 <= b < n}
+        sizes = np.zeros(n * n, dtype=np.intp)
+        homs = np.full((n * n, max(map(len, homs_of.values()), default=1)), UNDEFINED,
+                       dtype=np.intp)
+        for ab, ms in homs_of.items():
+            sizes[ab] = len(ms)
+            homs[ab, :len(ms)] = ms
+        sizes.setflags(write=False)
+        homs.setflags(write=False)
+        return sizes, homs
+
+    @cached_property
     def fibers(self) -> tuple[np.ndarray, ...]:
         """fibers[y] = morphism ids with target y (the fiber over y)."""
         out = []
@@ -480,9 +498,14 @@ def save_groupoid_file(g: FiniteGroupoid, path) -> None:
     Path(path).write_text(yaml.safe_dump(data, sort_keys=False))
 
 
+def is_builtin_name(source: str) -> bool:
+    """True if resolve_groupoid reads source as a builtin constructor name."""
+    return source.partition(":")[0] in ("pair", "cyclic", "pair_x_cyclic")
+
+
 def resolve_groupoid(source: str) -> FiniteGroupoid:
     """Resolve a builtin constructor name or a path to a description file."""
-    if source.partition(":")[0] in ("pair", "cyclic", "pair_x_cyclic"):
+    if is_builtin_name(source):
         return builtin_groupoid(source)
     if Path(source).exists():
         return load_groupoid_file(source)

@@ -24,6 +24,10 @@ from .groupoid import FiniteGroupoid
 FUTURE = "future"
 PAST = "past"
 
+# Histories per array block of the path-sum kernels: every kernel array but a
+# pair's terms holds at most this many rows.
+BLOCK = 1024
+
 
 class GridError(ValueError):
     """A time is not on the grid, or sub-interval endpoints are invalid."""
@@ -240,23 +244,72 @@ def restrict(w: History, t_lo: float, t_hi: float) -> History:
     return History(g, w.grid.sub(i, j), new, w.orientation)
 
 
+def interior_blocks(n_objects: int, n_mids: int):
+    """Every tuple of n_mids interior objects in lexicographic order, as
+    (rows, n_mids) arrays of at most BLOCK rows."""
+    tail = 0            # trailing positions that run through all values in one block
+    while tail < n_mids and n_objects ** (tail + 1) <= BLOCK:
+        tail += 1
+    tails = np.indices((n_objects,) * tail, dtype=np.intp).reshape(tail, n_objects ** tail).T
+    if tail == n_mids:
+        yield tails
+        return
+    heads = itertools.product(range(n_objects), repeat=n_mids - tail)
+    while chunk := list(itertools.islice(heads, max(1, BLOCK // len(tails)))):
+        block = np.empty((len(chunk), len(tails), n_mids), dtype=np.intp)
+        block[:, :, :n_mids - tail] = np.array(chunk, dtype=np.intp)[:, None, :]
+        block[:, :, n_mids - tail:] = tails
+        yield block.reshape(-1, n_mids)
+
+
+def _walk_blocks(g: FiniteGroupoid, x0: int, x1: int, n_steps: int):
+    """The link_walks stream as (links, mids) arrays of at most BLOCK rows.
+
+    Each block of interior-object tuples gets its chains' hom sizes; a
+    history is then a row of that block and a mixed-radix index into the
+    row's hom sets, the last step varying fastest."""
+    sizes, homs = g.hom_arrays
+    for mids in interior_blocks(g.n_objects, n_steps - 1):
+        chain = np.empty((len(mids), n_steps + 1), dtype=np.intp)
+        chain[:, 0] = x0
+        chain[:, 1:-1] = mids
+        chain[:, -1] = x1
+        pairs = chain[:, :-1] * g.n_objects + chain[:, 1:]
+        counts = sizes[pairs].prod(axis=1)
+        ends = counts.cumsum()
+        starts = ends - counts
+        total = int(ends[-1])
+        for start in range(0, total, BLOCK):
+            idx = np.arange(start, min(start + BLOCK, total))
+            row = ends.searchsorted(idx, side="right")
+            steps = pairs[row]
+            if homs.shape[1] == 1:      # no hom set holds two morphisms
+                digits = 0
+            else:
+                radix = sizes[steps]
+                places = radix[:, ::-1].cumprod(axis=1)[:, ::-1]
+                digits = (idx - starts[row])[:, None] % places // (places // radix)
+            yield homs[steps, digits], mids[row]
+
+
 def link_walks(g: FiniteGroupoid, x0: int, x1: int, n_steps: int):
-    """Deterministic stream of consistent link tuples from x0 to x1.
+    """Deterministic stream of consistent link tuples from x0 to x1: one
+    (links, mids) pair of int tuples per history, mids being its interior
+    slice objects.
 
     Lexicographic first in the interior object tuple, then in the per-step
     morphism indices.  This fixed order is the canonical summation order for
-    every path sum downstream.
+    every path sum downstream.  The histories are enumerated in arrays over
+    the groupoid's hom tables and handed out one tuple pair each, so that
+    every history is counted where it is yielded.
     """
     if n_steps < 1:
         raise ValueError("need at least one interval")
-    objs = range(g.n_objects)
-    for mids in itertools.product(objs, repeat=n_steps - 1):
-        chain = (x0, *mids, x1)
-        homs = [g.hom_set(chain[k], chain[k + 1]) for k in range(n_steps)]
-        if any(not h for h in homs):
-            continue
-        for links in itertools.product(*homs):
-            yield links, mids
+    if not (0 <= x0 < g.n_objects and 0 <= x1 < g.n_objects):
+        raise IndexError(f"object pair ({x0}, {x1}) out of range for {g.n_objects} objects")
+    for links, mids in _walk_blocks(g, x0, x1, n_steps):
+        mid_tuples = zip(*mids.T.tolist()) if n_steps > 1 else itertools.repeat(())
+        yield from zip(zip(*links.T.tolist()), mid_tuples)
 
 
 def enumerate_histories(g: FiniteGroupoid, grid: TimeGrid, x0: int, x1: int):

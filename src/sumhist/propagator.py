@@ -17,24 +17,70 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .action import (ANCHORED, EUCLIDEAN, INCREMENTAL, REAL_PHASE, Lagrangian,
-                     StateSpec, action, phase_factor, phase_sigma)
+from .action import (EUCLIDEAN, INCREMENTAL, REAL_PHASE, Lagrangian, StateSpec,
+                     phase_factor, phase_sigma)
 from .algebra import GroupoidMeasure, counting_measure
 from .geometry import CircleLattice
-from .groupoid import FiniteGroupoid
-from .histories import FUTURE, History, TimeGrid, from_links, link_walks
+from .groupoid import UNDEFINED, FiniteGroupoid
+from .histories import (BLOCK, FUTURE, History, TimeGrid, from_links,
+                        interior_blocks, link_walks)
 
 
 def fsum_complex(terms) -> complex:
     """Exactly rounded complex sum: real and imaginary parts via math.fsum."""
-    re, im = [], []
-    for z in terms:
-        re.append(z.real)
-        im.append(z.imag)
-    return complex(math.fsum(re), math.fsum(im))
+    z = terms if isinstance(terms, np.ndarray) else np.array(list(terms), dtype=complex)
+    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+
+
+# Rows from which row_fsums runs the TwoSum cascade: its cost is a few dozen
+# numpy calls whatever the row count, against about 0.3 us per row for
+# math.fsum (crossover from about 50 rows of 2 values to 130 rows of 6 values,
+# measured on a 2-core Xeon with numpy 2.4).
+ROW_FSUM_CASCADE = 64
+
+
+def _two_sum(a, b):
+    """Error-free transformation: a + b == s + e exactly, s = fl(a + b)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def row_fsums(values: np.ndarray) -> np.ndarray:
+    """math.fsum of every row of a 2-d float array, bit for bit.
+
+    TwoSum along a row leaves its float sum s and errors e_k; TwoSum along
+    the errors leaves t and second-level errors f_k (Ogita, Rump and Oishi
+    2005, "Accurate sum and dot product").  Where every f_k is exactly 0 the
+    row's exact sum is s + t, so fl(s + t) is correctly rounded, as fsum is.
+    Every other row, non-finite ones included, goes to math.fsum itself, so
+    it also raises as fsum does.  Below ROW_FSUM_CASCADE rows fsum itself is
+    cheaper than the cascade's fixed cost and takes every row."""
+    if len(values) < ROW_FSUM_CASCADE:
+        return np.array(list(map(math.fsum, values.tolist())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, *rest = values.T
+        errs = []
+        for v in rest:
+            s, e = _two_sum(s, v)
+            errs.append(e)
+        if errs:
+            t, *rest = errs
+            for e in rest:
+                t, f = _two_sum(t, e)
+                s[f != 0.0] = math.nan      # unsettled: leave the row to fsum
+            out = s + t
+        else:
+            out = s.copy()
+        out += 0.0              # -0.0 + 0.0 is +0.0, as fsum of an exact zero
+        unsettled = np.flatnonzero(~np.isfinite(out))
+    for r in unsettled:
+        out[r] = math.fsum(values[r].tolist())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -63,30 +109,67 @@ def transfer_power(T: np.ndarray, n_steps: int,
     return T @ np.linalg.matrix_power(DT, n_steps - 1)
 
 
+def _phases(s: np.ndarray, spec: StateSpec) -> np.ndarray:
+    """phase_factor of every action value.  Not np.exp: its SIMD routines
+    depend on the host and differ from libm in the last bit."""
+    return np.array(list(map(phase_factor, s.tolist(), itertools.repeat(spec.hbar),
+                             itertools.repeat(spec.mode))), dtype=complex)
+
+
+def _action_values(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
+                   convention: str, links: np.ndarray) -> np.ndarray:
+    """Per-interval action values of each history row, to be summed along
+    the row: the Lagrangian of every link (incremental), or of every
+    accumulated transition times its interval length (anchored)."""
+    vals = lag.values
+    if convention == INCREMENTAL:
+        return vals[links]
+    out = np.empty(links.shape)
+    acc = g.unit_of[g.src[links[:, 0]]]
+    for k in range(links.shape[1]):
+        acc = g.table[links[:, k], acc]
+        if (acc == UNDEFINED).any():
+            # compose each row as a history would, raising at the first
+            # history with a missing composition
+            for row in links.tolist():
+                a = g.unit(g.source(row[0]))
+                for m in row:
+                    a = g.compose(m, a)
+        out[:, k] = vals[acc] * grid.dt(k)
+    return out
+
+
 def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
                    spec: StateSpec, x0: int, x1: int,
                    measure: GroupoidMeasure | None = None):
-    """Per-history pairs (mids, weight(w) * phase(action(w))) in canonical
-    order, mids being the interior slice objects of the history w.
+    """Blocks (mids, terms) of at most BLOCK histories in canonical order:
+    mids[r] holds the interior slice objects of a history w and terms[r] is
+    weight(w) * phase(action(w)).
 
     weight(w) is the cylindrical factor: the fiber weight of every link times
-    the object weight of every interior slice object."""
+    the object weight of every interior slice object, multiplied in that
+    order.  Actions are exactly rounded row sums and phases come from
+    phase_factor, so every term is bit-identical to its per-history value."""
     m = measure if measure is not None else counting_measure(g)
-    vals = lag.values
-    fw = m.fiber_weights
-    ow = m.object_weights
-    incremental = spec.convention == INCREMENTAL
-    for links, mids in link_walks(g, x0, x1, grid.n_intervals):
-        if incremental:
-            s = math.fsum(vals[l] for l in links)
-        else:
-            s = action(from_links(g, grid, links), lag, ANCHORED)
-        w = 1.0
-        for l in links:
-            w *= fw[l]
-        for c in mids:
-            w *= ow[c]
-        yield mids, w * phase_factor(s, spec.hbar, spec.mode)
+    n = grid.n_intervals
+    fw, ow = m.fiber_weights, m.object_weights
+    walks = link_walks(g, x0, x1, n)
+    rows = BLOCK
+    while rows == BLOCK:        # a short block ends the stream
+        links = np.fromiter(itertools.chain.from_iterable(
+            map(itemgetter(0), itertools.islice(walks, BLOCK))), dtype=np.intp)
+        links = links.reshape(-1, n)
+        rows = len(links)
+        if not rows:
+            return
+        mids = g.tgt[links[:, :-1]]
+        w = fw[links[:, 0]]
+        for k in range(1, n):
+            w *= fw[links[:, k]]
+        for k in range(n - 1):
+            w *= ow[mids[:, k]]
+        s = row_fsums(_action_values(g, grid, lag, spec.convention, links))
+        yield mids, w * _phases(s, spec)
 
 
 def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
@@ -103,13 +186,20 @@ def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     result may differ from the canonical one in the last bit."""
     p = spec.slices(grid)
     amp = math.sqrt(p[grid.n_intervals, x1] * p[0, x0])
-    terms = path_sum_terms(g, grid, lag, spec, x0, x1, measure)
-    if partitions <= 1 or grid.n_intervals < 2:
-        return amp * fsum_complex(t for _, t in terms)
-    groups: dict[int, list[complex]] = {c: [] for c in range(g.n_objects)}
-    for mids, t in terms:
-        groups[mids[0]].append(t)
-    return amp * fsum_complex([fsum_complex(groups[c]) for c in range(g.n_objects)])
+    split = partitions > 1 and grid.n_intervals > 1
+    # an empty first block makes a pair without histories sum to 0
+    blocks, firsts = [np.zeros(0, dtype=complex)], np.zeros(g.n_objects, dtype=np.intp)
+    for mids, t in path_sum_terms(g, grid, lag, spec, x0, x1, measure):
+        blocks.append(t)
+        if split:
+            firsts += np.bincount(mids[:, 0], minlength=g.n_objects)
+    terms = np.concatenate(blocks)
+    if not split:
+        return amp * fsum_complex(terms)
+    # the canonical order is lexicographic in the interior objects, so the
+    # terms of each first object are contiguous
+    parts = np.split(terms, np.cumsum(firsts)[:-1])
+    return amp * fsum_complex([fsum_complex(part) for part in parts])
 
 
 @dataclass(frozen=True)
@@ -244,7 +334,10 @@ def velocity_form_propagator(geometry, grid: TimeGrid, spec: StateSpec,
                              mass: float, x0: int, x1: int) -> complex:
     """The lattice path sum re-expressed over velocity paths with per-interval
     action mass*v^2*dt/2; the change of summation variables is a bijection with
-    unit Jacobian, so this equals the position-form sum exactly."""
+    unit Jacobian, so this equals the position-form sum exactly.
+
+    Site sequences are taken in blocks; each interval's kinetic value is
+    added left to right from 0.0, as along a single path."""
     if not grid.is_uniform:
         raise ValueError("the velocity form needs a uniform grid")
     n = grid.n_intervals
@@ -252,16 +345,17 @@ def velocity_form_propagator(geometry, grid: TimeGrid, spec: StateSpec,
     p = spec.slices(grid)
     amp = math.sqrt(p[n, x1] * p[0, x0])
     h = geometry.spacing
-    terms = []
-    for mids in itertools.product(range(geometry.n_sites), repeat=n - 1):
-        s = 0.0
-        site = x0
-        for nxt in (*mids, x1):
-            v = geometry.displacement_steps(site, nxt) * h / dt
-            s += kinetic_lagrangian_value(mass, v, dt)
-            site = nxt
-        terms.append(phase_factor(s, spec.hbar, spec.mode))
-    return amp * fsum_complex(terms)
+    sites = range(geometry.n_sites)
+    steps = np.array([[geometry.displacement_steps(i, j) for j in sites] for i in sites])
+    blocks = []
+    for mids in interior_blocks(geometry.n_sites, n - 1):
+        chain = [np.full(len(mids), x0), *mids.T, np.full(len(mids), x1)]
+        s = np.zeros(len(mids))
+        for site, nxt in zip(chain, chain[1:]):
+            v = steps[site, nxt] * h / dt
+            s = s + kinetic_lagrangian_value(mass, v, dt)
+        blocks.append(_phases(s, spec))
+    return amp * fsum_complex(np.concatenate(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,27 @@ def mutated_copy(g, rng):
         else:
             unit[x] = int(rng.choice(choices))
     return dataclasses.replace(g, table=table, inverse_of=inv, unit_of=unit)
+
+
+def units_only_groupoid():
+    """Two objects and only their units: no history joins the two objects."""
+    import dataclasses
+    return dataclasses.replace(
+        sh.pair_groupoid(2), src=np.array([0, 1]), tgt=np.array([0, 1]),
+        unit_of=np.array([0, 1]), inverse_of=np.array([0, 1]),
+        table=np.array([[0, -1], [-1, 1]], dtype=np.int32))
+
+
+def product_walks(g, x0, x1, n_steps):
+    """Reference stream: the itertools.product walk over interior objects and
+    then hom sets that defined the canonical order of link_walks."""
+    for mids in itertools.product(range(g.n_objects), repeat=n_steps - 1):
+        chain = (x0, *mids, x1)
+        homs = [g.hom_set(chain[k], chain[k + 1]) for k in range(n_steps)]
+        if any(not h for h in homs):
+            continue
+        for links in itertools.product(*homs):
+            yield links, mids
 
 
 def random_history(g, rng, n_steps=None, grid=None):

@@ -499,3 +499,79 @@ def test_generated_description_files_never_escape_main(case):
     if code == 2:
         assert out == ""
         _one_line_error(err)
+
+
+# ---------------------------------------------------------------------------
+# refused before any work: description files that fail the axioms, and --out
+
+
+def _pair2_description(tmp_path, name, edit):
+    path = tmp_path / name
+    sh.save_groupoid_file(sh.pair_groupoid(2), path)
+    doc = yaml.safe_load(path.read_text())
+    edit(doc)
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def _all_inverses_zero(doc):
+    doc["inverse"] = [[m, 0] for m, _ in doc["inverse"]]
+
+
+def _drop_compose_3_2(doc):
+    doc["compose"] = [row for row in doc["compose"] if row[:2] != [3, 2]]
+
+
+@pytest.mark.parametrize("edit, violation", [
+    (_all_inverses_zero, "[inverse] inverse law fails for morphism 1"),
+    (_drop_compose_3_2, "[domain] table[3,2] missing"),
+])
+@pytest.mark.parametrize("command", ["propagate", "state-check"])
+def test_description_file_failing_the_axioms_is_an_input_error(capsys, tmp_path, command,
+                                                               edit, violation):
+    path = _pair2_description(tmp_path, "bad.yaml", edit)
+    code, out, err = run(capsys, command, "--groupoid", str(path), "--grid", "0,1,3",
+                         "--lagrangian", "energy:line")
+    assert code == 2 and out == ""
+    line = _one_line_error(err)
+    assert str(path) in line and violation in line
+    code, out, _ = run(capsys, "validate", "--groupoid", str(path))
+    assert code == 3 and violation in out
+
+
+def test_valid_description_file_computes_as_its_builtin(capsys, tmp_path):
+    path = _pair2_description(tmp_path, "good.yaml", lambda doc: None)
+    argv = ("--grid", "0,1,3", "--lagrangian", "energy:line")
+    code, from_file, _ = run(capsys, "propagate", "--groupoid", str(path), *argv)
+    assert code == 0
+    assert from_file == run(capsys, "propagate", "--groupoid", "pair:2", *argv)[1]
+
+
+@pytest.mark.parametrize("command", [
+    ("validate", "--groupoid", "pair:5"),
+    ("propagate", "--groupoid", "pair:5", "--grid", "0,1,6"),
+    ("converge", "--geometry", "line", "--sweep", "1,2"),
+])
+def test_unwritable_out_is_refused_before_any_work(capsys, tmp_path, monkeypatch, command):
+    def no_work(*_):
+        raise AssertionError("the groupoid was resolved before --out was checked")
+
+    monkeypatch.setattr("sumhist.cli.resolve_groupoid", no_work)
+    monkeypatch.setattr("sumhist.cli.line_convergence", no_work)
+    for out, message in ((tmp_path, "Is a directory"),
+                         (tmp_path / "missing" / "t.csv", "No such file or directory")):
+        code, stdout, err = run(capsys, *command, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert message in _one_line_error(err)
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_is_neither_created_nor_truncated_by_a_failing_run(capsys, tmp_path):
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier output\n")
+    for out in (kept, tmp_path / "new.csv"):
+        code, _, err = run(capsys, "propagate", "--groupoid", "pair:2", "--grid", "0,1,2",
+                           "--lagrangian", str(tmp_path / "no-such.csv"), "--out", str(out))
+        assert code == 2 and "no-such.csv" in _one_line_error(err)
+    assert kept.read_text() == "earlier output\n"
+    assert not (tmp_path / "new.csv").exists()

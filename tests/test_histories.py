@@ -5,7 +5,7 @@ import pytest
 
 import sumhist as sh
 
-from conftest import random_history, small_groupoids
+from conftest import product_walks, random_history, small_groupoids, units_only_groupoid
 
 
 def test_from_links_pair_example():
@@ -394,3 +394,53 @@ def test_word_csv(tmp_path, rng):
     lines = text.strip().split("\n")
     assert lines[0] == "segment,orientation,k,time,kpath_morphism_id"
     assert len(lines) == 1 + len(word.segments[0].accumulated)
+
+
+# ---------------------------------------------------------------------------
+# the array-backed link_walks stream against the itertools.product walk
+
+
+ORDER_GROUPOIDS = ["pair:3", "pair:4", "cyclic:3", "pair_x_cyclic:2,3", "units-only"]
+
+
+@pytest.mark.parametrize("name", ORDER_GROUPOIDS)
+def test_link_walks_order_equals_the_product_walk(name):
+    g = units_only_groupoid() if name == "units-only" else sh.resolve_groupoid(name)
+    for n in range(1, 5):
+        for x0, x1 in itertools.product(range(g.n_objects), repeat=2):
+            got = list(sh.link_walks(g, x0, x1, n))
+            assert got == list(product_walks(g, x0, x1, n))
+            assert len(got) == sh.count_histories(g, x0, x1, n)
+            assert all(type(v) is int for links, mids in got for v in (*links, *mids))
+
+
+@pytest.mark.parametrize("name, n, x0, x1", [
+    ("pair:6", 5, 2, 4),                # 1296 interior tuples: two interior blocks
+    ("pair_x_cyclic:2,2", 7, 0, 1),     # 8192 histories over 64 interior tuples
+])
+def test_link_walks_order_across_block_boundaries(name, n, x0, x1):
+    g = sh.resolve_groupoid(name)
+    got = list(sh.link_walks(g, x0, x1, n))
+    assert len(got) > sh.histories.BLOCK
+    assert got == list(product_walks(g, x0, x1, n))
+
+
+def test_link_walks_refuses_objects_out_of_range():
+    g = sh.pair_groupoid(2)
+    for x0, x1 in ((2, 0), (0, -1)):
+        with pytest.raises(IndexError, match="out of range"):
+            next(sh.link_walks(g, x0, x1, 2))
+    with pytest.raises(ValueError, match="at least one interval"):
+        next(sh.link_walks(g, 0, 1, 0))
+
+
+def test_hom_arrays_list_every_hom_set_in_order():
+    for g in small_groupoids():
+        sizes, homs = g.hom_arrays
+        for a, b in itertools.product(range(g.n_objects), repeat=2):
+            hom = g.hom_set(a, b)
+            ab = a * g.n_objects + b
+            assert sizes[ab] == len(hom)
+            assert tuple(homs[ab, :len(hom)].tolist()) == hom
+            assert (homs[ab, len(hom):] == sh.UNDEFINED).all()
+        assert g.hom_arrays is g.hom_arrays   # cached on the groupoid

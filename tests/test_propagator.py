@@ -1,16 +1,21 @@
 import cmath
+import dataclasses
 import itertools
 import math
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import sumhist as sh
-from sumhist.action import EUCLIDEAN, REAL_PHASE, phase_factor
-from sumhist.propagator import kinetic_lagrangian_value
+from sumhist.action import ANCHORED, EUCLIDEAN, INCREMENTAL, REAL_PHASE, phase_factor
+from sumhist.histories import BLOCK
+from sumhist.propagator import (ROW_FSUM_CASCADE, kinetic_lagrangian_value, path_sum_terms,
+                               row_fsums)
 
-from conftest import symmetric_lagrangian
+from conftest import product_walks, symmetric_lagrangian
 
 RTOL = 1e-12
 
@@ -400,3 +405,254 @@ def test_unknown_mode_is_refused(bad):
         sh.line_kernel(1.0, 1.0, 1.0, 0.5, bad)
     with pytest.raises(ValueError, match="unknown mode"):
         sh.StateSpec(np.full((1, 2), 0.5), mode=bad)
+
+
+# ---------------------------------------------------------------------------
+# the block kernels against the per-history loops they replaced
+
+
+def _loop_fsum_complex(terms):
+    re, im = [], []
+    for z in terms:
+        re.append(z.real)
+        im.append(z.imag)
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def _loop_terms(g, grid, lag, spec, x0, x1, m):
+    """Reference: one (mids, term) per history, as the scalar term loop
+    computed them."""
+    vals, fw, ow = lag.values, m.fiber_weights, m.object_weights
+    for links, mids in product_walks(g, x0, x1, grid.n_intervals):
+        if spec.convention == INCREMENTAL:
+            s = math.fsum(vals[l] for l in links)
+        else:
+            s = sh.action(sh.from_links(g, grid, links), lag, ANCHORED)
+        w = 1.0
+        for l in links:
+            w *= fw[l]
+        for c in mids:
+            w *= ow[c]
+        yield mids, w * phase_factor(s, spec.hbar, spec.mode)
+
+
+def _loop_propagator(g, grid, lag, spec, x0, x1, m, partitions):
+    p = spec.slices(grid)
+    amp = math.sqrt(p[grid.n_intervals, x1] * p[0, x0])
+    terms = list(_loop_terms(g, grid, lag, spec, x0, x1, m))
+    if partitions <= 1 or grid.n_intervals < 2:
+        return amp * _loop_fsum_complex(t for _, t in terms)
+    groups = {c: [] for c in range(g.n_objects)}
+    for mids, t in terms:
+        groups[mids[0]].append(t)
+    return amp * _loop_fsum_complex([_loop_fsum_complex(groups[c]) for c in range(g.n_objects)])
+
+
+def _block_terms(g, grid, lag, spec, x0, x1, m):
+    blocks = list(path_sum_terms(g, grid, lag, spec, x0, x1, m))
+    assert all(len(t) <= BLOCK for _, t in blocks)
+    mids = np.concatenate([b for b, _ in blocks]) if blocks else np.zeros((0, 0), int)
+    terms = np.concatenate([t for _, t in blocks]) if blocks else np.zeros(0, complex)
+    return mids, terms
+
+
+def _instance(name, n, rng):
+    """A seeded instance: weighted measure, non-uniform grid, non-uniform
+    density and a Lagrangian with a -0.0 value."""
+    g = sh.resolve_groupoid(name)
+    vals = rng.uniform(0.0, 2.0, g.n_morphisms)
+    vals[g.unit_of[0]] = -0.0
+    lag = sh.Lagrangian(g, np.where(g.inverse_of < np.arange(g.n_morphisms),
+                                    vals[g.inverse_of], vals))
+    m = sh.GroupoidMeasure(g, rng.uniform(0.5, 1.5, g.n_objects),
+                           rng.uniform(0.5, 1.5, g.n_morphisms))
+    grid = sh.TimeGrid(tuple(np.cumsum([0.0, *rng.uniform(0.2, 1.0, n)])))
+    p = rng.uniform(0.5, 1.5, g.n_objects)
+    return g, lag, m, grid, p / (p * m.object_weights).sum()
+
+
+def _bytes(z):
+    return np.complex128(z).tobytes()
+
+
+@pytest.mark.parametrize("name", ["pair:3", "pair:4", "cyclic:3", "pair_x_cyclic:2,3"])
+def test_block_terms_are_bit_identical_to_the_term_loop(name):
+    rng = np.random.default_rng(91)
+    checked = 0
+    for n in range(1, 5):
+        g, lag, m, grid, p = _instance(name, n, rng)
+        for mode, convention, hbar in itertools.product(
+                (REAL_PHASE, EUCLIDEAN), (INCREMENTAL, ANCHORED), (1.0, 0.37)):
+            spec = sh.StateSpec(p[None, :], hbar=hbar, mode=mode, convention=convention)
+            for x0, x1 in itertools.product(range(g.n_objects), repeat=2):
+                ref = list(_loop_terms(g, grid, lag, spec, x0, x1, m))
+                mids, terms = _block_terms(g, grid, lag, spec, x0, x1, m)
+                assert terms.tobytes() == np.array([t for _, t in ref], complex).tobytes()
+                assert [tuple(r) for r in mids.tolist()] == [c for c, _ in ref]
+                for parts in (1, 2):
+                    assert _bytes(sh.finite_propagator(g, grid, lag, spec, x0, x1, m, parts)) \
+                        == _bytes(_loop_propagator(g, grid, lag, spec, x0, x1, m, parts))
+                checked += len(ref)
+    assert checked > 100
+
+
+@pytest.mark.parametrize("name, n, pairs", [
+    ("pair:5", 6, [(0, 0), (3, 1)]),            # 3125 histories a pair
+    ("pair_x_cyclic:2,2", 7, [(1, 0)]),         # 8192 histories over 64 interior tuples
+])
+def test_block_terms_across_block_boundaries(name, n, pairs):
+    rng = np.random.default_rng(92)
+    g, lag, m, grid, p = _instance(name, n, rng)
+    for convention in (INCREMENTAL, ANCHORED):
+        spec = sh.StateSpec(p[None, :], hbar=0.37, mode=EUCLIDEAN, convention=convention)
+        for x0, x1 in pairs:
+            ref = [t for _, t in _loop_terms(g, grid, lag, spec, x0, x1, m)]
+            _, terms = _block_terms(g, grid, lag, spec, x0, x1, m)
+            assert len(terms) > BLOCK
+            assert terms.tobytes() == np.array(ref, complex).tobytes()
+            for parts in (1, 2):
+                assert _bytes(sh.finite_propagator(g, grid, lag, spec, x0, x1, m, parts)) \
+                    == _bytes(_loop_propagator(g, grid, lag, spec, x0, x1, m, parts))
+
+
+def test_anchored_terms_raise_on_a_missing_composition():
+    g = sh.pair_groupoid(2)
+    table = np.array(g.table)
+    table[3, 2] = sh.UNDEFINED            # (1<-1)∘(1<-0) left out
+    broken = dataclasses.replace(g, table=table)
+    grid = sh.TimeGrid.uniform(0.0, 1.0, 2)
+    lag = sh.zero_lagrangian(broken)
+    spec = sh.uniform_state_spec(broken, convention=ANCHORED)
+    with pytest.raises(sh.CompositionError) as expected:
+        list(_loop_terms(broken, grid, lag, spec, 0, 1, sh.counting_measure(broken)))
+    with pytest.raises(sh.CompositionError) as got:
+        sh.finite_propagator(broken, grid, lag, spec, 0, 1)
+    assert str(got.value) == str(expected.value)
+    # the incremental convention composes nothing
+    sh.finite_propagator(broken, grid, lag, sh.uniform_state_spec(broken), 0, 1)
+
+
+def test_finite_propagator_memory_is_bounded_by_blocks():
+    g = sh.pair_groupoid(6)
+    rng = np.random.default_rng(93)
+    lag = symmetric_lagrangian(g, rng)
+    spec, m = uniform_setup(g)
+    grid = sh.TimeGrid.uniform(0.0, 1.0, 6)
+    sh.finite_propagator(g, grid, lag, spec, 0, 1, m)     # fill the groupoid's caches
+    tracemalloc.start()
+    try:
+        sh.finite_propagator(g, grid, lag, spec, 2, 5, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _loop_velocity_form(geometry, grid, spec, mass, x0, x1):
+    """Reference: the scalar chain loop over every interior site tuple."""
+    n, dt, h = grid.n_intervals, grid.dt(0), geometry.spacing
+    p = spec.slices(grid)
+    terms = []
+    for mids in itertools.product(range(geometry.n_sites), repeat=n - 1):
+        s = 0.0
+        site = x0
+        for nxt in (*mids, x1):
+            v = geometry.displacement_steps(site, nxt) * h / dt
+            s += kinetic_lagrangian_value(mass, v, dt)
+            site = nxt
+        terms.append(phase_factor(s, spec.hbar, spec.mode))
+    return math.sqrt(p[n, x1] * p[0, x0]) * _loop_fsum_complex(terms)
+
+
+@pytest.mark.parametrize("mode", [REAL_PHASE, EUCLIDEAN])
+def test_velocity_form_is_bit_identical_to_the_chain_loop(mode):
+    geom = sh.CircleLattice(6, 5.3)
+    spec = sh.uniform_state_spec(sh.pair_groupoid(6), hbar=0.37, mode=mode)
+    for n, pairs in ((2, [(0, 0), (1, 4)]), (6, [(0, 3), (5, 2)])):   # 7776 paths at n=6
+        grid = sh.TimeGrid.uniform(0.0, 1.3, n)
+        for x0, x1 in pairs:
+            assert _bytes(sh.velocity_form_propagator(geom, grid, spec, 1.7, x0, x1)) \
+                == _bytes(_loop_velocity_form(geom, grid, spec, 1.7, x0, x1))
+
+
+# ---------------------------------------------------------------------------
+# row_fsums: math.fsum of every row, bit for bit
+
+TINY = 5e-324
+ROW_CASES = {
+    1: [[-0.0], [0.0], [TINY], [-1e300], [2.5]],
+    2: [[1.0, 2.0 ** -53], [1.0 + 2.0 ** -52, 2.0 ** -53], [-0.0, -0.0], [0.0, -0.0],
+        [1e300, -1e300], [TINY, -TINY], [TINY, 2.0 ** -1074], [1e-300, 1e300],
+        [0.1, 0.2]],
+    3: [[1.0, 2.0 ** -53, 2.0 ** -160], [1.0, 2.0 ** -53, -(2.0 ** -160)],
+        [1.0, -(2.0 ** -54), 2.0 ** -110], [-0.0, -0.0, -0.0], [1e300, 1.0, -1e300],
+        [1e16, 1.0, -1e16], [TINY, 1.0, -1.0], [1e-300, -1e-300, TINY],
+        [0.1, 0.2, 0.3], [1.7e308, 1e292, -1.7e308]],
+    6: [[1.0, 1e100, 1.0, -1e100, 2.0 ** -53, 2.0 ** -106], [0.1] * 6, [-0.0] * 6,
+        [1e300, 1e-300, -1e300, 1e-300, 1e200, -1e200],
+        [3.0, 2.0 ** -52, 2.0 ** -53, 2.0 ** -104, -(2.0 ** -105), 2.0 ** -200]],
+}
+
+
+def _fsum_rows(rows):
+    return np.array([math.fsum(r) for r in rows])
+
+
+def _padded(rows, width, rng):
+    """The rows, once among seeded filler rows and once alone."""
+    filler = rng.uniform(0.0, 2.0, (2 * ROW_FSUM_CASCADE, width)).tolist()
+    return [filler[:7] + rows + filler[7:], rows]
+
+
+@pytest.mark.parametrize("width", sorted(ROW_CASES))
+def test_row_fsums_is_bit_identical_to_fsum(width, monkeypatch):
+    rng = np.random.default_rng(94)
+    magnitudes = 10.0 ** rng.uniform(-300, 300, (400, width))
+    random = (rng.choice([-1.0, 1.0], (400, width)) * magnitudes).tolist()
+    fsum, calls = math.fsum, []
+
+    def counted_fsum(values):
+        calls.append(values)
+        return fsum(values)
+
+    padded, alone = _padded(ROW_CASES[width], width, rng)
+    for rows in (padded, alone, random):
+        expect = _fsum_rows(rows).tobytes()
+        calls.clear()
+        monkeypatch.setattr(math, "fsum", counted_fsum)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = row_fsums(np.array(rows))
+        finally:
+            monkeypatch.undo()
+        assert got.tobytes() == expect
+        if rows is padded:
+            # the cascade settles the filler rows and leaves some special ones to fsum
+            assert len(calls) < len(ROW_CASES[width])
+            assert bool(calls) == (width > 2)
+
+
+@pytest.mark.parametrize("row, error", [
+    ([1.7e308, 1.7e308, -1.7e308], OverflowError),
+    ([math.inf, -math.inf, 1.0], ValueError),
+])
+def test_row_fsums_raises_as_fsum_does(row, error):
+    rng = np.random.default_rng(95)
+    for rows in _padded([row], 3, rng):
+        with pytest.raises(error) as expected:
+            _fsum_rows(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as got:
+                row_fsums(np.array(rows))
+        assert str(got.value) == str(expected.value)
+
+
+def test_row_fsums_passes_non_finite_sums_through_fsum():
+    rng = np.random.default_rng(96)
+    for rows in _padded([[math.inf, 1.0], [math.nan, 1.0], [-math.inf, -1e308]], 2, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = row_fsums(np.array(rows))
+        assert got.tobytes() == _fsum_rows(rows).tobytes()
