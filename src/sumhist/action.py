@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +37,13 @@ EUCLIDEAN = "euclidean"
 # Weights are exp(sigma S / hbar), sigma = i (real) or -1 (euclidean); i has
 # real part -0.0 so that a signed zero action keeps its sign in the product.
 PHASE_SIGMA = {REAL_PHASE: complex(-0.0, 1.0), EUCLIDEAN: -1.0}
+
+# cmath.exp(x) is exp(x - 1) * e above log(DBL_MAX / 4) (CPython's
+# CM_LOG_LARGE_DOUBLE); at or below it, it is libm exp itself.
+CMATH_EXP_LARGE = math.log(sys.float_info.max / 4)
+# phase_factors takes numpy's route only when every |s / hbar| is below this,
+# so the quotient is finite and the division raises no overflow warning.
+PHASE_QUOTIENT_BOUND = 1e300
 
 
 class SymmetryError(ValueError):
@@ -131,6 +139,29 @@ def phase_factor(s: float, hbar: float, mode: str) -> complex:
     """Weight of an action value: exp(sigma s / hbar), i.e. exp(i s / hbar) in
     the real mode and exp(-s / hbar) in the euclidean mode."""
     return cmath.exp(phase_sigma(mode) * s / hbar)
+
+
+def phase_factors(values, hbar: float, mode: str) -> np.ndarray:
+    """phase_factor of every value of a 1-d block, bit for bit, as one
+    complex array.
+
+    Real mode is numpy's complex exp of sigma * (s / hbar): a zero real part
+    and libm cexp, whose sincos agrees with the cos and sin that cmath.exp
+    calls.  Euclidean mode maps libm math.exp over -(s / hbar), which is
+    cmath.exp's own route up to CMATH_EXP_LARGE, with imaginary part +0.0.
+    A block holding any value off those routes (|s / hbar| at
+    PHASE_QUOTIENT_BOUND or above, a euclidean argument above
+    CMATH_EXP_LARGE, NaN, an infinity) goes through phase_factor value by
+    value, so it raises as phase_factor does and numpy warns of nothing."""
+    sigma = phase_sigma(mode)
+    s = np.asarray(values, dtype=float)
+    if np.abs(s).max(initial=0.0) < PHASE_QUOTIENT_BOUND * hbar:  # False on NaN
+        if mode == REAL_PHASE:
+            return np.exp(sigma * (s / hbar))
+        x = s / -hbar           # -(s / hbar), as IEEE division is sign-symmetric
+        if x.max(initial=-math.inf) <= CMATH_EXP_LARGE:
+            return np.array(list(map(math.exp, x.tolist())), dtype=complex)
+    return np.array([phase_factor(v, hbar, mode) for v in s.tolist()], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +321,11 @@ def full_interval_family(g: FiniteGroupoid, grid: TimeGrid) -> list[History]:
 
 
 def family_psi(state: HistoryState, family) -> np.ndarray:
-    return np.array([state.psi(w) for w in family], dtype=complex)
+    """state.psi of every family member, bit for bit, with the phases of the
+    whole family from one phase_factors call."""
+    amps = np.sqrt([state.density_at(w.source) for w in family])
+    s = np.array([state.action_of(w) for w in family], dtype=float)
+    return amps * phase_factors(s, state.spec.hbar, state.spec.mode)
 
 
 def family_targets(state: HistoryState, family) -> np.ndarray:

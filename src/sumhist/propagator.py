@@ -22,7 +22,7 @@ from operator import itemgetter
 import numpy as np
 
 from .action import (EUCLIDEAN, INCREMENTAL, REAL_PHASE, Lagrangian, StateSpec,
-                     phase_factor, phase_sigma)
+                     phase_factors, phase_sigma)
 from .algebra import GroupoidMeasure, counting_measure
 from .geometry import CircleLattice
 from .groupoid import UNDEFINED, FiniteGroupoid
@@ -94,7 +94,7 @@ def transfer_matrix(g: FiniteGroupoid, lag: Lagrangian, spec: StateSpec,
     full path sum exactly."""
     m = measure if measure is not None else counting_measure(g)
     T = np.zeros((g.n_objects, g.n_objects), dtype=complex)
-    phases = np.array([phase_factor(v, spec.hbar, spec.mode) for v in lag.values])
+    phases = phase_factors(lag.values, spec.hbar, spec.mode)
     np.add.at(T, (g.tgt, g.src), m.fiber_weights * phases)
     return T
 
@@ -107,13 +107,6 @@ def transfer_power(T: np.ndarray, n_steps: int,
         raise ValueError("need at least one step")
     DT = measure.object_weights[:, None] * T if measure is not None else T
     return T @ np.linalg.matrix_power(DT, n_steps - 1)
-
-
-def _phases(s: np.ndarray, spec: StateSpec) -> np.ndarray:
-    """phase_factor of every action value.  Not np.exp: its SIMD routines
-    depend on the host and differ from libm in the last bit."""
-    return np.array(list(map(phase_factor, s.tolist(), itertools.repeat(spec.hbar),
-                             itertools.repeat(spec.mode))), dtype=complex)
 
 
 def _action_values(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
@@ -149,7 +142,7 @@ def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     weight(w) is the cylindrical factor: the fiber weight of every link times
     the object weight of every interior slice object, multiplied in that
     order.  Actions are exactly rounded row sums and phases come from
-    phase_factor, so every term is bit-identical to its per-history value."""
+    phase_factors, so every term is bit-identical to its per-history value."""
     m = measure if measure is not None else counting_measure(g)
     n = grid.n_intervals
     fw, ow = m.fiber_weights, m.object_weights
@@ -169,7 +162,7 @@ def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
         for k in range(n - 1):
             w *= ow[mids[:, k]]
         s = row_fsums(_action_values(g, grid, lag, spec.convention, links))
-        yield mids, w * _phases(s, spec)
+        yield mids, w * phase_factors(s, spec.hbar, spec.mode)
 
 
 def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
@@ -242,11 +235,15 @@ def transfer_oracle_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
 
 def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
                          spec: StateSpec, j: int,
-                         measure: GroupoidMeasure | None = None) -> float:
+                         measure: GroupoidMeasure | None = None,
+                         table: PropagatorTable | None = None) -> float:
     """Max over endpoint pairs of the sum-splitting defect at interior slice j:
     the full amplitude against the object-measure-weighted product of the two
     sub-amplitudes, with the doubled density factor at the junction divided
-    out."""
+    out.
+
+    table is the canonical propagator_table of the same arguments (partitions
+    1), if the caller already holds it; otherwise it is computed here."""
     n = grid.n_intervals
     if not (0 < j < n):
         raise ValueError(f"splitting slice {j} must be interior to 0..{n}")
@@ -256,8 +253,11 @@ def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
         raise ValueError("splitting requires a strictly positive density at the junction")
     g1, g2 = grid.sub(0, j), grid.sub(j, n)
     s1, s2 = spec.sub(grid, 0, j), spec.sub(grid, j, n)
-    full = {(a, b): finite_propagator(g, grid, lag, spec, a, b, measure)
-            for a in range(g.n_objects) for b in range(g.n_objects)}
+    if table is None:
+        table = propagator_table(g, grid, lag, spec, measure)
+    elif table.grid != grid:
+        raise ValueError("the propagator table spans another grid")
+    full = table.amplitudes
     first = {(a, c): finite_propagator(g, g1, lag, s1, a, c, measure)
              for a in range(g.n_objects) for c in range(g.n_objects)}
     second = {(c, b): finite_propagator(g, g2, lag, s2, c, b, measure)
@@ -354,7 +354,7 @@ def velocity_form_propagator(geometry, grid: TimeGrid, spec: StateSpec,
         for site, nxt in zip(chain, chain[1:]):
             v = steps[site, nxt] * h / dt
             s = s + kinetic_lagrangian_value(mass, v, dt)
-        blocks.append(_phases(s, spec))
+        blocks.append(phase_factors(s, spec.hbar, spec.mode))
     return amp * fsum_complex(np.concatenate(blocks))
 
 

@@ -115,7 +115,8 @@ class PhaseState:
 
     @cached_property
     def phase(self) -> np.ndarray:
-        return np.exp(1j * self.action / self.hbar)
+        from .action import REAL_PHASE, phase_factors
+        return phase_factors(self.action, self.hbar, REAL_PHASE)
 
     @cached_property
     def values(self) -> np.ndarray:

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import sumhist as sh
-from sumhist.action import ANCHORED, EUCLIDEAN, INCREMENTAL
+from sumhist.action import ANCHORED, EUCLIDEAN, INCREMENTAL, family_psi
 
 from conftest import random_history, symmetric_lagrangian
 
@@ -228,6 +229,18 @@ def test_family_form_matrix_words_equals_factorized(rng):
     q_fast = sh.family_form_matrix(state, family, via="factorized")
     q_slow = sh.family_form_matrix(state, family, via="words")
     assert np.max(np.abs(q_fast - q_slow)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["real", EUCLIDEAN])
+def test_family_psi_is_bit_identical_to_psi(rng, mode):
+    g = sh.pair_groupoid(3)
+    grid = sh.TimeGrid.uniform(0.0, 2.0, 3)
+    state = make_state(g, grid, rng, mode=mode)
+    state = sh.HistoryState(g, grid, state.lagrangian,
+                            dataclasses.replace(state.spec, hbar=0.37))
+    family = sh.full_interval_family(g, grid)
+    want = np.array([state.psi(w) for w in family], dtype=complex)
+    assert family_psi(state, family).tobytes() == want.tobytes()
 
 
 def test_family_certificate_positive(rng):

@@ -2,7 +2,8 @@
 
 The digests pin the exact bytes of the finite path sum (real, euclidean,
 anchored, partitioned order, JSON), the line kernels on both routes, the
-circle lattice power and a convergence sweep.  A change that is meant to
+circle lattice power and a convergence sweep, and the stderr report of the
+sum-splitting check in both summation orders.  A change that is meant to
 keep every output byte-identical must leave them all unchanged.  They were
 recorded on x86-64 Linux with CPython 3.11 and numpy 2.4; another libm or
 numpy build may round the last bits differently.
@@ -59,3 +60,24 @@ def test_cli_stdout_is_byte_identical(name, capsys, tmp_path):
     code = main([a.format(spec=spec) for a in argv])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == (want_code, want_digest)
+
+
+# stdout and stderr digests of the sum-splitting check; the residual is taken
+# against the canonical table, so stderr does not depend on --threads
+RESIDUAL_ARGV = ["propagate", "--groupoid", "pair:3", "--grid", "0,1,4",
+                 "--lagrangian", "energy:line,0.5", "--hbar", "0.7",
+                 "--check", "reproducing", "--at", "2"]
+RESIDUAL_STDERR = "a570c9aba8f09061fc8576a6bcc7cc88084ca8436982eb7fb0653f9e6063fb03"
+RESIDUAL_GOLDEN = {
+    "1": "a7b4baaca0066a78ce7b9281d5cf49ae29a81d2e4db4166190e9e0cde91245df",
+    "2": "e0e0e86e27585a63ef1d4b7698a3fe6151fc07ffdba1507573b56d5cc89a6f1b",
+}
+
+
+@pytest.mark.parametrize("threads", sorted(RESIDUAL_GOLDEN))
+def test_reproducing_check_stderr_is_byte_identical(threads, capsys):
+    code = main([*RESIDUAL_ARGV, "--threads", threads])
+    captured = capsys.readouterr()
+    digests = [hashlib.sha256(text.encode()).hexdigest()
+               for text in (captured.out, captured.err)]
+    assert (code, digests) == (0, [RESIDUAL_GOLDEN[threads], RESIDUAL_STDERR])

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import sumhist as sh
-from sumhist.action import ANCHORED, EUCLIDEAN, INCREMENTAL, REAL_PHASE, phase_factor
+from sumhist.action import (ANCHORED, CMATH_EXP_LARGE, EUCLIDEAN, INCREMENTAL, REAL_PHASE,
+                            phase_factor, phase_factors)
 from sumhist.histories import BLOCK
 from sumhist.propagator import (ROW_FSUM_CASCADE, kinetic_lagrangian_value, path_sum_terms,
                                row_fsums)
@@ -146,6 +147,22 @@ def test_reproducing_residual_weighted_measure(rng):
     grid = sh.TimeGrid.uniform(0.0, 1.0, 4)
     for j in (1, 2, 3):
         assert sh.reproducing_residual(g, grid, lag, spec, j, m) <= 1e-12
+
+
+def test_reproducing_residual_reuses_the_callers_table(rng):
+    g = sh.pair_groupoid(4)
+    m = sh.GroupoidMeasure(g, rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4)[g.src])
+    p = rng.uniform(0.2, 1.0, (1, 4))
+    p /= (p * m.object_weights).sum()
+    spec = sh.StateSpec(p, hbar=0.37)
+    lag = symmetric_lagrangian(g, rng)
+    grid = sh.TimeGrid.uniform(0.0, 1.0, 5)
+    table = sh.propagator_table(g, grid, lag, spec, m)
+    for j in (1, 2, 4):
+        given = sh.reproducing_residual(g, grid, lag, spec, j, m, table)
+        assert given == sh.reproducing_residual(g, grid, lag, spec, j, m)
+    with pytest.raises(ValueError, match="another grid"):
+        sh.reproducing_residual(g, sh.TimeGrid.uniform(0.0, 2.0, 5), lag, spec, 2, m, table)
 
 
 def test_partitioned_reduction_reproduces_canonical(rng):
@@ -384,6 +401,65 @@ def test_euclidean_weights_near_overflow_differ_by_at_most_two_ulp():
     for fn in (phase_factor, _branch_phase_factor):
         with pytest.raises(OverflowError):
             fn(-710.0, 1.0, EUCLIDEAN)
+
+
+def _phase_blocks(rng, hbar, mode):
+    """Seeded blocks of actions that phase_factor accepts: signed zeros,
+    subnormals, normal values and magnitudes 1e-300..1e300; in the euclidean
+    mode also blocks of arguments -s / hbar from below cmath's switch to
+    exp(x - 1) * e (CMATH_EXP_LARGE, about 708.396) up to the overflow
+    threshold (about 709.78): wholly below, straddling, wholly above."""
+    vals = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e300, -1e300]
+    vals += list(rng.standard_normal(3000) * 10.0)
+    vals += list(rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-300.0, 300.0, 3000))
+    vals += list(rng.standard_normal(300) * 1e-310)
+    if mode == EUCLIDEAN:
+        # arguments -s / hbar at and above log(DBL_MAX) overflow: not accepted
+        vals = [v for v in vals if -v / hbar < 709.0]
+    rng.shuffle(vals)
+    blocks = [np.array(b) for b in np.array_split(np.array(vals), 100)]
+    if mode == EUCLIDEAN:
+        band = -hbar * np.linspace(CMATH_EXP_LARGE - 1.0, 709.78, 1000)
+        blocks += np.array_split(band, 50)
+    return blocks
+
+
+@pytest.mark.parametrize("mode", [REAL_PHASE, EUCLIDEAN])
+def test_phase_factors_are_bit_identical_to_phase_factor(mode):
+    rng = np.random.default_rng(73)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for hbar in (1.0, 0.37, 1e-3, 3.0):
+            for s in _phase_blocks(rng, hbar, mode):
+                got = phase_factors(s, hbar, mode)
+                want = np.array([phase_factor(v, hbar, mode) for v in s.tolist()],
+                                dtype=complex)
+                assert got.tobytes() == want.tobytes(), [
+                    (v, a, b) for v, a, b in zip(s, got, want) if _bits(a) != _bits(b)][:5]
+
+
+def _outcome(fn):
+    try:
+        return [_bits(z) for z in fn()]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("mode, hbar, block", [
+    (REAL_PHASE, 1e-3, [0.5, 1e308, -2.0]),           # s / hbar overflows
+    (REAL_PHASE, 1.0, [0.5, math.inf]),
+    (REAL_PHASE, 0.37, [0.5, math.nan]),
+    (EUCLIDEAN, 1e-3, [0.5, -1e308]),                  # s / hbar overflows
+    (EUCLIDEAN, 1e-3, [0.5, 1e308]),
+    (EUCLIDEAN, 1.0, [0.5, -709.5, -709.79, 3.0]),      # exp overflows
+    (EUCLIDEAN, 1.0, [0.5, math.nan, -math.inf]),
+])
+def test_phase_factors_fall_back_to_phase_factor(mode, hbar, block):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(lambda: phase_factors(np.array(block), hbar, mode))
+        want = _outcome(lambda: [phase_factor(v, hbar, mode) for v in block])
+    assert got == want
 
 
 @pytest.mark.parametrize("mode", [REAL_PHASE, EUCLIDEAN])

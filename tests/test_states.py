@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import sumhist as sh
+from sumhist.action import REAL_PHASE, phase_factor
 
-from conftest import convolve_naive, involute_naive, random_element
+from conftest import convolve_naive, involute_naive, random_element, symmetric_lagrangian
 
 TOL = 1e-12
 
@@ -202,6 +203,23 @@ def test_gns_cyclic_vector(rng):
     cols = np.column_stack([rep.matrix(sh.delta_element(g, mm)) @ rep.cyclic_vector
                             for mm in range(g.n_morphisms)])
     assert np.linalg.matrix_rank(cols, tol=1e-10) == rep.dim
+
+
+def test_transfer_matrix_is_the_gns_matrix_of_the_phase_state(rng):
+    # one phase path: the GNS matrix of the all-ones element is the
+    # one-interval transfer kernel, bit for bit, at every hbar
+    for g in (sh.pair_groupoid(4), sh.product_with_group(3, sh.cyclic_groupoid(2))):
+        m = sh.GroupoidMeasure(g, rng.uniform(0.5, 2.0, g.n_objects),
+                               rng.uniform(0.5, 2.0, g.n_objects)[g.src])
+        lag = symmetric_lagrangian(g, rng, scale=3.0)
+        for hbar in (1.0, 0.37, 3.0):
+            spec = sh.uniform_state_spec(g, hbar=hbar, measure=m)
+            state = sh.PhaseState(g, spec.density[0], lag.values, hbar)
+            want = [phase_factor(v, hbar, REAL_PHASE) for v in lag.values.tolist()]
+            assert state.phase.tobytes() == np.array(want).tobytes()
+            T = sh.transfer_matrix(g, lag, spec, m)
+            G = sh.gns_matrix(state, np.ones(g.n_morphisms), m)
+            assert T.tobytes() == G.tobytes()
 
 
 def test_as_phase_state_round_trip(rng):
