@@ -34,9 +34,9 @@ from .propagator import (ConvergenceRow, PropagatorTable, SliceConfig,
                          transfer_oracle_table, transfer_power,
                          velocity_form_propagator, velocity_path_to_history)
 from .states import (GnsRepresentation, PhaseState, PositivityCertificate,
-                     as_phase_state, certify_positive_type, check_log_like,
-                     gns_apply, gns_matrix, gns_norm_sq, gns_vector,
-                     is_normalized, positivity_form, state_value, unit_values)
+                     certify_positive_type, check_log_like, gns_apply,
+                     gns_matrix, gns_norm_sq, gns_vector, is_normalized,
+                     positivity_form, state_value, unit_values)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -17,15 +17,16 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .algebra import GroupoidMeasure, counting_measure
-from .groupoid import FiniteGroupoid
-from .histories import (FUTURE, History, HistoryWord, TimeGrid,
-                        invert_history, link_walks, links_of)
+from .groupoid import UNDEFINED, FiniteGroupoid
+from .histories import (FUTURE, History, HistoryWord, TimeGrid, _walk_blocks,
+                        from_links, invert_history, links_of)
 from .states import PositivityCertificate
 
 INCREMENTAL = "incremental"
@@ -65,6 +66,8 @@ class Lagrangian:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.groupoid.n_morphisms,):
             raise ValueError("lagrangian needs one value per morphism")
+        if not np.isfinite(v).all():
+            raise ValueError("lagrangian values must be finite")
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
 
@@ -126,6 +129,79 @@ def action(w: History, lag: Lagrangian, convention: str = INCREMENTAL) -> float:
         return sign * math.fsum(vals[w.accumulated[k]] * grid.dt(k - 1)
                                 for k in range(1, len(w.accumulated)))
     raise ValueError(f"unknown action convention {convention!r}")
+
+
+# Rows from which row_fsums runs the TwoSum cascade: its cost is a few dozen
+# numpy calls whatever the row count, against about 0.3 us per row for
+# math.fsum (crossover from about 50 rows of 2 values to 130 rows of 6 values,
+# measured on a 2-core Xeon with numpy 2.4).
+ROW_FSUM_CASCADE = 64
+
+
+def _two_sum(a, b):
+    """Error-free transformation: a + b == s + e exactly, s = fl(a + b)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def row_fsums(values: np.ndarray) -> np.ndarray:
+    """math.fsum of every row of a 2-d float array, bit for bit.
+
+    TwoSum along a row leaves its float sum s and errors e_k; TwoSum along
+    the errors leaves t and second-level errors f_k (Ogita, Rump and Oishi
+    2005, "Accurate sum and dot product").  Where every f_k is exactly 0 the
+    row's exact sum is s + t, so fl(s + t) is correctly rounded, as fsum is.
+    Every other row, non-finite ones included, goes to math.fsum itself, so
+    it also raises as fsum does.  Below ROW_FSUM_CASCADE rows fsum itself is
+    cheaper than the cascade's fixed cost and takes every row."""
+    if len(values) < ROW_FSUM_CASCADE:
+        return np.array(list(map(math.fsum, values.tolist())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, *rest = values.T
+        errs = []
+        for v in rest:
+            s, e = _two_sum(s, v)
+            errs.append(e)
+        if errs:
+            t, *rest = errs
+            for e in rest:
+                t, f = _two_sum(t, e)
+                s[f != 0.0] = math.nan      # unsettled: leave the row to fsum
+            out = s + t
+        else:
+            out = s.copy()
+        out += 0.0              # -0.0 + 0.0 is +0.0, as fsum of an exact zero
+        unsettled = np.flatnonzero(~np.isfinite(out))
+    for r in unsettled:
+        out[r] = math.fsum(values[r].tolist())
+    return out
+
+
+def history_actions(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
+                    convention: str, links: np.ndarray) -> np.ndarray:
+    """Action of every future history given as a row of links (one per grid
+    interval), bit for bit as action() of its History: the exactly rounded
+    row sum of the Lagrangian of every link (incremental), or of every
+    accumulated transition times its interval length (anchored)."""
+    vals = lag.values
+    if convention == INCREMENTAL:
+        return row_fsums(vals[links])
+    if convention != ANCHORED:
+        raise ValueError(f"unknown action convention {convention!r}")
+    terms = np.empty(links.shape)
+    acc = g.unit_of[g.src[links[:, 0]]]
+    for k in range(links.shape[1]):
+        acc = g.table[links[:, k], acc]
+        if (acc == UNDEFINED).any():
+            # compose each row as a history would, raising at the first
+            # history with a missing composition
+            for row in links.tolist():
+                a = g.unit(g.source(row[0]))
+                for m in row:
+                    a = g.compose(m, a)
+        terms[:, k] = vals[acc] * grid.dt(k)
+    return row_fsums(terms)
 
 
 def phase_sigma(mode: str) -> complex | float:
@@ -306,30 +382,46 @@ def classical_restriction(state: HistoryState) -> np.ndarray:
 # the histories over a grid as a positivity test bed
 
 
-def full_interval_family(g: FiniteGroupoid, grid: TimeGrid) -> list[History]:
+@dataclass(frozen=True, eq=False)
+class HistoryFamily(Sequence):
+    """Future histories over a grid held as their link rows, one row per
+    history and one link per interval; a member is built as a History only
+    when it is indexed or iterated."""
+
+    groupoid: FiniteGroupoid
+    grid: TimeGrid
+    links: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.links)
+
+    def __getitem__(self, i) -> History:
+        return from_links(self.groupoid, self.grid, self.links[i].tolist())
+
+
+def full_interval_family(g: FiniteGroupoid, grid: TimeGrid) -> HistoryFamily:
     """All future histories spanning the whole grid, every endpoint pair, in
     canonical order."""
-    out = []
-    for x0 in range(g.n_objects):
-        for x1 in range(g.n_objects):
-            for links, _ in link_walks(g, x0, x1, grid.n_intervals):
-                acc = [g.unit(x0)]
-                for m in links:
-                    acc.append(g.compose(m, acc[-1]))
-                out.append(History(g, grid, tuple(acc), FUTURE))
-    return out
+    if grid.n_intervals < 1:
+        raise ValueError("need at least one interval")
+    blocks = [links for x0 in range(g.n_objects) for x1 in range(g.n_objects)
+              for links, _ in _walk_blocks(g, x0, x1, grid.n_intervals)]
+    return HistoryFamily(g, grid, np.concatenate(blocks))
 
 
-def family_psi(state: HistoryState, family) -> np.ndarray:
-    """state.psi of every family member, bit for bit, with the phases of the
-    whole family from one phase_factors call."""
-    amps = np.sqrt([state.density_at(w.source) for w in family])
-    s = np.array([state.action_of(w) for w in family], dtype=float)
-    return amps * phase_factors(s, state.spec.hbar, state.spec.mode)
+def family_psi(state: HistoryState, family: HistoryFamily) -> np.ndarray:
+    """state.psi of every family member, bit for bit: the density factor at
+    the source times the phase of history_actions."""
+    g, links = family.groupoid, family.links
+    p = state.density_table[state.grid.index_of(family.grid.times[0])]
+    s = history_actions(g, family.grid, state.lagrangian, state.spec.convention, links)
+    return np.sqrt(p[g.src[links[:, 0]]]) * phase_factors(s, state.spec.hbar, state.spec.mode)
 
 
-def family_targets(state: HistoryState, family) -> np.ndarray:
-    return np.array([state.point_index(w.target) for w in family], dtype=np.int64)
+def family_targets(state: HistoryState, family: HistoryFamily) -> np.ndarray:
+    """state.point_index of every family member's target."""
+    k = state.grid.index_of(family.grid.times[-1])
+    return k * state.groupoid.n_objects + family.groupoid.tgt[family.links[:, -1]]
 
 
 def family_form_matrix(state: HistoryState, family, via: str = "factorized") -> np.ndarray:
@@ -350,8 +442,9 @@ def family_form_matrix(state: HistoryState, family, via: str = "factorized") -> 
         return Q
     if via != "words":
         raise ValueError(f"unknown assembly route {via!r}")
-    for i, u in enumerate(family):
-        for j, v in enumerate(family):
+    members = list(family)
+    for i, u in enumerate(members):
+        for j, v in enumerate(members):
             if tgts[i] != tgts[j]:
                 continue
             word = reduce_word([v, invert_history(u)])

@@ -2,8 +2,9 @@
 and convergence studies.
 
 Exit codes: 0 success, 2 input error, 3 check failure.  ``main`` is the one
-place that turns an input error, any ValueError or OSError, into exit 2 with a
-one-line ``error:`` message.
+place that turns an input error, any ValueError, OSError or OverflowError (an
+action or weight beyond the float range), into exit 2 with a one-line
+``error:`` message.
 """
 
 from __future__ import annotations
@@ -378,7 +379,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,5 +1,6 @@
-"""File formats: CSV serialization for algebra elements, measures,
-Lagrangians, histories and propagator tables, plus the YAML state-spec file.
+"""File formats: CSV files for measures and Lagrangians, the YAML state-spec
+file, and the CSV and JSON writers of propagator tables, convergence studies
+and check reports.
 
 Floats are written with repr (shortest round-trip form), so identical inputs
 produce byte-identical files.
@@ -19,7 +20,6 @@ import yaml
 
 from .action import StateSpec, uniform_state_spec
 from .groupoid import FiniteGroupoid, is_int, read_yaml
-from .histories import History, HistoryWord
 from .propagator import ConvergenceRow, PropagatorTable
 
 
@@ -80,25 +80,7 @@ def _id_rows(path, n: int, id_col: str, value_cols) -> list[tuple]:
     return out
 
 
-# --- algebra elements and measures
-
-
-def algebra_element_csv(f: np.ndarray, path=None) -> str:
-    rows = [(i, _fmt(z.real), _fmt(z.imag)) for i, z in enumerate(np.asarray(f, complex))]
-    return _write_rows(path, ("morphism_id", "re", "im"), rows)
-
-
-def load_algebra_element_csv(path, n_morphisms: int) -> np.ndarray:
-    f = np.zeros(n_morphisms, dtype=complex)
-    for i, re, im in _id_rows(path, n_morphisms, "morphism_id", ("re", "im")):
-        f[i] = re + 1j * im
-    return f
-
-
-def complex_vector_csv(vec, path=None, id_name: str = "object_id") -> str:
-    """Generic complex vector (e.g. a GNS vector over objects) as CSV."""
-    rows = [(i, _fmt(z.real), _fmt(z.imag)) for i, z in enumerate(np.asarray(vec, complex))]
-    return _write_rows(path, (id_name, "re", "im"), rows)
+# --- measures
 
 
 def object_weights_csv(weights, path=None) -> str:
@@ -131,22 +113,6 @@ def load_lagrangian_csv(path, n_morphisms: int) -> np.ndarray:
     for i, v in _id_rows(path, n_morphisms, "morphism_id", ("value",)):
         vals[i] = v
     return vals
-
-
-# --- histories and words
-
-
-def history_csv(w: History, path=None) -> str:
-    rows = [(k, _fmt(t), m) for k, (t, m) in enumerate(zip(w.grid.times, w.accumulated))]
-    return _write_rows(path, ("k", "time", "kpath_morphism_id"), rows)
-
-
-def word_csv(word: HistoryWord, path=None) -> str:
-    rows = []
-    for s, seg in enumerate(word.segments):
-        for k, (t, m) in enumerate(zip(seg.grid.times, seg.accumulated)):
-            rows.append((s, seg.orientation, k, _fmt(t), m))
-    return _write_rows(path, ("segment", "orientation", "k", "time", "kpath_morphism_id"), rows)
 
 
 # --- state spec files (YAML)

@@ -21,11 +21,11 @@ from operator import itemgetter
 
 import numpy as np
 
-from .action import (EUCLIDEAN, INCREMENTAL, REAL_PHASE, Lagrangian, StateSpec,
-                     phase_factors, phase_sigma)
+from .action import (EUCLIDEAN, REAL_PHASE, Lagrangian, StateSpec,
+                     history_actions, phase_factors, phase_sigma)
 from .algebra import GroupoidMeasure, counting_measure
 from .geometry import CircleLattice
-from .groupoid import UNDEFINED, FiniteGroupoid
+from .groupoid import FiniteGroupoid
 from .histories import (BLOCK, FUTURE, History, TimeGrid, from_links,
                         interior_blocks, link_walks)
 
@@ -34,53 +34,6 @@ def fsum_complex(terms) -> complex:
     """Exactly rounded complex sum: real and imaginary parts via math.fsum."""
     z = terms if isinstance(terms, np.ndarray) else np.array(list(terms), dtype=complex)
     return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
-
-
-# Rows from which row_fsums runs the TwoSum cascade: its cost is a few dozen
-# numpy calls whatever the row count, against about 0.3 us per row for
-# math.fsum (crossover from about 50 rows of 2 values to 130 rows of 6 values,
-# measured on a 2-core Xeon with numpy 2.4).
-ROW_FSUM_CASCADE = 64
-
-
-def _two_sum(a, b):
-    """Error-free transformation: a + b == s + e exactly, s = fl(a + b)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def row_fsums(values: np.ndarray) -> np.ndarray:
-    """math.fsum of every row of a 2-d float array, bit for bit.
-
-    TwoSum along a row leaves its float sum s and errors e_k; TwoSum along
-    the errors leaves t and second-level errors f_k (Ogita, Rump and Oishi
-    2005, "Accurate sum and dot product").  Where every f_k is exactly 0 the
-    row's exact sum is s + t, so fl(s + t) is correctly rounded, as fsum is.
-    Every other row, non-finite ones included, goes to math.fsum itself, so
-    it also raises as fsum does.  Below ROW_FSUM_CASCADE rows fsum itself is
-    cheaper than the cascade's fixed cost and takes every row."""
-    if len(values) < ROW_FSUM_CASCADE:
-        return np.array(list(map(math.fsum, values.tolist())))
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, *rest = values.T
-        errs = []
-        for v in rest:
-            s, e = _two_sum(s, v)
-            errs.append(e)
-        if errs:
-            t, *rest = errs
-            for e in rest:
-                t, f = _two_sum(t, e)
-                s[f != 0.0] = math.nan      # unsettled: leave the row to fsum
-            out = s + t
-        else:
-            out = s.copy()
-        out += 0.0              # -0.0 + 0.0 is +0.0, as fsum of an exact zero
-        unsettled = np.flatnonzero(~np.isfinite(out))
-    for r in unsettled:
-        out[r] = math.fsum(values[r].tolist())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -107,29 +60,6 @@ def transfer_power(T: np.ndarray, n_steps: int,
         raise ValueError("need at least one step")
     DT = measure.object_weights[:, None] * T if measure is not None else T
     return T @ np.linalg.matrix_power(DT, n_steps - 1)
-
-
-def _action_values(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
-                   convention: str, links: np.ndarray) -> np.ndarray:
-    """Per-interval action values of each history row, to be summed along
-    the row: the Lagrangian of every link (incremental), or of every
-    accumulated transition times its interval length (anchored)."""
-    vals = lag.values
-    if convention == INCREMENTAL:
-        return vals[links]
-    out = np.empty(links.shape)
-    acc = g.unit_of[g.src[links[:, 0]]]
-    for k in range(links.shape[1]):
-        acc = g.table[links[:, k], acc]
-        if (acc == UNDEFINED).any():
-            # compose each row as a history would, raising at the first
-            # history with a missing composition
-            for row in links.tolist():
-                a = g.unit(g.source(row[0]))
-                for m in row:
-                    a = g.compose(m, a)
-        out[:, k] = vals[acc] * grid.dt(k)
-    return out
 
 
 def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
@@ -161,7 +91,7 @@ def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
             w *= fw[links[:, k]]
         for k in range(n - 1):
             w *= ow[mids[:, k]]
-        s = row_fsums(_action_values(g, grid, lag, spec.convention, links))
+        s = history_actions(g, grid, lag, spec.convention, links)
         yield mids, w * phase_factors(s, spec.hbar, spec.mode)
 
 

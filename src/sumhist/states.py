@@ -138,25 +138,6 @@ def check_log_like(action: np.ndarray, g: FiniteGroupoid) -> float:
     return float(np.max(np.abs(s[g.table[a, b]] - s[a] - s[b])))
 
 
-def as_phase_state(phi: np.ndarray, g: FiniteGroupoid, hbar: float = 1.0,
-                   tol: float = 1e-10) -> PhaseState:
-    """Factor a raw candidate into (density, action); raises when phi is not of
-    the factorized form |phi(m)|^2 = p(src m) p(tgt m) with additive phase."""
-    phi = np.asarray(phi, dtype=complex)
-    p = unit_values(phi, g)
-    if np.max(np.abs(p.imag), initial=0.0) > tol or (p.real < -tol).any():
-        raise ValueError("unsupported form: unit values must be non-negative reals")
-    p = np.clip(p.real, 0.0, None)
-    amp = np.sqrt(p[g.src] * p[g.tgt])
-    if np.max(np.abs(np.abs(phi) - amp), initial=0.0) > tol:
-        raise ValueError("unsupported form: |phi| does not factor through endpoint densities")
-    action = np.where(amp > 0, np.angle(np.where(amp > 0, phi, 1.0)), 0.0) * hbar
-    state = PhaseState(g, p, action, hbar)
-    if check_log_like(action, g) > tol:
-        raise ValueError("unsupported form: phase is not additive under composition")
-    return state
-
-
 def gns_vector(state: PhaseState, f: np.ndarray, m: GroupoidMeasure) -> np.ndarray:
     """Vector over objects: at a, the fiber sum of nu_fiber(w) f(w) psi(w) for
     w with target a."""

@@ -1,11 +1,13 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import sumhist as sh
-from sumhist.action import ANCHORED, EUCLIDEAN, INCREMENTAL, family_psi
+from sumhist.action import ANCHORED, EUCLIDEAN, INCREMENTAL, family_psi, family_targets
+from sumhist.propagator import path_sum_terms
 
 from conftest import random_history, symmetric_lagrangian
 
@@ -233,14 +235,51 @@ def test_family_form_matrix_words_equals_factorized(rng):
 
 @pytest.mark.parametrize("mode", ["real", EUCLIDEAN])
 def test_family_psi_is_bit_identical_to_psi(rng, mode):
-    g = sh.pair_groupoid(3)
-    grid = sh.TimeGrid.uniform(0.0, 2.0, 3)
-    state = make_state(g, grid, rng, mode=mode)
-    state = sh.HistoryState(g, grid, state.lagrangian,
-                            dataclasses.replace(state.spec, hbar=0.37))
+    # two routes to the Gram factors and target points: the link-array
+    # evaluator against state.psi and state.point_index of every member
+    for name, n, convention in itertools.product(("pair:3", "pair_x_cyclic:2,2"), (1, 3),
+                                                 (INCREMENTAL, ANCHORED)):
+        g = sh.resolve_groupoid(name)
+        grid = sh.TimeGrid.uniform(0.0, 2.0, n)
+        state = make_state(g, grid, rng, mode=mode)
+        vals = state.lagrangian.values.copy()
+        vals[g.unit(0)] = -0.0
+        vals[[1, g.inverse(1)]] = -0.0
+        spec = dataclasses.replace(state.spec, hbar=0.37, convention=convention)
+        state = sh.HistoryState(g, grid, sh.Lagrangian(g, vals), spec)
+        family = sh.full_interval_family(g, grid)
+        assert len(family) == sum(sh.count_histories(g, x0, x1, n)
+                                  for x0 in range(g.n_objects) for x1 in range(g.n_objects))
+        want = np.array([state.psi(w) for w in family], dtype=complex)
+        assert family_psi(state, family).tobytes() == want.tobytes()
+        want = np.array([state.point_index(w.target) for w in family], dtype=np.int64)
+        assert family_targets(state, family).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, n", [("pair:3", 4), ("pair_x_cyclic:2,2", 3), ("cyclic:3", 3)])
+@pytest.mark.parametrize("mode", ["real", EUCLIDEAN])
+@pytest.mark.parametrize("hbar", [1.0, 0.37])
+def test_path_sum_is_the_gns_vector_of_the_dfs_state(rng, name, n, mode, hbar):
+    # the sum over histories is the GNS representation of the DFS state: the
+    # literal path sum from x0 to x1 is sqrt(p(x1, t_N)) times the GNS vector,
+    # at (x1, t_N), of the indicator of the histories leaving x0
+    g = sh.resolve_groupoid(name)
+    grid = sh.TimeGrid.uniform(0.0, 1.5, n)
+    p = rng.uniform(0.2, 1.0, (n + 1, g.n_objects))
+    p /= p.sum(axis=1, keepdims=True)
+    spec = sh.StateSpec(p, hbar=hbar, mode=mode)
+    lag = symmetric_lagrangian(g, rng, scale=2.0)
+    state = sh.state_from_lagrangian(lag, spec, g, grid)
     family = sh.full_interval_family(g, grid)
-    want = np.array([state.psi(w) for w in family], dtype=complex)
-    assert family_psi(state, family).tobytes() == want.tobytes()
+    starts = g.src[family.links[:, 0]]
+    for x0 in range(g.n_objects):
+        vec = sh.family_gns_vector(state, family, starts == x0)
+        for x1 in range(g.n_objects):
+            z = sh.finite_propagator(g, grid, lag, spec, x0, x1)
+            via_gns = math.sqrt(p[n, x1]) * vec[n * g.n_objects + x1]
+            scale = math.sqrt(p[n, x1] * p[0, x0]) * sum(
+                float(np.abs(t).sum()) for _, t in path_sum_terms(g, grid, lag, spec, x0, x1))
+            assert abs(z - via_gns) <= 1e-13 * scale
 
 
 def test_family_certificate_positive(rng):
@@ -296,6 +335,10 @@ def test_lagrangian_csv_round_trip(tmp_path, rng):
      "slice_dt and mass must be positive"),
     (lambda g: sh.GroupoidMeasure(g, np.array([1.0, math.inf]), np.ones(4)),
      "measure weights must be finite"),
+    (lambda g: sh.Lagrangian(g, np.array([0.0, math.inf, math.inf, 0.0])),
+     "lagrangian values must be finite"),
+    (lambda g: sh.Lagrangian(g, np.array([0.0, 1.0, 1.0, math.nan])),
+     "lagrangian values must be finite"),
 ])
 def test_non_finite_physical_parameters_are_refused(make, message):
     with pytest.raises(ValueError, match=message):

@@ -189,16 +189,6 @@ def test_integrate_factorizes_through_matrix(rng):
     assert abs(direct - via_matrix) <= TOL
 
 
-def test_algebra_element_csv_round_trip(tmp_path, rng):
-    from sumhist.io import algebra_element_csv, load_algebra_element_csv
-    g = sh.pair_groupoid(3)
-    f = random_element(g, rng)
-    path = tmp_path / "f.csv"
-    algebra_element_csv(f, path)
-    f2 = load_algebra_element_csv(path, 9)
-    assert np.array_equal(f, f2)
-
-
 def test_measure_csv_round_trip(tmp_path, rng):
     from sumhist.io import (fiber_weights_csv, load_weights_csv,
                             object_weights_csv)

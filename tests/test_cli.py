@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -250,6 +252,28 @@ def test_measure_files_accepted(capsys, tmp_path):
     assert code == 0
 
 
+def test_state_check_evaluates_the_family_as_link_arrays(capsys, monkeypatch):
+    # state-check reads the histories over the grid as link rows: it builds
+    # no History and never calls the per-history action
+    sact = importlib.import_module("sumhist.action")   # sh.action is the function
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sh.History, "__post_init__",
+                        counted("History", sh.History.__post_init__))
+    monkeypatch.setattr(sact, "action", counted("action", sact.action))
+    monkeypatch.setattr(sact, "links_of", counted("links_of", sact.links_of))
+    code, out, _ = run(capsys, "state-check", "--groupoid", "pair:3", "--grid", "0,1,3",
+                       "--lagrangian", "energy:line,0.5")
+    assert code == 0 and out.count(",pass\n") == 4
+    assert calls == []
+
+
 def test_state_check_refuses_oversized_family(capsys):
     code, _, err = run(capsys, "state-check", "--groupoid", "pair:6",
                        "--grid", "0,1,6", "--lagrangian", "zero")
@@ -312,19 +336,16 @@ def test_lagrangian_missing_column_is_an_input_error(capsys, tmp_path):
 
 
 def test_loaders_refuse_negative_ids_and_bad_numbers(tmp_path):
-    from sumhist.io import (load_algebra_element_csv, load_lagrangian_csv,
-                            load_weights_csv)
+    from sumhist.io import load_lagrangian_csv, load_weights_csv
     path = tmp_path / "f.csv"
-    path.write_text("morphism_id,value,fiber_weight,re,im\n-1,0.5,0.5,0.5,0.5\n")
+    path.write_text("morphism_id,value,fiber_weight\n-1,0.5,0.5\n")
     with pytest.raises(ValueError, match="line 2, column 'morphism_id'"):
         load_lagrangian_csv(path, 4)
     with pytest.raises(ValueError, match="outside 0..3"):
         load_weights_csv(path, 4, "morphism_id", "fiber_weight")
-    with pytest.raises(ValueError, match="line 2, column 'morphism_id'"):
-        load_algebra_element_csv(path, 4)
-    path.write_text("morphism_id,re,im\n1,0.5,x\n")
-    with pytest.raises(ValueError, match="column 'im': bad number 'x'"):
-        load_algebra_element_csv(path, 4)
+    path.write_text("morphism_id,value\n1,x\n")
+    with pytest.raises(ValueError, match="column 'value': bad number 'x'"):
+        load_lagrangian_csv(path, 4)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -375,7 +396,12 @@ CONTRACT_FILES = {
     "units.yaml": ONE_MORPHISM + "units: 5\n",
     "compose.yaml": ONE_MORPHISM + "compose: [[0, 0]]\n",
     "junction.yaml": "density: [[0, 1.0]]\n",
+    "inf.csv": "morphism_id,value\n1,inf\n2,inf\n",
+    "nan.csv": "morphism_id,value\n1,nan\n2,nan\n",
+    "deep.csv": "morphism_id,value\n1,-400\n2,-400\n",
+    "huge.csv": "morphism_id,value\n1,1.7e308\n2,1.7e308\n",
 }
+PAIR2 = ("--groupoid", "pair:2", "--grid", "0,1,3", "--lagrangian")
 MISSING = "{d}/missing/out.txt"
 
 
@@ -402,10 +428,21 @@ MISSING = "{d}/missing/out.txt"
     (("propagate", "--geometry", "circle", "--mode", "real", "--N", "8"),
      "does not converge at real time"),
     (("converge", "--geometry", "circle", "--mode", "real"), "does not converge at real time"),
+    (("propagate", *PAIR2, "{d}/inf.csv"), "lagrangian values must be finite"),
+    (("state-check", *PAIR2, "{d}/inf.csv"), "lagrangian values must be finite"),
+    (("propagate", *PAIR2, "{d}/nan.csv"), "lagrangian values must be finite"),
+    (("state-check", *PAIR2, "{d}/nan.csv"), "lagrangian values must be finite"),
+    (("propagate", *PAIR2, "{d}/deep.csv", "--mode", "euclidean"), "math range error"),
+    (("state-check", *PAIR2, "{d}/deep.csv", "--mode", "euclidean"), "math range error"),
+    (("propagate", *PAIR2, "{d}/huge.csv"), "intermediate overflow in fsum"),
+    (("state-check", *PAIR2, "{d}/huge.csv"), "intermediate overflow in fsum"),
 ], ids=["out-validate", "out-state-check", "out-propagate", "out-converge",
         "zero-density-junction", "yaml-syntax", "units-scalar", "compose-short-row",
         "hbar-nan", "T-nan", "grid-nan", "x1-nan", "circle-real-propagate",
-        "circle-real-converge"])
+        "circle-real-converge", "lagrangian-inf-propagate", "lagrangian-inf-state-check",
+        "lagrangian-nan-propagate", "lagrangian-nan-state-check",
+        "euclidean-overflow-propagate", "euclidean-overflow-state-check",
+        "action-overflow-propagate", "action-overflow-state-check"])
 def test_input_errors_exit_2_with_one_line(capsys, recwarn, tmp_path, argv, message):
     for name, text in CONTRACT_FILES.items():
         (tmp_path / name).write_text(text)
@@ -467,6 +504,28 @@ SPEC_DOC = st.fixed_dictionaries({}, optional={
                          st.lists(ROW, max_size=4), JUNK)})
 
 
+LAG_VALUE = st.one_of(st.floats(), st.sampled_from(
+    (math.inf, -math.inf, math.nan, 1e308, -1e308, 1.7e308, -400.0))).map(repr)
+LAG_CELL = st.one_of(LAG_VALUE, LAG_VALUE, st.text(max_size=3), st.integers(-2, 5).map(str))
+
+
+@st.composite
+def _lagrangian_csv(draw):
+    """pair:2 Lagrangian CSV text: one value per inversion pair (so that the
+    path sum runs) drawn from all floats, under a header that may miss a
+    column, with up to two rows replaced by junk cells or dropped."""
+    header = draw(st.sampled_from(("morphism_id,value", "morphism_id,value",
+                                   "morphism_id,val", "value", "morphism_id,value,x")))
+    off_diagonal = draw(LAG_VALUE)
+    rows = [f"0,{draw(LAG_VALUE)}", f"1,{off_diagonal}", f"2,{off_diagonal}",
+            f"3,{draw(LAG_VALUE)}"]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(rows) - 1))
+        cells = draw(st.lists(LAG_CELL, max_size=3))
+        rows[k] = ",".join(cells)
+    return "\n".join((header, *rows)) + "\n"
+
+
 def _file_text(doc):
     """A dumped document, sometimes with a few characters appended, or raw text."""
     dumped = doc.map(yaml.safe_dump)
@@ -481,18 +540,21 @@ def _main_captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(case=st.one_of(
     _file_text(st.one_of(_perturbed_groupoid_doc(), _perturbed_groupoid_doc(),
                           GROUPOID_DOC)).map(lambda text: (["validate", "--groupoid"], text)),
     _file_text(SPEC_DOC).map(lambda text: (["propagate", "--groupoid", "pair:2",
                                             "--grid", "0,1,2", "--dfs"], text)),
     _file_text(SPEC_DOC).map(lambda text: (["state-check", "--groupoid", "pair:2",
-                                            "--grid", "0,1,2", "--dfs"], text))))
+                                            "--grid", "0,1,2", "--dfs"], text)),
+    st.tuples(st.sampled_from(("propagate", "state-check")),
+              st.sampled_from(("real", "euclidean")), _lagrangian_csv()).map(
+        lambda c: ([c[0], "--mode", c[1], *PAIR2], c[2]))))
 def test_generated_description_files_never_escape_main(case):
     argv, text = case
     with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "input.yaml"
+        path = Path(d) / "input"
         path.write_bytes(text.encode())
         code, out, err = _main_captured([*argv, str(path)])
     assert code in (0, 2, 3)

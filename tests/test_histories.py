@@ -364,15 +364,6 @@ def test_history_length_conventions(rng):
     assert w.length == 4  # link count including the normalising unit
 
 
-def test_history_csv(tmp_path, rng):
-    from sumhist.io import history_csv
-    w = random_history(sh.pair_groupoid(3), rng, n_steps=3)
-    text = history_csv(w, tmp_path / "w.csv")
-    lines = text.strip().split("\n")
-    assert lines[0] == "k,time,kpath_morphism_id"
-    assert len(lines) == 5
-
-
 def test_grid_validation():
     with pytest.raises(sh.GridError):
         sh.TimeGrid((0.0, 0.0))
@@ -383,17 +374,6 @@ def test_grid_validation():
     assert g.index_of(0.75) == 3
     with pytest.raises(sh.GridError):
         g.index_of(0.33)
-
-
-def test_word_csv(tmp_path, rng):
-    from sumhist.io import word_csv
-    g = sh.pair_groupoid(3)
-    w1 = random_history(g, rng, n_steps=2)
-    word = sh.reduce_word([w1, sh.invert_history(w1), w1])
-    text = word_csv(word, tmp_path / "word.csv")
-    lines = text.strip().split("\n")
-    assert lines[0] == "segment,orientation,k,time,kpath_morphism_id"
-    assert len(lines) == 1 + len(word.segments[0].accumulated)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ import pytest
 
 import sumhist as sh
 from sumhist.action import (ANCHORED, CMATH_EXP_LARGE, EUCLIDEAN, INCREMENTAL, REAL_PHASE,
-                            phase_factor, phase_factors)
+                            ROW_FSUM_CASCADE, phase_factor, phase_factors, row_fsums)
 from sumhist.histories import BLOCK
-from sumhist.propagator import (ROW_FSUM_CASCADE, kinetic_lagrangian_value, path_sum_terms,
-                               row_fsums)
+from sumhist.propagator import kinetic_lagrangian_value, path_sum_terms
 
 from conftest import product_walks, symmetric_lagrangian
 

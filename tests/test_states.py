@@ -220,30 +220,3 @@ def test_transfer_matrix_is_the_gns_matrix_of_the_phase_state(rng):
             T = sh.transfer_matrix(g, lag, spec, m)
             G = sh.gns_matrix(state, np.ones(g.n_morphisms), m)
             assert T.tobytes() == G.tobytes()
-
-
-def test_as_phase_state_round_trip(rng):
-    g = sh.pair_groupoid(3)
-    state = pair_potential_state(g, rng)
-    rec = sh.as_phase_state(state.values, g)
-    assert np.max(np.abs(rec.values - state.values)) <= TOL
-
-
-def test_as_phase_state_rejects_unfactorizable():
-    g = sh.pair_groupoid(2)
-    phi = np.ones(4, dtype=complex)
-    phi[1] = 5.0  # |phi| no longer factors through endpoint densities
-    with pytest.raises(ValueError):
-        sh.as_phase_state(phi, g)
-
-
-def test_complex_vector_csv(tmp_path, rng):
-    from sumhist.io import complex_vector_csv
-    g = sh.pair_groupoid(3)
-    m = sh.counting_measure(g)
-    state = pair_potential_state(g, rng)
-    vec = sh.gns_vector(state, random_element(g, rng), m)
-    text = complex_vector_csv(vec, tmp_path / "vec.csv")
-    lines = text.strip().split("\n")
-    assert lines[0] == "object_id,re,im"
-    assert len(lines) == 4
