@@ -25,16 +25,17 @@ from .histories import (FUTURE, PAST, ChainError, GridError, History,
                         reduce_word, restrict, trivial_history)
 from .propagator import (ConvergenceRow, PropagatorTable, SliceConfig,
                          VelocityPath, circle_convergence, circle_propagator,
-                         errors_decrease, finite_propagator, fsum_complex,
-                         gaussian_recursion, history_to_velocity_path,
-                         image_sum_circle_kernel, lattice_line_propagator,
-                         lattice_transfer, line_convergence, line_kernel,
-                         propagator_table, reproducing_residual,
-                         sliced_line_propagator, transfer_matrix,
+                         circle_propagators, errors_decrease,
+                         finite_propagator, fsum_complex, gaussian_recursion,
+                         history_to_velocity_path, image_sum_circle_kernel,
+                         lattice_line_propagator, lattice_transfer,
+                         line_convergence, line_kernel, propagator_table,
+                         reproducing_residual, sliced_line_propagator,
+                         sliced_line_propagators, transfer_matrix,
                          transfer_oracle_table, transfer_power,
                          velocity_form_propagator, velocity_path_to_history)
 from .states import (GnsRepresentation, PhaseState, PositivityCertificate,
-                     certify_positive_type, check_log_like, gns_apply,
+                     certify_positive_type, gns_apply,
                      gns_matrix, gns_norm_sq, gns_vector, is_normalized,
                      positivity_form, state_value, unit_values)
 

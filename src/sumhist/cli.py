@@ -28,10 +28,10 @@ from .algebra import GroupoidMeasure, counting_measure
 from .geometry import CircleLattice, LineLattice
 from .groupoid import is_builtin_name, resolve_groupoid, validate_axioms
 from .histories import TimeGrid
-from .propagator import (SliceConfig, circle_convergence, circle_propagator,
+from .propagator import (SliceConfig, circle_convergence, circle_propagators,
                          errors_decrease, image_sum_circle_kernel,
                          line_convergence, line_kernel, propagator_table,
-                         reproducing_residual, sliced_line_propagator,
+                         reproducing_residual, sliced_line_propagators,
                          transfer_oracle_table)
 
 EXIT_OK = 0
@@ -244,27 +244,31 @@ def _endpoints(args, default: list[float]) -> tuple[float, list[float]]:
     return args.x0, x1s or default
 
 
+def _one_endpoint(args, default: float) -> tuple[float, float]:
+    """--x0 and the one --x1 of a convergence sweep (default when absent)."""
+    x0, x1s = _endpoints(args, [default])
+    if len(x1s) > 1:
+        raise ValueError(f"converge takes one --x1 endpoint, not {len(x1s)}")
+    return x0, x1s[0]
+
+
 def _propagate_geometry(args) -> int:
     cfg = _slice_config(args, args.N)
-    rows = []
     if args.geometry == "line":
         x0, x1s = _endpoints(args, [round(-2.0 + 0.5 * k, 10) for k in range(9)])
         method = "quadrature" if cfg.mode == EUCLIDEAN else "recursion"
-        for x1 in x1s:
-            val = sliced_line_propagator(cfg, x0, x1, method)
-            ref = line_kernel(cfg.mass, cfg.hbar, cfg.total_time, x1 - x0, cfg.mode)
-            rows.append((x0, x1, val, ref))
+        vals = sliced_line_propagators(cfg, x0, x1s, method)
+        refs = [line_kernel(cfg.mass, cfg.hbar, cfg.total_time, x1 - x0, cfg.mode)
+                for x1 in x1s]
     else:
         lc = args.circumference
-        th0, th1s = _endpoints(args, [lc * k / 8 for k in range(8)])
-        for th1 in th1s:
-            # the reference first: it refuses real time before any lattice work
-            ref = image_sum_circle_kernel(cfg, lc, th0, th1, args.winding_max)
-            val = circle_propagator(cfg, lc, th0, th1, args.sites)
-            rows.append((th0, th1, val, ref))
+        x0, x1s = _endpoints(args, [lc * k / 8 for k in range(8)])
+        # the references first: they refuse real time before any lattice work
+        refs = [image_sum_circle_kernel(cfg, lc, x0, th1, args.winding_max) for th1 in x1s]
+        vals = circle_propagators(cfg, lc, x0, x1s, args.sites)
 
     rows = [(x0, x1, val, abs(val - ref) / max(abs(ref), 1e-300))
-            for x0, x1, val, ref in rows]
+            for x1, val, ref in zip(x1s, vals, refs)]
     _emit(sio.kernel_comparison(rows, cfg.total_time, args.format), args.out)
     worst = max([0.0, *(rel for *_, rel in rows)])
     print(f"max relative error against the reference kernel: {worst:.3e}", file=sys.stderr)
@@ -276,12 +280,12 @@ def cmd_converge(args) -> int:
     sweep = [int(s) for s in args.sweep.split(",")] if args.sweep else None
     if args.geometry == "line":
         sweep = sweep or [1, 2, 4, 8, 16, 32, 64, 128, 256]
-        x0, x1s = _endpoints(args, [1.0])
-        rows = line_convergence(cfg, x0, x1s[0], sweep)
+        x0, x1 = _one_endpoint(args, 1.0)
+        rows = line_convergence(cfg, x0, x1, sweep)
     elif args.geometry == "circle":
         sweep = sweep or [1, 2, 4, 8, 16, 32, 64]
-        th0, th1s = _endpoints(args, [args.circumference / 2])
-        rows = circle_convergence(cfg, args.circumference, th0, th1s[0], sweep,
+        th0, th1 = _one_endpoint(args, args.circumference / 2)
+        rows = circle_convergence(cfg, args.circumference, th0, th1, sweep,
                                   args.sites, args.winding_max)
     else:
         raise ValueError("converge needs --geometry line|circle")

@@ -354,23 +354,38 @@ def gaussian_recursion(cfg: SliceConfig) -> tuple[complex, complex]:
 
 def sliced_line_propagator(cfg: SliceConfig, x0: float, x1: float,
                            method: str = "recursion") -> complex:
-    """Time-sliced free propagator on the line.
+    """Time-sliced free propagator on the line from x0 to x1; see
+    sliced_line_propagators."""
+    return _sliced_line(cfg, x0, [x1], method)[0]
+
+
+def sliced_line_propagators(cfg: SliceConfig, x0: float, x1s,
+                            method: str = "recursion") -> list[complex]:
+    """Time-sliced free propagator on the line from x0 to each of x1s.
 
     'recursion' evaluates the iterated Gaussian integrals exactly (valid for
     both phase conventions).  'quadrature' (euclidean only) iterates trapezoid
-    quadrature on [-L, L] as an independent numerical route."""
+    quadrature on [-L, L] as an independent numerical route.  Either route
+    computes what does not depend on the endpoint once; every value is
+    bit-identical to its sliced_line_propagator call."""
+    return _sliced_line(cfg, x0, x1s, method)
+
+
+def _sliced_line(cfg: SliceConfig, x0: float, x1s, method: str) -> list[complex]:
+    """Both sliced line propagators; a warning is attributed to their caller."""
     if method == "recursion":
         A, B = gaussian_recursion(cfg)
-        return A * cmath.exp(B * (x1 - x0) ** 2)
+        return [A * cmath.exp(B * (x1 - x0) ** 2) for x1 in x1s]
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     if cfg.mode != EUCLIDEAN:
         raise ValueError("quadrature evaluation is supported in euclidean mode only")
     L, M = cfg.quad_halfwidth, cfg.quad_nodes
     sigma_total = math.sqrt(cfg.hbar * cfg.total_time / cfg.mass)
-    if L < max(abs(x0), abs(x1)) + 6 * sigma_total:
-        warnings.warn("quadrature domain may truncate significant mass; "
-                      "increase quad_halfwidth", stacklevel=2)
+    for x1 in x1s:
+        if L < max(abs(x0), abs(x1)) + 6 * sigma_total:
+            warnings.warn("quadrature domain may truncate significant mass; "
+                          "increase quad_halfwidth", stacklevel=3)
     u = np.linspace(-L, L, M)
     wts = np.full(M, u[1] - u[0])
     wts[0] *= 0.5
@@ -380,14 +395,15 @@ def sliced_line_propagator(cfg: SliceConfig, x0: float, x1: float,
         return line_kernel(cfg.mass, cfg.hbar, cfg.dt, a - b, EUCLIDEAN).real
 
     if cfg.n_slices == 1:
-        return complex(k1(x1, x0))
+        return [complex(k1(x1, x0)) for x1 in x1s]
+    # the interior chain: every factor but the last, shared by all endpoints
     K = np.exp(-cfg.mass * (u[:, None] - u[None, :]) ** 2 / (2 * cfg.hbar * cfg.dt))
     K *= math.sqrt(cfg.mass / (2 * math.pi * cfg.hbar * cfg.dt))
     v = np.array([k1(ui, x0) for ui in u])
     for _ in range(cfg.n_slices - 2):
         v = K @ (wts * v)
-    last = np.array([k1(x1, ui) for ui in u])
-    return complex(np.sum(wts * last * v))
+    # one reduction per endpoint keeps the summation order of a single call
+    return [complex(np.sum(wts * np.array([k1(x1, ui) for ui in u]) * v)) for x1 in x1s]
 
 
 # ---------------------------------------------------------------------------
@@ -406,22 +422,42 @@ def lattice_transfer(geometry, cfg: SliceConfig) -> np.ndarray:
 def lattice_line_propagator(geometry, cfg: SliceConfig, site0: int, site1: int) -> complex:
     """Time-sliced path sum on a lattice geometry via transfer-matrix powers;
     endpoints carry no measure factor (kernel density convention)."""
-    T = lattice_transfer(geometry, cfg)
-    A = np.linalg.matrix_power(T, cfg.n_slices)
-    return complex(A[site1, site0] / geometry.spacing)
+    return _lattice_amplitudes(geometry, cfg, site0, [site1])[0]
+
+
+def _lattice_amplitudes(geometry, cfg: SliceConfig, site0: int, site1s) -> list[complex]:
+    """lattice_line_propagator for each of site1s from one transfer power."""
+    A = np.linalg.matrix_power(lattice_transfer(geometry, cfg), cfg.n_slices)
+    return [complex(A[s1, site0] / geometry.spacing) for s1 in site1s]
 
 
 def circle_propagator(cfg: SliceConfig, circumference: float, theta0: float,
                       theta1: float, n_sites: int = 256) -> complex:
     """Lattice path sum on a discretized circle with the arc-distance energy
     Lagrangian, evaluated at the sites nearest the requested angles."""
-    geom = CircleLattice(n_sites, circumference)
+    return _circle_amplitudes(cfg, CircleLattice(n_sites, circumference),
+                              theta0, [theta1], 2)[0]
+
+
+def circle_propagators(cfg: SliceConfig, circumference: float, theta0: float,
+                       theta1s, n_sites: int = 256) -> list[complex]:
+    """circle_propagator from theta0 to each of theta1s, from one lattice and
+    one transfer power; every value is bit-identical to its single call."""
+    return _circle_amplitudes(cfg, CircleLattice(n_sites, circumference),
+                              theta0, theta1s, 2)
+
+
+def _circle_amplitudes(cfg: SliceConfig, geom: CircleLattice, theta0: float,
+                       theta1s, stacklevel: int) -> list[complex]:
+    """Circle lattice amplitudes; the coarse-lattice warning is attributed
+    stacklevel frames above the caller of this function."""
     sigma_slice = math.sqrt(cfg.hbar * cfg.dt / cfg.mass)
     if sigma_slice < 2 * geom.spacing:
         warnings.warn("lattice too coarse for the requested slicing: one-slice "
-                      "kernel width is under two lattice spacings", stacklevel=2)
-    s0, s1 = geom.nearest_site(theta0), geom.nearest_site(theta1)
-    return lattice_line_propagator(geom, cfg, s0, s1)
+                      "kernel width is under two lattice spacings",
+                      stacklevel=stacklevel + 1)
+    s0 = geom.nearest_site(theta0)
+    return _lattice_amplitudes(geom, cfg, s0, [geom.nearest_site(t) for t in theta1s])
 
 
 def image_sum_circle_kernel(cfg: SliceConfig, circumference: float, theta0: float,
@@ -433,6 +469,8 @@ def image_sum_circle_kernel(cfg: SliceConfig, circumference: float, theta0: floa
     if cfg.mode != EUCLIDEAN:
         raise ValueError("the circle image sum does not converge at real time; "
                          "only mode 'euclidean' has a circle reference")
+    if winding_max < 0:
+        raise ValueError(f"winding_max must be non-negative, not {winding_max}")
     d = (theta1 - theta0) % circumference
     terms = [line_kernel(cfg.mass, cfg.hbar, cfg.total_time, d + n * circumference, cfg.mode)
              for n in range(-winding_max, winding_max + 1)]
@@ -477,13 +515,14 @@ def circle_convergence(cfg: SliceConfig, circumference: float, theta0: float,
                        theta1: float, sweep, n_sites: int = 256,
                        winding_max: int = 10) -> list[ConvergenceRow]:
     """Circle lattice path sum against the image-sum reference over a sweep."""
+    geom = CircleLattice(n_sites, circumference)
     rows = []
     for n in sweep:
         c = SliceConfig(n, cfg.total_time, cfg.mass, cfg.hbar, cfg.mode,
                         cfg.quad_halfwidth, cfg.quad_nodes)
         ref = image_sum_circle_kernel(c, circumference, theta0, theta1, winding_max)
-        rows.append(ConvergenceRow(n, c.dt, circle_propagator(c, circumference,
-                                                              theta0, theta1, n_sites), ref))
+        val = _circle_amplitudes(c, geom, theta0, [theta1], 1)[0]
+        rows.append(ConvergenceRow(n, c.dt, val, ref))
     return rows
 
 

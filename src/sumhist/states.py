@@ -129,15 +129,6 @@ class PhaseState:
         return np.sqrt(self.density[self.groupoid.src]) * self.phase
 
 
-def check_log_like(action: np.ndarray, g: FiniteGroupoid) -> float:
-    """Max defect of S(a∘b) = S(a) + S(b) over composable pairs (0 for additive S)."""
-    s = np.asarray(action, dtype=float)
-    a, b = np.nonzero(g.table >= 0)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(s[g.table[a, b]] - s[a] - s[b])))
-
-
 def gns_vector(state: PhaseState, f: np.ndarray, m: GroupoidMeasure) -> np.ndarray:
     """Vector over objects: at a, the fiber sum of nu_fiber(w) f(w) psi(w) for
     w with target a."""

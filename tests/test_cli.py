@@ -148,6 +148,41 @@ def test_propagate_circle_euclidean(capsys, tmp_path):
     assert rows and all(float(r["rel_error"]) <= 1e-2 for r in rows)
 
 
+def _counted(calls, name, fn):
+    def counting(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return counting
+
+
+def test_propagate_circle_takes_one_transfer_power(capsys, monkeypatch):
+    import sumhist.propagator as sp
+    calls = {}
+    monkeypatch.setattr(sp, "lattice_transfer", _counted(calls, "transfer", sp.lattice_transfer))
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        _counted(calls, "power", np.linalg.matrix_power))
+    code, out, _ = run(capsys, "propagate", "--geometry", "circle", "--mode", "euclidean",
+                       "--N", "16", "--sites", "64")
+    assert code == 0 and len(out.splitlines()) == 1 + 8
+    assert calls == {"transfer": 1, "power": 1}
+
+
+def test_propagate_line_builds_one_interior_chain(capsys, monkeypatch):
+    # the quadrature kernel is the one two-dimensional exp of the line route
+    kernels, exp = [], np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            kernels.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    code, out, _ = run(capsys, "propagate", "--geometry", "line", "--mode", "euclidean",
+                       "--N", "8", "--quad-nodes", "100")
+    assert code == 0 and len(out.splitlines()) == 1 + 9
+    assert kernels == [(100, 100)]
+
+
 def test_propagate_json_format(capsys, tmp_path):
     out_file = tmp_path / "t.json"
     code, _, _ = run(capsys, "propagate", "--groupoid", "pair:2",
@@ -402,6 +437,7 @@ CONTRACT_FILES = {
     "huge.csv": "morphism_id,value\n1,1.7e308\n2,1.7e308\n",
 }
 PAIR2 = ("--groupoid", "pair:2", "--grid", "0,1,3", "--lagrangian")
+CIRCLE16 = ("--geometry", "circle", "--mode", "euclidean", "--N", "4", "--sites", "16")
 MISSING = "{d}/missing/out.txt"
 
 
@@ -428,6 +464,12 @@ MISSING = "{d}/missing/out.txt"
     (("propagate", "--geometry", "circle", "--mode", "real", "--N", "8"),
      "does not converge at real time"),
     (("converge", "--geometry", "circle", "--mode", "real"), "does not converge at real time"),
+    (("propagate", *CIRCLE16, "--winding-max", "-1"), "winding_max must be non-negative"),
+    (("converge", *CIRCLE16, "--winding-max", "-1"), "winding_max must be non-negative"),
+    (("converge", "--geometry", "line", "--sweep", "1,2", "--x1", "0.5,0.7"),
+     "converge takes one --x1 endpoint"),
+    (("converge", "--geometry", "circle", "--mode", "euclidean", "--sweep", "1,2",
+      "--x1", "0.5,0.7"), "converge takes one --x1 endpoint"),
     (("propagate", *PAIR2, "{d}/inf.csv"), "lagrangian values must be finite"),
     (("state-check", *PAIR2, "{d}/inf.csv"), "lagrangian values must be finite"),
     (("propagate", *PAIR2, "{d}/nan.csv"), "lagrangian values must be finite"),
@@ -439,7 +481,9 @@ MISSING = "{d}/missing/out.txt"
 ], ids=["out-validate", "out-state-check", "out-propagate", "out-converge",
         "zero-density-junction", "yaml-syntax", "units-scalar", "compose-short-row",
         "hbar-nan", "T-nan", "grid-nan", "x1-nan", "circle-real-propagate",
-        "circle-real-converge", "lagrangian-inf-propagate", "lagrangian-inf-state-check",
+        "circle-real-converge", "winding-negative-propagate", "winding-negative-converge",
+        "converge-line-two-endpoints", "converge-circle-two-endpoints",
+        "lagrangian-inf-propagate", "lagrangian-inf-state-check",
         "lagrangian-nan-propagate", "lagrangian-nan-state-check",
         "euclidean-overflow-propagate", "euclidean-overflow-state-check",
         "action-overflow-propagate", "action-overflow-state-check"])

@@ -235,3 +235,82 @@ def test_geometry_and_grid_refuse_non_finite_values(make):
 def test_image_sum_refuses_real_time():
     with pytest.raises(ValueError, match="does not converge at real time"):
         sh.image_sum_circle_kernel(SliceConfig(8, 1.0, mode=REAL_PHASE), 2 * math.pi, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# one operator per request: the endpoint-list routes against single calls
+
+
+def _zbytes(zs):
+    return np.array(zs, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n_slices", [1, 2, 3, 17])
+@pytest.mark.parametrize("mode, method", [(REAL_PHASE, "recursion"),
+                                          (EUCLIDEAN, "recursion"),
+                                          (EUCLIDEAN, "quadrature")])
+def test_sliced_line_propagators_match_single_calls_bit_for_bit(n_slices, mode, method):
+    cfg = SliceConfig(n_slices, 0.9, mass=1.3, hbar=0.8, mode=mode,
+                      quad_halfwidth=9.0, quad_nodes=150)
+    x0, xs = -0.35, [-1.7, 0.4, 1.25, 0.4, 2.0]   # 0.4 twice
+    got = sh.sliced_line_propagators(cfg, x0, xs, method)
+    want = [sh.sliced_line_propagator(cfg, x0, x, method) for x in xs]
+    assert _zbytes(got) == _zbytes(want)
+
+
+def test_quadrature_domain_warns_per_endpoint_at_the_caller():
+    cfg = SliceConfig(4, 1.0, mode=EUCLIDEAN, quad_halfwidth=7.5, quad_nodes=100)
+    xs = [0.0, 2.0, 1.0, 2.0]    # only 2.0 reaches past the 6-sigma margin
+    with warnings.catch_warnings(record=True) as batch:
+        warnings.simplefilter("always")
+        sh.sliced_line_propagators(cfg, 0.0, xs, "quadrature")
+    with warnings.catch_warnings(record=True) as single:
+        warnings.simplefilter("always")
+        for x in xs:
+            sh.sliced_line_propagator(cfg, 0.0, x, "quadrature")
+    assert len(batch) == len(single) == 2
+    assert {w.filename for w in batch + single} == {__file__}
+
+
+@pytest.mark.parametrize("mode", [REAL_PHASE, EUCLIDEAN])
+def test_circle_propagators_match_single_calls_bit_for_bit(mode):
+    rng = np.random.default_rng(111)
+    lc = 2 * math.pi
+    for n_slices, n_sites in ((1, 24), (5, 64), (32, 128)):
+        cfg = SliceConfig(n_slices, 0.5, mode=mode)
+        th0 = float(rng.uniform(-lc, 2 * lc))
+        ths = [float(t) for t in rng.uniform(-lc, 2 * lc, 6)]
+        ths.append(ths[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # the coarse lattices
+            got = sh.circle_propagators(cfg, lc, th0, ths, n_sites)
+            want = [sh.circle_propagator(cfg, lc, th0, t, n_sites) for t in ths]
+        assert _zbytes(got) == _zbytes(want)
+
+
+def test_circle_coarse_lattice_warns_once_at_the_caller():
+    cfg = SliceConfig(8, 0.5, mode=EUCLIDEAN)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sh.circle_propagators(cfg, 2 * math.pi, 0.0, [0.0, 1.0, 2.0], n_sites=16)
+        sh.circle_propagator(cfg, 2 * math.pi, 0.0, 1.0, n_sites=16)
+    assert [w.filename for w in caught] == [__file__] * 2
+
+
+@pytest.mark.parametrize("mode, n_sites, n_slices", [(EUCLIDEAN, 512, 256),
+                                                     (REAL_PHASE, 64, 16)])
+def test_circle_transfer_power_matches_its_circulant_spectrum(mode, n_sites, n_slices):
+    # CircleLattice distances depend only on (i - j) mod n, so the lattice
+    # transfer matrix is circulant and T^N is the circulant whose first column
+    # is ifft(fft(T[:, 0]) ** N): a route to the power that shares no
+    # arithmetic with matrix_power
+    geom = CircleLattice(n_sites, 2 * math.pi)
+    cfg = SliceConfig(n_slices, 1.0, mode=mode)
+    T = lattice_transfer(geom, cfg)
+    A = np.linalg.matrix_power(T, n_slices)
+    col = np.fft.ifft(np.fft.fft(T[:, 0]) ** n_slices)
+    idx = np.arange(n_sites)
+    circulant = col[(idx[:, None] - idx[None, :]) % n_sites]
+    rel_dev = float(np.max(np.abs(A - circulant)) / np.max(np.abs(A)))
+    assert rel_dev <= 1e-11
+

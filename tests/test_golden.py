@@ -2,14 +2,17 @@
 
 The digests pin the exact bytes of the finite path sum (real, euclidean,
 anchored, partitioned order, JSON), the line kernels on both routes, the
-circle lattice power and a convergence sweep, and the stderr report of the
-sum-splitting check in both summation orders.  A change that is meant to
+circle lattice power and a convergence sweep, the stderr report of the
+sum-splitting check in both summation orders, and the warnings of the
+quadrature domain and of a coarse circle lattice.  A change that is meant to
 keep every output byte-identical must leave them all unchanged.  They were
 recorded on x86-64 Linux with CPython 3.11 and numpy 2.4; another libm or
 numpy build may round the last bits differently.
 """
 
 import hashlib
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +84,34 @@ def test_reproducing_check_stderr_is_byte_identical(threads, capsys):
     digests = [hashlib.sha256(text.encode()).hexdigest()
                for text in (captured.out, captured.err)]
     assert (code, digests) == (0, [RESIDUAL_GOLDEN[threads], RESIDUAL_STDERR])
+
+
+# stdout and stderr digests of geometry calls that warn.  Each warning is
+# rendered as the CLI shows it under the default filter (once per call site),
+# with the file it is attributed to but not the line number.
+WARNING_GOLDEN = {
+    "line-quadrature-domain": (
+        ["propagate", "--geometry", "line", "--mode", "euclidean", "--N", "4",
+         "--quad-nodes", "120", "--x1=-1,2.5,0.5"],
+        ["48916d93585230adef8909d7dcf992d080083b6a98a051daa209092840bd7b6b",
+         "3ad19dee1da4ac3d9c038de287489e7371fee30d6b029501c8099144da055520"]),
+    "circle-coarse-lattice": (
+        ["propagate", "--geometry", "circle", "--mode", "euclidean", "--N", "4",
+         "--T", "0.5", "--sites", "16"],
+        ["ac9163145906768f086289aff9acca394d6a7609a20cd5d5a7aac44a84814dff",
+         "08cfb226cbf6e7d18e8e2e09ae8ad94b85c181028104dd63ab97476fe572d286"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARNING_GOLDEN))
+def test_geometry_warnings_are_byte_identical(name, capsys):
+    argv, want = WARNING_GOLDEN[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        code = main(argv)
+    captured = capsys.readouterr()
+    shown = "".join(f"{Path(w.filename).name}: {w.category.__name__}: {w.message}\n"
+                    for w in caught)
+    digests = [hashlib.sha256(text.encode()).hexdigest()
+               for text in (captured.out, captured.err + shown)]
+    assert (code, digests) == (0, want)
