@@ -37,7 +37,7 @@ from .propagator import (ConvergenceRow, PropagatorTable, SliceConfig,
 from .states import (GnsRepresentation, PhaseState, PositivityCertificate,
                      certify_positive_type, gns_apply,
                      gns_matrix, gns_norm_sq, gns_vector, is_normalized,
-                     positivity_form, state_value, unit_values)
+                     positivity_form, state_value)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import GroupoidMeasure, counting_measure
 from .groupoid import UNDEFINED, FiniteGroupoid
 from .histories import (FUTURE, History, HistoryWord, TimeGrid, _walk_blocks,
-                        from_links, invert_history, links_of)
+                        from_links, invert_history, links_of, reduce_word)
 from .states import PositivityCertificate
 
 INCREMENTAL = "incremental"
@@ -424,52 +424,48 @@ def family_targets(state: HistoryState, family: HistoryFamily) -> np.ndarray:
     return k * state.groupoid.n_objects + family.groupoid.tgt[family.links[:, -1]]
 
 
+def family_blocks(state: HistoryState, family: HistoryFamily) -> list:
+    """The target blocks of the family: (member indices, psi) per target
+    point, in ascending target order, every member in exactly one block."""
+    tgts = family_targets(state, family)
+    order = np.argsort(tgts, kind="stable")
+    cuts = np.flatnonzero(np.diff(tgts[order])) + 1
+    psi = family_psi(state, family)
+    return [(idx, psi[idx]) for idx in np.split(order, cuts)]
+
+
 def family_form_matrix(state: HistoryState, family, via: str = "factorized") -> np.ndarray:
     """Positivity form matrix of the state over functions supported on the
     family.  'factorized' assembles conj(psi_u) psi_v on matching targets;
     'words' evaluates the state on every reduced pair word v then u^-1 (slow,
     used as an independent cross-check)."""
-    from .histories import reduce_word
     n = len(family)
-    tgts = family_targets(state, family)
     Q = np.zeros((n, n), dtype=complex)
     if via == "factorized":
-        psi = family_psi(state, family)
-        for t in np.unique(tgts):
-            idx = np.flatnonzero(tgts == t)
-            block = psi[idx]
-            Q[np.ix_(idx, idx)] = np.conj(block)[:, None] * block[None, :]
+        for idx, psi in family_blocks(state, family):
+            Q[np.ix_(idx, idx)] = np.conj(psi)[:, None] * psi[None, :]
         return Q
     if via != "words":
         raise ValueError(f"unknown assembly route {via!r}")
+    tgts = family_targets(state, family)
     members = list(family)
     for i, u in enumerate(members):
         for j, v in enumerate(members):
-            if tgts[i] != tgts[j]:
-                continue
-            word = reduce_word([v, invert_history(u)])
-            Q[i, j] = state.value(word)
+            if tgts[i] == tgts[j]:
+                Q[i, j] = state.value(reduce_word([v, invert_history(u)]))
     return Q
 
 
 def family_certificate(state: HistoryState, family,
                        tol: float = 1e-10) -> PositivityCertificate:
-    """Spectral positivity certificate of the state over the family, computed
-    blockwise by target point."""
-    psi = family_psi(state, family)
-    tgts = family_targets(state, family)
-    lam_min = np.inf
-    defect = 0.0
-    for t in np.unique(tgts):
-        idx = np.flatnonzero(tgts == t)
-        block = np.conj(psi[idx])[:, None] * psi[idx][None, :]
-        defect = max(defect, float(np.max(np.abs(block - block.conj().T), initial=0.0)))
-        lam = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
-        lam_min = min(lam_min, float(lam[0]))
-    if not np.isfinite(lam_min):
-        lam_min = 0.0
-    verdict = "positive" if (lam_min >= -tol and defect <= max(tol, 1e-12)) else "indefinite"
-    return PositivityCertificate(lam_min, len(family), verdict, defect)
+    """Closed-form positivity certificate of the state over the family.  The
+    form is block diagonal by target point, the block of target b is the
+    rank-one conj(psi_b) psi_b^T with eigenvalues 0 (two members or more) and
+    |psi_b|^2, and it is exactly Hermitian in IEEE arithmetic."""
+    lam_min = min((0.0 if len(idx) > 1 else float(np.vdot(psi, psi).real)
+                   for idx, psi in family_blocks(state, family)), default=0.0)
+    verdict = "positive" if lam_min >= -tol else "indefinite"
+    return PositivityCertificate(lam_min, len(family), verdict)
 
 
 def family_gns_vector(state: HistoryState, family, f_values) -> np.ndarray:
@@ -483,7 +479,10 @@ def family_gns_vector(state: HistoryState, family, f_values) -> np.ndarray:
 
 def family_form_value(state: HistoryState, family, f_values,
                       via: str = "factorized") -> complex:
-    """Quadratic form of the state at f supported on the family."""
+    """Quadratic form of the state at f supported on the family: the sum over
+    target blocks of |psi_b^T f_b|^2 ('factorized', linear cost), or
+    conj(f)^T Q f with the dense 'words' form matrix."""
     f = np.asarray(f_values, dtype=complex)
-    Q = family_form_matrix(state, family, via=via)
-    return complex(np.conj(f) @ Q @ f)
+    if via == "factorized":
+        return complex(sum(abs(psi @ f[idx]) ** 2 for idx, psi in family_blocks(state, family)))
+    return complex(np.conj(f) @ family_form_matrix(state, family, via=via) @ f)

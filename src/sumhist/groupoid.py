@@ -268,14 +268,10 @@ def validate_axioms(g: FiniteGroupoid, limit: int | None = None) -> ValidationRe
         out.append(Violation("unit", f"unit_of[{x}] = {int(unit[x])} is not a morphism"))
     for m in np.flatnonzero(~inv_ok):
         out.append(Violation("inverse", f"inverse_of[{m}] = {int(inv[m])} is not a morphism"))
-    bad_entries = (C < UNDEFINED) | (C >= M)
-    for a, b in np.argwhere(bad_entries):
+    for a, b in np.argwhere((C < UNDEFINED) | (C >= M)):
         out.append(Violation("range", f"table[{a},{b}] = {int(C[a, b])} out of range"))
         if full():
             return ValidationReport(tuple(out))
-    if out and (not unit_ok.all() or not inv_ok.all() or bad_entries.any()):
-        # tables unusable for the law checks below where broken; still try the rest
-        pass
 
     defined = (C >= 0) & (C < M)
     need = src[:, None] == tgt[None, :]

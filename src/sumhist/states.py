@@ -34,13 +34,8 @@ class PositivityCertificate:
         return self.verdict == "positive"
 
 
-def unit_values(phi: np.ndarray, g: FiniteGroupoid) -> np.ndarray:
-    """Restriction of phi to units, one value per object."""
-    return np.asarray(phi)[g.unit_of]
-
-
 def is_normalized(phi: np.ndarray, m: GroupoidMeasure, tol: float = 1e-12) -> bool:
-    total = np.sum(m.object_weights * unit_values(phi, m.groupoid))
+    total = np.sum(m.object_weights * np.asarray(phi)[m.groupoid.unit_of])
     return abs(total - 1.0) <= tol
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import sumhist as sh
-from sumhist.action import ANCHORED, EUCLIDEAN, INCREMENTAL, family_psi, family_targets
+from sumhist.action import (ANCHORED, EUCLIDEAN, INCREMENTAL, family_blocks, family_psi,
+                            family_targets)
 from sumhist.propagator import path_sum_terms
 
 from conftest import random_history, symmetric_lagrangian
@@ -291,6 +292,58 @@ def test_family_certificate_positive(rng):
     assert cert.is_positive
     assert cert.min_eigenvalue >= -1e-10
     assert cert.form_matrix_dim == len(family) == 3 ** 4
+
+
+FAMILY_CASES = [("pair:3", 2), ("pair_x_cyclic:2,2", 2), ("cyclic:3", 2), ("pair:1", 1)]
+
+
+@pytest.mark.parametrize("name, n", FAMILY_CASES)
+@pytest.mark.parametrize("hbar", [1.0, 0.37])
+def test_family_certificate_is_the_spectrum_of_the_words_form(rng, name, n, hbar):
+    # the closed form against LAPACK on the form evaluated word by word;
+    # pair:1 has one member per target, so its spectrum is |psi|^2, not 0
+    g = sh.resolve_groupoid(name)
+    grid = sh.TimeGrid.uniform(0.0, 2.0, n)
+    state = make_state(g, grid, rng)
+    state = dataclasses.replace(state, spec=dataclasses.replace(state.spec, hbar=hbar))
+    family = sh.full_interval_family(g, grid)
+    cert = sh.family_certificate(state, family)
+    lam = np.linalg.eigvalsh(sh.family_form_matrix(state, family, via="words"))[0]
+    assert abs(cert.min_eigenvalue - lam) <= 1e-12
+    assert cert.is_positive and cert.hermiticity_defect == 0.0
+    assert cert.form_matrix_dim == len(family)
+    if name == "pair:1":
+        assert cert.min_eigenvalue > 0.1
+
+
+@pytest.mark.parametrize("name, n", FAMILY_CASES)
+def test_family_form_value_factorized_equals_words(rng, name, n):
+    g = sh.resolve_groupoid(name)
+    grid = sh.TimeGrid.uniform(0.0, 2.0, n)
+    state = make_state(g, grid, rng)
+    family = sh.full_interval_family(g, grid)
+    for _ in range(5):
+        f = rng.standard_normal(len(family)) + 1j * rng.standard_normal(len(family))
+        fast = sh.family_form_value(state, family, f)
+        slow = sh.family_form_value(state, family, f, via="words")
+        assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
+
+
+@pytest.mark.parametrize("name, n", [("pair:3", 3), ("pair_x_cyclic:2,3", 2), ("cyclic:3", 2)])
+def test_family_blocks_partition_the_family_by_target(rng, name, n):
+    g = sh.resolve_groupoid(name)
+    grid = sh.TimeGrid.uniform(0.0, 2.0, n)
+    state = make_state(g, grid, rng)
+    family = sh.full_interval_family(g, grid)
+    tgts, psi = family_targets(state, family), family_psi(state, family)
+    blocks = family_blocks(state, family)
+    firsts = [int(tgts[idx[0]]) for idx, _ in blocks]
+    assert firsts == sorted(set(tgts.tolist()))
+    members = np.concatenate([idx for idx, _ in blocks])
+    assert np.array_equal(np.sort(members), np.arange(len(family)))
+    for idx, block_psi in blocks:
+        assert (tgts[idx] == tgts[idx[0]]).all() and (np.diff(idx) > 0).all()
+        assert block_psi.tobytes() == psi[idx].tobytes()
 
 
 def test_family_identity_form_equals_norm(rng):

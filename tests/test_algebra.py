@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sumhist as sh
 
@@ -199,3 +201,45 @@ def test_measure_csv_round_trip(tmp_path, rng):
     fiber_weights_csv(fw, tmp_path / "fw.csv")
     assert np.array_equal(load_weights_csv(tmp_path / "ow.csv", 3, "object_id", "weight"), ow)
     assert np.array_equal(load_weights_csv(tmp_path / "fw.csv", 9, "morphism_id", "fiber_weight"), fw)
+
+
+# property tests of the algebra laws on builtins under a seeded left-invariant
+# measure: object weights free, fiber weights a function of the source only
+BUILTINS = ([f"pair:{n}" for n in range(1, 5)] + [f"cyclic:{k}" for k in range(1, 6)]
+            + ["pair_x_cyclic:2,2", "pair_x_cyclic:2,3"])
+LAWS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+def seeded_case(name, seed, n_elements):
+    g = sh.resolve_groupoid(name)
+    rng = np.random.default_rng(seed)
+    m = sh.GroupoidMeasure(g, rng.uniform(0.5, 2.0, g.n_objects),
+                           rng.uniform(0.5, 2.0, g.n_objects)[g.src])
+    return g, m, [random_element(g, rng) for _ in range(n_elements)]
+
+
+def close(a, b):
+    return np.max(np.abs(a - b)) <= TOL * max(1.0, np.max(np.abs(b)))
+
+
+@LAWS
+@given(name=st.sampled_from(BUILTINS), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_convolution_is_associative(name, seed):
+    g, m, (f, h, k) = seeded_case(name, seed, 3)
+    assert close(sh.convolve(sh.convolve(f, h, m), k, m),
+                 sh.convolve(f, sh.convolve(h, k, m), m))
+
+
+@LAWS
+@given(name=st.sampled_from(BUILTINS), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_involution_is_an_involutive_antihomomorphism(name, seed):
+    g, m, (f, h) = seeded_case(name, seed, 2)
+    assert close(sh.involute(sh.involute(f, m), m), f)
+    assert close(sh.involute(sh.convolve(f, h, m), m),
+                 sh.convolve(sh.involute(h, m), sh.involute(f, m), m))
+
+
+@LAWS
+@given(name=st.sampled_from(BUILTINS))
+def test_property_builtins_satisfy_the_axioms(name):
+    assert sh.validate_axioms(sh.resolve_groupoid(name)).ok

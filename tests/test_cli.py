@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,20 @@ def test_state_check_evaluates_the_family_as_link_arrays(capsys, monkeypatch):
                        "--lagrangian", "energy:line,0.5")
     assert code == 0 and out.count(",pass\n") == 4
     assert calls == []
+
+
+def test_state_check_never_materialises_the_form(capsys):
+    # pair:4 over five intervals has 4096 histories: the dense form alone
+    # would be 4096^2 complex values, 268 MB
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "state-check", "--groupoid", "pair:4", "--grid", "0,1,5",
+                           "--lagrangian", "energy:line,0.5", "--seed", "5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.count(",pass\n") == 4
+    assert peak < 16 * 2 ** 20
 
 
 def test_state_check_refuses_oversized_family(capsys):

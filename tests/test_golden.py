@@ -2,9 +2,10 @@
 
 The digests pin the exact bytes of the finite path sum (real, euclidean,
 anchored, partitioned order, JSON), the line kernels on both routes, the
-circle lattice power and a convergence sweep, the stderr report of the
-sum-splitting check in both summation orders, and the warnings of the
-quadrature domain and of a coarse circle lattice.  A change that is meant to
+circle lattice power and a convergence sweep, the state-check report with
+its closed-form spectrum, the stderr report of the sum-splitting check in
+both summation orders, and the warnings of the quadrature domain and of a
+coarse circle lattice.  A change that is meant to
 keep every output byte-identical must leave them all unchanged.  They were
 recorded on x86-64 Linux with CPython 3.11 and numpy 2.4; another libm or
 numpy build may round the last bits differently.
@@ -49,6 +50,10 @@ GOLDEN = {
         ["propagate", "--geometry", "circle", "--mode", "euclidean", "--N", "4",
          "--T", "0.5", "--sites", "48"],
         0, "a2620b72aa3544c59e6f6a54210258ce0cce67cc8c71ef83cfa2a435225792e4"),
+    "state-check": (
+        ["state-check", "--groupoid", "pair:3", "--grid", "0,1,3",
+         "--lagrangian", "energy:line,0.5"],
+        0, "1fef8209a5ba324446dd5c3c954fee7a62ed3d30004fe5803fadae7359899535"),
     "converge-line": (
         ["converge", "--geometry", "line", "--sweep", "1,2,4,8", "--x1", "0.75"],
         0, "b636e23497d168ad43b78125f860840f2c195cc5e2fc78efc77a4f9b5b2ba40b"),
