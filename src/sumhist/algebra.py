@@ -68,15 +68,20 @@ def integrate(f: np.ndarray, m: GroupoidMeasure) -> complex:
 
 def modular_function(m: GroupoidMeasure, tol: float = 1e-10) -> np.ndarray:
     """delta(a) = nu(a) / nu(a^-1), validated to be multiplicative on
-    composable pairs (otherwise the measure is rejected)."""
+    composable pairs (otherwise the measure is rejected).
+
+    The pairs composable over an object y are (a, b) with b in the fiber over
+    y and a in the inverse of that fiber, the morphisms leaving y."""
     g = m.groupoid
     nu = m.morphism_weights
-    delta = nu / nu[g.inverse_of]
-    defined = g.table >= 0
-    a, b = np.nonzero(defined)
-    lhs = delta[g.table[a, b]]
-    rhs = delta[a] * delta[b]
-    err = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300), initial=0.0)
+    inv = g.inverse_of
+    delta = nu / nu[inv]
+    err = 0.0
+    for fib in g.fibers:
+        lhs = delta[g.table[np.ix_(inv[fib], fib)]]
+        rhs = delta[inv[fib]][:, None] * delta[fib][None, :]
+        err = max(err, np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300),
+                              initial=0.0))
     if err > tol:
         raise MeasureError(
             f"measure is not quasi-invariant: modular function fails "
@@ -109,18 +114,24 @@ def left_regular(f: np.ndarray, m: GroupoidMeasure) -> np.ndarray:
     f = np.asarray(f, dtype=complex)
     L = np.zeros((M, M), dtype=complex)
     for fib in g.fibers:
-        if fib.size == 0:
-            continue
-        vals = m.fiber_weights[fib] * f[fib]          # one per gamma
-        cols = g.table[g.inverse_of[fib]][:, fib]     # cols[i, j] = gamma_i^-1 ∘ a_j
+        vals = m.fiber_weights[fib] * f[fib]             # one per gamma
+        cols = g.table[np.ix_(g.inverse_of[fib], fib)]   # cols[i, j] = gamma_i^-1 ∘ a_j
         rows = np.broadcast_to(fib[None, :], cols.shape)
         L[rows, cols] += vals[:, None]
     return L
 
 
 def convolve(f: np.ndarray, h: np.ndarray, m: GroupoidMeasure) -> np.ndarray:
-    """Convolution product f ⋆ h."""
-    return left_regular(f, m) @ np.asarray(h, dtype=complex)
+    """Convolution product f ⋆ h, one target fiber at a time:
+    (f ⋆ h)[a_j] = sum over gamma_i in the fiber of nu_fiber f(gamma_i)
+    h(gamma_i^-1 ∘ a_j), a vector-matrix product per fiber."""
+    g = m.groupoid
+    vals = m.fiber_weights * np.asarray(f, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    out = np.zeros(g.n_morphisms, dtype=complex)
+    for fib in g.fibers:
+        out[fib] = vals[fib] @ h[g.table[np.ix_(g.inverse_of[fib], fib)]]
+    return out
 
 
 def involute(f: np.ndarray, m: GroupoidMeasure) -> np.ndarray:

@@ -163,6 +163,13 @@ def cmd_state_check(args) -> int:
                              "certificate needs <= 20000 (use a coarser grid)")
         family = full_interval_family(g, grid)
         cert = family_certificate(state, family)
+        if spec.mode == EUCLIDEAN:
+            # refused only now, so that a weight beyond the float range, which
+            # the certificate is the first to evaluate, stays that input error;
+            # the euclidean state on the pair word v·u⁻¹ is exp(-(S(v) - S(u))/ħ),
+            # not the factorized conj(ψ_u)ψ_v that the certificate reads
+            raise ValueError("positivity is claimed for the real mode only; "
+                             "state-check does not take --mode euclidean")
         entries.append(("positivity_min_eigenvalue", repr(cert.min_eigenvalue),
                         "pass" if cert.is_positive else "fail"))
         if not cert.is_positive:
@@ -213,10 +220,9 @@ def cmd_propagate(args) -> int:
         if worst > args.tol:
             status = EXIT_CHECK
     if args.check == "reproducing":
-        # the residual is taken against the canonical table whatever --threads
-        # says, so its bytes do not depend on the summation order chosen
-        canonical = table if args.threads == 1 else None
-        res = reproducing_residual(g, grid, lag, spec, args.at, measure, canonical)
+        # the residual is taken against the table's canonical amplitudes
+        # whatever --threads says, so its bytes do not depend on the order chosen
+        res = reproducing_residual(g, grid, lag, spec, args.at, measure, table)
         print(f"reproducing residual at slice {args.at}: {res:.3e}", file=sys.stderr)
         if res > args.tol:
             status = EXIT_CHECK

@@ -98,7 +98,7 @@ def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
 def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
                       spec: StateSpec, x0: int, x1: int,
                       measure: GroupoidMeasure | None = None,
-                      partitions: int = 1) -> complex:
+                      partitions: int = 1, with_canonical: bool = False):
     """Path-sum amplitude sqrt(p(x1, t_N) p(x0, t_0)) times the sum over all
     histories from (x0, t_0) to (x1, t_N) of weight(w) * phase(action(w)).
 
@@ -106,7 +106,10 @@ def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     rounded accumulation.  With partitions > 1 the sum is split by the first
     interior object, each partition is summed with exactly rounded
     accumulation, and the rounded partials are summed in object order; the
-    result may differ from the canonical one in the last bit."""
+    result may differ from the canonical one in the last bit.
+
+    with_canonical=True returns the pair (amplitude, canonical amplitude),
+    both summed from one enumeration of the histories."""
     p = spec.slices(grid)
     amp = math.sqrt(p[grid.n_intervals, x1] * p[0, x0])
     split = partitions > 1 and grid.n_intervals > 1
@@ -117,20 +120,25 @@ def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
         if split:
             firsts += np.bincount(mids[:, 0], minlength=g.n_objects)
     terms = np.concatenate(blocks)
-    if not split:
-        return amp * fsum_complex(terms)
-    # the canonical order is lexicographic in the interior objects, so the
-    # terms of each first object are contiguous
-    parts = np.split(terms, np.cumsum(firsts)[:-1])
-    return amp * fsum_complex([fsum_complex(part) for part in parts])
+    canonical = amp * fsum_complex(terms) if with_canonical or not split else None
+    z = canonical
+    if split:
+        # the canonical order is lexicographic in the interior objects, so the
+        # terms of each first object are contiguous
+        parts = np.split(terms, np.cumsum(firsts)[:-1])
+        z = amp * fsum_complex([fsum_complex(part) for part in parts])
+    return (z, canonical) if with_canonical else z
 
 
 @dataclass(frozen=True)
 class PropagatorTable:
-    """Amplitudes indexed by endpoint pair over a fixed grid span."""
+    """Amplitudes indexed by endpoint pair over a fixed grid span, with the
+    same amplitudes in the canonical summation order (equal to amplitudes
+    unless those were summed in the partitioned order)."""
 
     grid: TimeGrid
     amplitudes: dict  # (x0, x1) -> complex
+    canonical: dict   # (x0, x1) -> complex, canonical order
 
     def rows(self):
         t0, t1 = self.grid.times[0], self.grid.times[-1]
@@ -141,12 +149,15 @@ class PropagatorTable:
 def propagator_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
                      spec: StateSpec, measure: GroupoidMeasure | None = None,
                      partitions: int = 1) -> PropagatorTable:
-    amps = {}
+    """The amplitude of every endpoint pair, in the summation order that
+    partitions selects, with the canonical amplitudes from the same
+    enumeration."""
+    amps, canonical = {}, {}
     for x0 in range(g.n_objects):
         for x1 in range(g.n_objects):
-            amps[(x0, x1)] = finite_propagator(g, grid, lag, spec, x0, x1,
-                                               measure, partitions)
-    return PropagatorTable(grid, amps)
+            amps[(x0, x1)], canonical[(x0, x1)] = finite_propagator(
+                g, grid, lag, spec, x0, x1, measure, partitions, with_canonical=True)
+    return PropagatorTable(grid, amps, canonical)
 
 
 def transfer_oracle_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
@@ -160,7 +171,7 @@ def transfer_oracle_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     for x0 in range(g.n_objects):
         for x1 in range(g.n_objects):
             amps[(x0, x1)] = math.sqrt(p[grid.n_intervals, x1] * p[0, x0]) * A[x1, x0]
-    return PropagatorTable(grid, amps)
+    return PropagatorTable(grid, amps, amps)
 
 
 def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
@@ -172,8 +183,9 @@ def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     sub-amplitudes, with the doubled density factor at the junction divided
     out.
 
-    table is the canonical propagator_table of the same arguments (partitions
-    1), if the caller already holds it; otherwise it is computed here."""
+    table is a propagator_table of the same arguments, if the caller already
+    holds it; its canonical amplitudes are used whatever its summation order.
+    Otherwise the table is computed here."""
     n = grid.n_intervals
     if not (0 < j < n):
         raise ValueError(f"splitting slice {j} must be interior to 0..{n}")
@@ -187,7 +199,7 @@ def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
         table = propagator_table(g, grid, lag, spec, measure)
     elif table.grid != grid:
         raise ValueError("the propagator table spans another grid")
-    full = table.amplitudes
+    full = table.canonical
     first = {(a, c): finite_propagator(g, g1, lag, s1, a, c, measure)
              for a in range(g.n_objects) for c in range(g.n_objects)}
     second = {(c, b): finite_propagator(g, g2, lag, s2, c, b, measure)

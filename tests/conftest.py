@@ -22,11 +22,12 @@ def random_element(g, rng):
     return rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
 
-def convolve_naive(f, h, m):
-    """Direct double-sum convolution, independent of the matrix route."""
+def convolve_naive(f, h, m, rows=None):
+    """Direct double-sum convolution, independent of the matrix route; only at
+    the morphisms in rows (all by default), zero elsewhere."""
     g = m.groupoid
     out = np.zeros(g.n_morphisms, dtype=complex)
-    for a in range(g.n_morphisms):
+    for a in range(g.n_morphisms) if rows is None else rows:
         acc = 0.0 + 0.0j
         for gamma in range(g.n_morphisms):
             if g.target(gamma) != g.target(a):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,10 +103,36 @@ def test_unit_element_is_identity(rng):
 
 
 def test_convolve_matches_naive_oracle(rng):
-    for g in small_groupoids():
-        m = sh.counting_measure(g)
+    # pair:48 has 2304 morphisms: the naive double sum runs on 40 seeded rows
+    big = sh.pair_groupoid(48)
+    cases = [(g, None) for g in small_groupoids()]
+    cases.append((big, np.sort(rng.choice(big.n_morphisms, 40, replace=False))))
+    for g, rows in cases:
+        w = rng.uniform(0.5, 1.5, g.n_objects)
+        v = rng.uniform(0.5, 1.5, g.n_objects)
+        m = sh.GroupoidMeasure(g, w, v[g.src])   # left-invariant: fiber weight by source
         f, h = random_element(g, rng), random_element(g, rng)
-        assert np.max(np.abs(sh.convolve(f, h, m) - convolve_naive(f, h, m))) <= TOL
+        out = sh.convolve(f, h, m)
+        scale = max(1.0, float(np.max(np.abs(out))))
+        assert np.max(np.abs(out - sh.left_regular(f, m) @ h)) <= TOL * scale
+        picked = slice(None) if rows is None else rows
+        naive = convolve_naive(f, h, m, rows)[picked]
+        assert np.max(np.abs(out[picked] - naive)) <= TOL * scale
+
+
+def test_convolve_allocates_per_fiber():
+    # the dense left_regular of pair:48 alone is 2304^2 complex values, 85 MB
+    g = sh.pair_groupoid(48)
+    rng = np.random.default_rng(7)
+    m = sh.GroupoidMeasure(g, rng.uniform(0.5, 1.5, 48), np.ones(g.n_morphisms))
+    f, h = random_element(g, rng), random_element(g, rng)
+    tracemalloc.start()
+    try:
+        sh.convolve(f, h, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
 
 
 def test_involution_is_involutive(rng):

@@ -220,6 +220,23 @@ def test_propagate_threads_deterministic(capsys, tmp_path):
         assert abs(float(ra["im"]) - float(rb["im"])) <= 1e-13
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_reproducing_check_enumerates_each_pair_once(capsys, monkeypatch, threads):
+    # pair:3 over 4 intervals split at 2: 9 pairs of the table and 9 + 9 of
+    # the two halves, whatever the summation order of the table
+    calls = []
+    inner = sh.propagator.finite_propagator
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(sh.propagator, "finite_propagator", counted)
+    code, _, _ = run(capsys, "propagate", "--groupoid", "pair:3", "--grid", "0,1,4",
+                     "--check", "reproducing", "--at", "2", "--threads", threads)
+    assert code == 0 and len(calls) == 27
+
+
 def test_output_byte_reproducible(capsys, tmp_path):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for f in (f1, f2):
@@ -322,6 +339,18 @@ def test_state_check_never_materialises_the_form(capsys):
         tracemalloc.stop()
     assert code == 0 and out.count(",pass\n") == 4
     assert peak < 16 * 2 ** 20
+
+
+def test_validate_scans_composable_triples_in_bounded_chunks(capsys):
+    # pair_x_cyclic:8,8 has 512 morphisms; (chunk, M, M) gathers peaked at 58 MB
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "validate", "--groupoid", "pair_x_cyclic:8,8")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.endswith(": ok: all groupoid axioms hold\n")
+    assert peak <= 32 * 2 ** 20
 
 
 def test_state_check_refuses_oversized_family(capsys):
@@ -491,6 +520,8 @@ MISSING = "{d}/missing/out.txt"
     (("state-check", *PAIR2, "{d}/nan.csv"), "lagrangian values must be finite"),
     (("propagate", *PAIR2, "{d}/deep.csv", "--mode", "euclidean"), "math range error"),
     (("state-check", *PAIR2, "{d}/deep.csv", "--mode", "euclidean"), "math range error"),
+    (("state-check", "--groupoid", "pair:3", "--grid", "0,1,2", "--lagrangian",
+      "energy:line,0.5", "--mode", "euclidean"), "positivity is claimed for the real mode only"),
     (("propagate", *PAIR2, "{d}/huge.csv"), "intermediate overflow in fsum"),
     (("state-check", *PAIR2, "{d}/huge.csv"), "intermediate overflow in fsum"),
 ], ids=["out-validate", "out-state-check", "out-propagate", "out-converge",
@@ -501,6 +532,7 @@ MISSING = "{d}/missing/out.txt"
         "lagrangian-inf-propagate", "lagrangian-inf-state-check",
         "lagrangian-nan-propagate", "lagrangian-nan-state-check",
         "euclidean-overflow-propagate", "euclidean-overflow-state-check",
+        "state-check-euclidean",
         "action-overflow-propagate", "action-overflow-state-check"])
 def test_input_errors_exit_2_with_one_line(capsys, recwarn, tmp_path, argv, message):
     for name, text in CONTRACT_FILES.items():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sumhist as sh
+from sumhist import groupoid as groupoid_module
 from sumhist.groupoid import UNDEFINED
 
 from conftest import mutated_copy, small_groupoids
@@ -112,6 +113,57 @@ def test_validate_mutation_scan(rng):
         g = targets[int(rng.integers(len(targets)))]
         bad = mutated_copy(g, rng)
         assert not sh.validate_axioms(bad, limit=1).ok
+
+
+def dense_associativity_violations(C, defined):
+    """Reference scan: (a∘b)∘c against a∘(b∘c) as dense (chunk, M, M) gathers
+    over every b and c, reported in (a, b, c) order."""
+    M = C.shape[0]
+    chunk = max(1, min(64, (1 << 22) // max(M * M, 1)))
+    Csafe = np.where(defined, C, 0)
+    for a0 in range(0, M, chunk):
+        A = np.arange(a0, min(a0 + chunk, M))
+        AB = C[A]
+        ab_def = (AB >= 0) & (AB < M)
+        lhs = C[np.where(ab_def, AB, 0), :]          # lhs[i,b,c] = (a_i∘b)∘c
+        rhs = C[A][:, Csafe]                         # rhs[i,b,c] = a_i∘(b∘c)
+        bad = ab_def[:, :, None] & defined[None, :, :] & (lhs != rhs)
+        for i, b, c in np.argwhere(bad):
+            yield sh.Violation("associativity",
+                               f"({int(A[i])}∘{b})∘{c} != {int(A[i])}∘({b}∘{c})")
+
+
+def test_composable_triple_scan_reports_as_the_dense_scan(rng, monkeypatch):
+    targets = small_groupoids() + [sh.product_with_group(2, sh.cyclic_groupoid(2))]
+    bad = [mutated_copy(targets[i % len(targets)], rng) for i in range(150)]
+    limits = (None, 1)
+    got = [sh.validate_axioms(g, limit).summary() for g in bad for limit in limits]
+    monkeypatch.setattr(groupoid_module, "_associativity_violations",
+                        dense_associativity_violations)
+    want = [sh.validate_axioms(g, limit).summary() for g in bad for limit in limits]
+    assert got == want
+    # the comparison covers long associativity reports, not only early exits
+    assert sum(r.count("[associativity]") for r in want) > 500
+
+
+def dense_table(g):
+    """The composition table from the endpoint arithmetic of a pair or
+    pair-times-group builtin, as one np.where over all M^2 pairs."""
+    n = g.n_objects
+    k = g.n_morphisms // (n * n)
+    ids = np.arange(g.n_morphisms)
+    x, gg, y = ids % n, (ids // n) % k, ids // (n * k)
+    group = (gg[:, None] + gg[None, :]) % k        # the builtin groups are cyclic
+    res = (y[:, None] * k + group) * n + x[None, :]
+    return np.where(x[:, None] == y[None, :], res, UNDEFINED).astype(np.int32)
+
+
+@pytest.mark.parametrize("name", [f"pair:{n}" for n in range(1, 8)]
+                         + ["pair_x_cyclic:1,1", "pair_x_cyclic:2,3", "pair_x_cyclic:5,7"])
+def test_builtin_tables_match_the_dense_reference(name):
+    g = sh.resolve_groupoid(name)
+    want = dense_table(g)
+    assert g.table.dtype == want.dtype and np.array_equal(g.table, want)
 
 
 def test_hom_set_examples():

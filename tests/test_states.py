@@ -95,6 +95,27 @@ def test_indefinite_candidate_detected():
     assert cert.verdict == "indefinite"
 
 
+@pytest.mark.parametrize("name", ["pair:5", "cyclic:6", "pair_x_cyclic:3,4"])
+@pytest.mark.parametrize("positive", [True, False])
+def test_blockwise_certificate_matches_the_dense_spectrum(rng, name, positive):
+    g = sh.resolve_groupoid(name)
+    w = rng.uniform(0.5, 1.5, g.n_objects)
+    m = sh.GroupoidMeasure(g, w, rng.uniform(0.5, 1.5, g.n_objects)[g.src])
+    dens = rng.uniform(0.5, 1.5, g.n_objects)
+    if positive:        # an additive phase s(tgt) - s(src): of positive type
+        s = rng.uniform(-np.pi, np.pi, g.n_objects)
+        phi = sh.PhaseState(g, dens, s[g.tgt] - s[g.src]).values
+    else:               # seeded phase noise, which is not
+        phi = sh.PhaseState(g, dens, rng.uniform(-np.pi, np.pi, g.n_morphisms)).values
+    Q = sh.positivity_form(phi, m)
+    dense = np.linalg.eigvalsh(0.5 * (Q + Q.conj().T))[0]
+    cert = sh.certify_positive_type(phi, m)
+    assert abs(cert.min_eigenvalue - dense) <= 1e-12
+    assert cert.hermiticity_defect == float(np.max(np.abs(Q - Q.conj().T)))
+    assert cert.form_matrix_dim == g.n_morphisms
+    assert cert.verdict == ("positive" if positive else "indefinite")
+
+
 def test_zero_candidate_positive_at_zero_tolerance():
     g = sh.pair_groupoid(2)
     m = sh.counting_measure(g)
