@@ -77,8 +77,8 @@ def modular_function(m: GroupoidMeasure, tol: float = 1e-10) -> np.ndarray:
     inv = g.inverse_of
     delta = nu / nu[inv]
     err = 0.0
-    for fib in g.fibers:
-        lhs = delta[g.table[np.ix_(inv[fib], fib)]]
+    for fib, block in g.fiber_blocks:
+        lhs = delta[block]
         rhs = delta[inv[fib]][:, None] * delta[fib][None, :]
         err = max(err, np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300),
                               initial=0.0))
@@ -113,9 +113,8 @@ def left_regular(f: np.ndarray, m: GroupoidMeasure) -> np.ndarray:
     M = g.n_morphisms
     f = np.asarray(f, dtype=complex)
     L = np.zeros((M, M), dtype=complex)
-    for fib in g.fibers:
-        vals = m.fiber_weights[fib] * f[fib]             # one per gamma
-        cols = g.table[np.ix_(g.inverse_of[fib], fib)]   # cols[i, j] = gamma_i^-1 ∘ a_j
+    for fib, cols in g.fiber_blocks:                 # cols[i, j] = gamma_i^-1 ∘ a_j
+        vals = m.fiber_weights[fib] * f[fib]         # one per gamma
         rows = np.broadcast_to(fib[None, :], cols.shape)
         L[rows, cols] += vals[:, None]
     return L
@@ -129,8 +128,8 @@ def convolve(f: np.ndarray, h: np.ndarray, m: GroupoidMeasure) -> np.ndarray:
     vals = m.fiber_weights * np.asarray(f, dtype=complex)
     h = np.asarray(h, dtype=complex)
     out = np.zeros(g.n_morphisms, dtype=complex)
-    for fib in g.fibers:
-        out[fib] = vals[fib] @ h[g.table[np.ix_(g.inverse_of[fib], fib)]]
+    for fib, block in g.fiber_blocks:
+        out[fib] = vals[fib] @ h[block]
     return out
 
 

@@ -136,12 +136,12 @@ def cmd_state_check(args) -> int:
     g, grid, measure, lag, spec = _load_model(args)
 
     entries = []
+    complaints = []     # printed once the mode is known to be certified
     status = EXIT_OK
     bad_pairs = asymmetric_morphisms(lag)
     if bad_pairs:
         entries.append(("lagrangian_symmetry", f"violations at {bad_pairs[:5]}", "fail"))
-        print(f"symmetry error: lagrangian differs on morphism pairs {bad_pairs[:5]}",
-              file=sys.stderr)
+        complaints.append(f"symmetry error: lagrangian differs on morphism pairs {bad_pairs[:5]}")
         status = EXIT_CHECK
     else:
         entries.append(("lagrangian_symmetry", "ok", "pass"))
@@ -150,7 +150,7 @@ def cmd_state_check(args) -> int:
         entries.append(("density_normalization", "ok", "pass"))
     except NormalizationError as exc:
         entries.append(("density_normalization", str(exc), "fail"))
-        print(f"normalization error: {exc}", file=sys.stderr)
+        complaints.append(f"normalization error: {exc}")
         status = EXIT_CHECK
 
     if status == EXIT_OK:
@@ -163,13 +163,17 @@ def cmd_state_check(args) -> int:
                              "certificate needs <= 20000 (use a coarser grid)")
         family = full_interval_family(g, grid)
         cert = family_certificate(state, family)
-        if spec.mode == EUCLIDEAN:
-            # refused only now, so that a weight beyond the float range, which
-            # the certificate is the first to evaluate, stays that input error;
-            # the euclidean state on the pair word v·u⁻¹ is exp(-(S(v) - S(u))/ħ),
-            # not the factorized conj(ψ_u)ψ_v that the certificate reads
-            raise ValueError("positivity is claimed for the real mode only; "
-                             "state-check does not take --mode euclidean")
+    if spec.mode == EUCLIDEAN:
+        # refused only now, so that a weight beyond the float range, which
+        # the certificate is the first to evaluate, stays that input error;
+        # the euclidean state on the pair word v·u⁻¹ is exp(-(S(v) - S(u))/ħ),
+        # not the factorized conj(ψ_u)ψ_v that the certificate reads
+        raise ValueError("positivity is claimed for the real mode only; "
+                         "state-check does not take --mode euclidean")
+    for line in complaints:
+        print(line, file=sys.stderr)
+
+    if status == EXIT_OK:
         entries.append(("positivity_min_eigenvalue", repr(cert.min_eigenvalue),
                         "pass" if cert.is_positive else "fail"))
         if not cert.is_positive:
@@ -203,7 +207,10 @@ def cmd_propagate(args) -> int:
         raise ValueError("--check reproducing needs an interior --at slice")
     state_from_lagrangian(lag, spec, g, grid, measure)  # symmetry + normalization
 
-    table = propagator_table(g, grid, lag, spec, measure, partitions=args.threads)
+    # the residual reads the canonical amplitudes, summed from the same
+    # enumeration as the table's when --threads partitions the sum
+    table = propagator_table(g, grid, lag, spec, measure, partitions=args.threads,
+                             canonical=args.check == "reproducing")
     status = EXIT_OK
     extra = None
     extra_name = ""
@@ -220,8 +227,8 @@ def cmd_propagate(args) -> int:
         if worst > args.tol:
             status = EXIT_CHECK
     if args.check == "reproducing":
-        # the residual is taken against the table's canonical amplitudes
-        # whatever --threads says, so its bytes do not depend on the order chosen
+        # taken against the canonical amplitudes whatever --threads says, so
+        # its bytes do not depend on the summation order chosen
         res = reproducing_residual(g, grid, lag, spec, args.at, measure, table)
         print(f"reproducing residual at slice {args.at}: {res:.3e}", file=sys.stderr)
         if res > args.tol:

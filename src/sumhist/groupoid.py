@@ -145,6 +145,18 @@ class FiniteGroupoid:
             out.append(np.flatnonzero(self.tgt == y))
         return tuple(out)
 
+    @cached_property
+    def fiber_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(fib, block) per object y, with fib = fibers[y] and
+        block[i, j] = fib_i^-1 ∘ fib_j: every composable pair of a morphism
+        leaving y after one entering y, at O(|fiber|^2) per object."""
+        out = []
+        for fib in self.fibers:
+            block = self.table[np.ix_(self.inverse_of[fib], fib)]
+            block.setflags(write=False)
+            out.append((fib, block))
+        return tuple(out)
+
     def __repr__(self):
         return (f"FiniteGroupoid({self.name!r}, objects={self.n_objects}, "
                 f"morphisms={self.n_morphisms})")

@@ -95,10 +95,34 @@ def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
         yield mids, w * phase_factors(s, spec.hbar, spec.mode)
 
 
+def _pair_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
+                spec: StateSpec, x0: int, x1: int, measure: GroupoidMeasure | None,
+                split: bool):
+    """One enumeration of the histories from (x0, t_0) to (x1, t_N): the
+    density factor sqrt(p(x1, t_N) p(x0, t_0)), every term in canonical order
+    and, if split, the number of terms of each first interior object."""
+    p = spec.slices(grid)
+    amp = math.sqrt(p[grid.n_intervals, x1] * p[0, x0])
+    # an empty first block makes a pair without histories sum to 0
+    blocks, firsts = [np.zeros(0, dtype=complex)], np.zeros(g.n_objects, dtype=np.intp)
+    for mids, t in path_sum_terms(g, grid, lag, spec, x0, x1, measure):
+        blocks.append(t)
+        if split:
+            firsts += np.bincount(mids[:, 0], minlength=g.n_objects)
+    return amp, np.concatenate(blocks), firsts
+
+
+def _partitioned_sum(terms: np.ndarray, firsts: np.ndarray) -> complex:
+    # the canonical order is lexicographic in the interior objects, so the
+    # terms of each first object are contiguous
+    parts = np.split(terms, np.cumsum(firsts)[:-1])
+    return fsum_complex([fsum_complex(part) for part in parts])
+
+
 def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
                       spec: StateSpec, x0: int, x1: int,
                       measure: GroupoidMeasure | None = None,
-                      partitions: int = 1, with_canonical: bool = False):
+                      partitions: int = 1) -> complex:
     """Path-sum amplitude sqrt(p(x1, t_N) p(x0, t_0)) times the sum over all
     histories from (x0, t_0) to (x1, t_N) of weight(w) * phase(action(w)).
 
@@ -106,39 +130,22 @@ def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     rounded accumulation.  With partitions > 1 the sum is split by the first
     interior object, each partition is summed with exactly rounded
     accumulation, and the rounded partials are summed in object order; the
-    result may differ from the canonical one in the last bit.
-
-    with_canonical=True returns the pair (amplitude, canonical amplitude),
-    both summed from one enumeration of the histories."""
-    p = spec.slices(grid)
-    amp = math.sqrt(p[grid.n_intervals, x1] * p[0, x0])
+    result may differ from the canonical one in the last bit."""
     split = partitions > 1 and grid.n_intervals > 1
-    # an empty first block makes a pair without histories sum to 0
-    blocks, firsts = [np.zeros(0, dtype=complex)], np.zeros(g.n_objects, dtype=np.intp)
-    for mids, t in path_sum_terms(g, grid, lag, spec, x0, x1, measure):
-        blocks.append(t)
-        if split:
-            firsts += np.bincount(mids[:, 0], minlength=g.n_objects)
-    terms = np.concatenate(blocks)
-    canonical = amp * fsum_complex(terms) if with_canonical or not split else None
-    z = canonical
-    if split:
-        # the canonical order is lexicographic in the interior objects, so the
-        # terms of each first object are contiguous
-        parts = np.split(terms, np.cumsum(firsts)[:-1])
-        z = amp * fsum_complex([fsum_complex(part) for part in parts])
-    return (z, canonical) if with_canonical else z
+    amp, terms, firsts = _pair_terms(g, grid, lag, spec, x0, x1, measure, split)
+    return amp * (_partitioned_sum(terms, firsts) if split else fsum_complex(terms))
 
 
 @dataclass(frozen=True)
 class PropagatorTable:
-    """Amplitudes indexed by endpoint pair over a fixed grid span, with the
-    same amplitudes in the canonical summation order (equal to amplitudes
-    unless those were summed in the partitioned order)."""
+    """Amplitudes indexed by endpoint pair over a fixed grid span, and the
+    same amplitudes in the canonical summation order: the amplitudes
+    themselves when they were summed canonically, None when they were
+    partitioned and the canonical order was not asked for."""
 
     grid: TimeGrid
-    amplitudes: dict  # (x0, x1) -> complex
-    canonical: dict   # (x0, x1) -> complex, canonical order
+    amplitudes: dict        # (x0, x1) -> complex
+    canonical: dict | None  # (x0, x1) -> complex, canonical order
 
     def rows(self):
         t0, t1 = self.grid.times[0], self.grid.times[-1]
@@ -148,16 +155,26 @@ class PropagatorTable:
 
 def propagator_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
                      spec: StateSpec, measure: GroupoidMeasure | None = None,
-                     partitions: int = 1) -> PropagatorTable:
+                     partitions: int = 1, canonical: bool = False) -> PropagatorTable:
     """The amplitude of every endpoint pair, in the summation order that
-    partitions selects, with the canonical amplitudes from the same
-    enumeration."""
-    amps, canonical = {}, {}
+    partitions selects.  With canonical=True a partitioned table also sums
+    each pair in the canonical order, from the same enumeration."""
+    split = partitions > 1 and grid.n_intervals > 1
+    amps, canon = {}, {}
     for x0 in range(g.n_objects):
         for x1 in range(g.n_objects):
-            amps[(x0, x1)], canonical[(x0, x1)] = finite_propagator(
-                g, grid, lag, spec, x0, x1, measure, partitions, with_canonical=True)
-    return PropagatorTable(grid, amps, canonical)
+            if split and canonical:
+                amp, terms, firsts = _pair_terms(g, grid, lag, spec, x0, x1, measure, True)
+                amps[(x0, x1)] = amp * _partitioned_sum(terms, firsts)
+                canon[(x0, x1)] = amp * fsum_complex(terms)
+            else:
+                amps[(x0, x1)] = finite_propagator(g, grid, lag, spec, x0, x1,
+                                                   measure, partitions)
+    if not split:
+        canon = amps
+    elif not canonical:
+        canon = None
+    return PropagatorTable(grid, amps, canon)
 
 
 def transfer_oracle_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
@@ -185,7 +202,8 @@ def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
 
     table is a propagator_table of the same arguments, if the caller already
     holds it; its canonical amplitudes are used whatever its summation order.
-    Otherwise the table is computed here."""
+    Without a table, or without canonical amplitudes in it, the canonical
+    table is computed here."""
     n = grid.n_intervals
     if not (0 < j < n):
         raise ValueError(f"splitting slice {j} must be interior to 0..{n}")
@@ -195,10 +213,10 @@ def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
         raise ValueError("splitting requires a strictly positive density at the junction")
     g1, g2 = grid.sub(0, j), grid.sub(j, n)
     s1, s2 = spec.sub(grid, 0, j), spec.sub(grid, j, n)
-    if table is None:
-        table = propagator_table(g, grid, lag, spec, measure)
-    elif table.grid != grid:
+    if table is not None and table.grid != grid:
         raise ValueError("the propagator table spans another grid")
+    if table is None or table.canonical is None:
+        table = propagator_table(g, grid, lag, spec, measure)
     full = table.canonical
     first = {(a, c): finite_propagator(g, g1, lag, s1, a, c, measure)
              for a in range(g.n_objects) for c in range(g.n_objects)}

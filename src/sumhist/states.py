@@ -59,8 +59,7 @@ def _positivity_blocks(phi: np.ndarray, m: GroupoidMeasure):
     fw = m.fiber_weights
     delta = m.delta
     inv = g.inverse_of
-    for fib in g.fibers:
-        w = g.table[np.ix_(inv[fib], fib)]       # w[i, j] = u_i^-1 ∘ v_j
+    for fib, w in g.fiber_blocks:                # w[i, j] = u_i^-1 ∘ v_j
         yield fib, nu[w] * (fw[inv[fib]] * delta[fib])[:, None] * phi[w]
 
 

@@ -222,16 +222,17 @@ def test_propagate_threads_deterministic(capsys, tmp_path):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_reproducing_check_enumerates_each_pair_once(capsys, monkeypatch, threads):
-    # pair:3 over 4 intervals split at 2: 9 pairs of the table and 9 + 9 of
-    # the two halves, whatever the summation order of the table
+    # pair:3 over 4 intervals split at 2: one enumeration for each of the 9
+    # pairs of the table and the 9 + 9 of the two halves, whatever the
+    # summation order of the table
     calls = []
-    inner = sh.propagator.finite_propagator
+    inner = sh.propagator.path_sum_terms
 
     def counted(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(sh.propagator, "finite_propagator", counted)
+    monkeypatch.setattr(sh.propagator, "path_sum_terms", counted)
     code, _, _ = run(capsys, "propagate", "--groupoid", "pair:3", "--grid", "0,1,4",
                      "--check", "reproducing", "--at", "2", "--threads", threads)
     assert code == 0 and len(calls) == 27
@@ -479,6 +480,8 @@ CONTRACT_FILES = {
     "nan.csv": "morphism_id,value\n1,nan\n2,nan\n",
     "deep.csv": "morphism_id,value\n1,-400\n2,-400\n",
     "huge.csv": "morphism_id,value\n1,1.7e308\n2,1.7e308\n",
+    "asym.csv": "morphism_id,value\n1,0.5\n2,0.25\n",
+    "half.yaml": "mode: euclidean\ndensity: [[0, 0.4], [1, 0.4]]\n",
 }
 PAIR2 = ("--groupoid", "pair:2", "--grid", "0,1,3", "--lagrangian")
 CIRCLE16 = ("--geometry", "circle", "--mode", "euclidean", "--N", "4", "--sites", "16")
@@ -522,6 +525,10 @@ MISSING = "{d}/missing/out.txt"
     (("state-check", *PAIR2, "{d}/deep.csv", "--mode", "euclidean"), "math range error"),
     (("state-check", "--groupoid", "pair:3", "--grid", "0,1,2", "--lagrangian",
       "energy:line,0.5", "--mode", "euclidean"), "positivity is claimed for the real mode only"),
+    (("state-check", *PAIR2, "{d}/asym.csv", "--mode", "euclidean"),
+     "positivity is claimed for the real mode only"),
+    (("state-check", *PAIR2, "zero", "--dfs", "{d}/half.yaml"),
+     "positivity is claimed for the real mode only"),
     (("propagate", *PAIR2, "{d}/huge.csv"), "intermediate overflow in fsum"),
     (("state-check", *PAIR2, "{d}/huge.csv"), "intermediate overflow in fsum"),
 ], ids=["out-validate", "out-state-check", "out-propagate", "out-converge",
@@ -532,7 +539,8 @@ MISSING = "{d}/missing/out.txt"
         "lagrangian-inf-propagate", "lagrangian-inf-state-check",
         "lagrangian-nan-propagate", "lagrangian-nan-state-check",
         "euclidean-overflow-propagate", "euclidean-overflow-state-check",
-        "state-check-euclidean",
+        "state-check-euclidean", "state-check-euclidean-asymmetric",
+        "state-check-euclidean-unnormalized",
         "action-overflow-propagate", "action-overflow-state-check"])
 def test_input_errors_exit_2_with_one_line(capsys, recwarn, tmp_path, argv, message):
     for name, text in CONTRACT_FILES.items():

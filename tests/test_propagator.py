@@ -157,13 +157,16 @@ def test_reproducing_residual_reuses_the_callers_table(rng):
     lag = symmetric_lagrangian(g, rng)
     grid = sh.TimeGrid.uniform(0.0, 1.0, 5)
     table = sh.propagator_table(g, grid, lag, spec, m)
-    # a partitioned table carries the canonical amplitudes of the same pass
-    split = sh.propagator_table(g, grid, lag, spec, m, partitions=2)
+    # a partitioned table carries the canonical amplitudes only when asked
+    split = sh.propagator_table(g, grid, lag, spec, m, partitions=2, canonical=True)
+    bare = sh.propagator_table(g, grid, lag, spec, m, partitions=2)
     assert split.canonical == table.amplitudes == table.canonical
+    assert bare.canonical is None and bare.amplitudes == split.amplitudes
     for j in (1, 2, 4):
         given = sh.reproducing_residual(g, grid, lag, spec, j, m, table)
         assert given == sh.reproducing_residual(g, grid, lag, spec, j, m)
         assert given == sh.reproducing_residual(g, grid, lag, spec, j, m, split)
+        assert given == sh.reproducing_residual(g, grid, lag, spec, j, m, bare)
     with pytest.raises(ValueError, match="another grid"):
         sh.reproducing_residual(g, sh.TimeGrid.uniform(0.0, 2.0, 5), lag, spec, 2, m, table)
 
