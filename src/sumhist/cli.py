@@ -134,14 +134,19 @@ def cmd_state_check(args) -> int:
     if not args.groupoid or not args.grid:
         raise ValueError("state-check needs --groupoid and --grid")
     g, grid, measure, lag, spec = _load_model(args)
+    if spec.mode == EUCLIDEAN:
+        # the euclidean state on the pair word v·u⁻¹ is exp(-(S(v) - S(u))/ħ),
+        # not the factorized conj(ψ_u)ψ_v that the certificate reads
+        raise ValueError("positivity is claimed for the real mode only; "
+                         "state-check does not take --mode euclidean")
 
     entries = []
-    complaints = []     # printed once the mode is known to be certified
     status = EXIT_OK
     bad_pairs = asymmetric_morphisms(lag)
     if bad_pairs:
         entries.append(("lagrangian_symmetry", f"violations at {bad_pairs[:5]}", "fail"))
-        complaints.append(f"symmetry error: lagrangian differs on morphism pairs {bad_pairs[:5]}")
+        print(f"symmetry error: lagrangian differs on morphism pairs {bad_pairs[:5]}",
+              file=sys.stderr)
         status = EXIT_CHECK
     else:
         entries.append(("lagrangian_symmetry", "ok", "pass"))
@@ -150,7 +155,7 @@ def cmd_state_check(args) -> int:
         entries.append(("density_normalization", "ok", "pass"))
     except NormalizationError as exc:
         entries.append(("density_normalization", str(exc), "fail"))
-        complaints.append(f"normalization error: {exc}")
+        print(f"normalization error: {exc}", file=sys.stderr)
         status = EXIT_CHECK
 
     if status == EXIT_OK:
@@ -163,15 +168,6 @@ def cmd_state_check(args) -> int:
                              "certificate needs <= 20000 (use a coarser grid)")
         family = full_interval_family(g, grid)
         cert = family_certificate(state, family)
-    if spec.mode == EUCLIDEAN:
-        # refused only now, so that a weight beyond the float range, which
-        # the certificate is the first to evaluate, stays that input error;
-        # the euclidean state on the pair word v·u⁻¹ is exp(-(S(v) - S(u))/ħ),
-        # not the factorized conj(ψ_u)ψ_v that the certificate reads
-        raise ValueError("positivity is claimed for the real mode only; "
-                         "state-check does not take --mode euclidean")
-    for line in complaints:
-        print(line, file=sys.stderr)
 
     if status == EXIT_OK:
         entries.append(("positivity_min_eigenvalue", repr(cert.min_eigenvalue),

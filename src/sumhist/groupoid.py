@@ -11,7 +11,8 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -167,19 +168,11 @@ class FiniteGroupoid:
 
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
-    """Groupoid of pairs on n objects: morphism (y, x): x -> y has id y*n + x."""
+    """Groupoid of pairs on n objects: morphism (y, x): x -> y has id y*n + x,
+    built as the product with the trivial group."""
     if n < 1:
         raise ValueError("pair groupoid needs at least one object")
-    ids = np.arange(n * n)
-    y, x = np.divmod(ids, n)
-    unit_of = np.arange(n) * n + np.arange(n)
-    inverse_of = x * n + y
-    # (ya,xa)∘(yb,xb) = (ya,xb) defined iff xa == yb: row a of the table, read
-    # as (yb, xb), is defined only in its block yb = xa
-    table = np.full((n * n, n, n), UNDEFINED, dtype=np.int32)
-    table[ids, x] = (y * n)[:, None] + np.arange(n, dtype=np.int32)
-    return FiniteGroupoid(n, x, y, unit_of, inverse_of, table.reshape(n * n, n * n),
-                          name=f"pair:{n}")
+    return replace(product_with_group(n, cyclic_groupoid(1)), name=f"pair:{n}")
 
 
 def _check_group_table(cayley: np.ndarray) -> tuple[int, np.ndarray]:
@@ -283,88 +276,62 @@ def _associativity_violations(C: np.ndarray, defined: np.ndarray):
                             f"({a[i]}∘{b[i]})∘{c[i]} != {a[i]}∘({b[i]}∘{c[i]})")
 
 
-def validate_axioms(g: FiniteGroupoid, limit: int | None = None) -> ValidationReport:
-    """Exhaustive axiom scan: ranges, composability domain, units, inverses,
-    associativity on every triple the table composes.  Violations are report
-    entries, never exceptions."""
-    out: list[Violation] = []
-
-    def full() -> bool:
-        return limit is not None and len(out) >= limit
-
+def _violations(g: FiniteGroupoid):
+    """Every axiom violation of g, in report order: ranges, composability
+    domain, units, unit and inverse laws, associativity."""
     M, n = g.n_morphisms, g.n_objects
     src, tgt, unit, inv, C = g.src, g.tgt, g.unit_of, g.inverse_of, g.table
-
-    for x in np.flatnonzero((src < 0) | (src >= n)):
-        out.append(Violation("range", f"src[{x}] out of range"))
-    for x in np.flatnonzero((tgt < 0) | (tgt >= n)):
-        out.append(Violation("range", f"tgt[{x}] out of range"))
+    for name, ends in (("src", src), ("tgt", tgt)):
+        for x in np.flatnonzero((ends < 0) | (ends >= n)):
+            yield Violation("range", f"{name}[{x}] out of range")
     unit_ok = (unit >= 0) & (unit < M)
     inv_ok = (inv >= 0) & (inv < M)
     for x in np.flatnonzero(~unit_ok):
-        out.append(Violation("unit", f"unit_of[{x}] = {int(unit[x])} is not a morphism"))
+        yield Violation("unit", f"unit_of[{x}] = {int(unit[x])} is not a morphism")
     for m in np.flatnonzero(~inv_ok):
-        out.append(Violation("inverse", f"inverse_of[{m}] = {int(inv[m])} is not a morphism"))
+        yield Violation("inverse", f"inverse_of[{m}] = {int(inv[m])} is not a morphism")
     for a, b in np.argwhere((C < UNDEFINED) | (C >= M)):
-        out.append(Violation("range", f"table[{a},{b}] = {int(C[a, b])} out of range"))
-        if full():
-            return ValidationReport(tuple(out))
+        yield Violation("range", f"table[{a},{b}] = {int(C[a, b])} out of range")
 
     defined = (C >= 0) & (C < M)
     need = src[:, None] == tgt[None, :]
-
     # composability domain: defined exactly where src[a] == tgt[b]
     for a, b in np.argwhere(need != (C != UNDEFINED)):
         word = "missing" if need[a, b] else "spurious"
-        out.append(Violation("domain", f"table[{a},{b}] {word}: defined iff src(a)=tgt(b)"))
-        if full():
-            return ValidationReport(tuple(out))
-
+        yield Violation("domain", f"table[{a},{b}] {word}: defined iff src(a)=tgt(b)")
     # endpoints of defined compositions: s(a∘b)=s(b), t(a∘b)=t(a)
     da, db = np.nonzero(need & defined)
     res = C[da, db]
-    bad = (src[res] != src[db]) | (tgt[res] != tgt[da])
-    for i in np.flatnonzero(bad):
-        out.append(Violation("domain",
-                             f"table[{da[i]},{db[i]}] = {res[i]} has wrong endpoints"))
-        if full():
-            return ValidationReport(tuple(out))
+    for i in np.flatnonzero((src[res] != src[db]) | (tgt[res] != tgt[da])):
+        yield Violation("domain", f"table[{da[i]},{db[i]}] = {res[i]} has wrong endpoints")
 
-    # unit endpoints and unit laws
-    for x in range(n):
-        if not unit_ok[x]:
-            continue
+    for x in np.flatnonzero(unit_ok):
         u = int(unit[x])
         if src[u] != x or tgt[u] != x:
-            out.append(Violation("unit", f"unit_of[{x}] = {u} is not an endomorphism of {x}"))
-    if unit_ok.all():
-        r = C[np.arange(M), unit[src]]
-        for m in np.flatnonzero(r != np.arange(M)):
-            out.append(Violation("unit", f"m∘1_src(m) != m for morphism {m}"))
-            if full():
-                return ValidationReport(tuple(out))
-        l = C[unit[tgt], np.arange(M)]
-        for m in np.flatnonzero(l != np.arange(M)):
-            out.append(Violation("unit", f"1_tgt(m)∘m != m for morphism {m}"))
-            if full():
-                return ValidationReport(tuple(out))
+            yield Violation("unit", f"unit_of[{x}] = {u} is not an endomorphism of {x}")
+    # the unit and inverse laws read unit_of at src and tgt
+    ends_ok = (src >= 0) & (src < n) & (tgt >= 0) & (tgt < n)
+    if unit_ok.all() and ends_ok.all():
+        ids = np.arange(M)
+        for m in np.flatnonzero(C[ids, unit[src]] != ids):
+            yield Violation("unit", f"m∘1_src(m) != m for morphism {m}")
+        for m in np.flatnonzero(C[unit[tgt], ids] != ids):
+            yield Violation("unit", f"1_tgt(m)∘m != m for morphism {m}")
+        ms = np.flatnonzero(inv_ok)
+        i = inv[ms]
+        for m in ms[(C[i, ms] != unit[src[ms]]) | (C[ms, i] != unit[tgt[ms]])]:
+            yield Violation("inverse", f"inverse law fails for morphism {m}")
+    yield from _associativity_violations(C, defined)
 
-    # inverse laws
-    if unit_ok.all():
-        for m in range(M):
-            if not inv_ok[m]:
-                continue
-            i = int(inv[m])
-            if C[i, m] != unit[src[m]] or C[m, i] != unit[tgt[m]]:
-                out.append(Violation("inverse", f"inverse law fails for morphism {m}"))
-                if full():
-                    return ValidationReport(tuple(out))
 
-    for v in _associativity_violations(C, defined):
-        out.append(v)
-        if full():
-            return ValidationReport(tuple(out))
-    return ValidationReport(tuple(out))
+def validate_axioms(g: FiniteGroupoid, limit: int | None = None) -> ValidationReport:
+    """Exhaustive axiom scan: ranges, composability domain, units, inverses,
+    associativity on every triple the table composes.  Violations are report
+    entries, never exceptions; limit, if given, caps the report at its first
+    limit entries and must be at least 1, since an empty report reads as ok."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"validate_axioms limit must be at least 1, not {limit}")
+    return ValidationReport(tuple(itertools.islice(_violations(g), limit)))
 
 
 # ---------------------------------------------------------------------------

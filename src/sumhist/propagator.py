@@ -218,10 +218,8 @@ def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     if table is None or table.canonical is None:
         table = propagator_table(g, grid, lag, spec, measure)
     full = table.canonical
-    first = {(a, c): finite_propagator(g, g1, lag, s1, a, c, measure)
-             for a in range(g.n_objects) for c in range(g.n_objects)}
-    second = {(c, b): finite_propagator(g, g2, lag, s2, c, b, measure)
-              for c in range(g.n_objects) for b in range(g.n_objects)}
+    first = propagator_table(g, g1, lag, s1, measure).amplitudes
+    second = propagator_table(g, g2, lag, s2, measure).amplitudes
     worst = 0.0
     for a in range(g.n_objects):
         for b in range(g.n_objects):

@@ -522,7 +522,8 @@ MISSING = "{d}/missing/out.txt"
     (("propagate", *PAIR2, "{d}/nan.csv"), "lagrangian values must be finite"),
     (("state-check", *PAIR2, "{d}/nan.csv"), "lagrangian values must be finite"),
     (("propagate", *PAIR2, "{d}/deep.csv", "--mode", "euclidean"), "math range error"),
-    (("state-check", *PAIR2, "{d}/deep.csv", "--mode", "euclidean"), "math range error"),
+    (("state-check", *PAIR2, "{d}/deep.csv", "--mode", "euclidean"),
+     "positivity is claimed for the real mode only"),
     (("state-check", "--groupoid", "pair:3", "--grid", "0,1,2", "--lagrangian",
       "energy:line,0.5", "--mode", "euclidean"), "positivity is claimed for the real mode only"),
     (("state-check", *PAIR2, "{d}/asym.csv", "--mode", "euclidean"),

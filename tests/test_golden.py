@@ -3,23 +3,38 @@
 The digests pin the exact bytes of the finite path sum (real, euclidean,
 anchored, partitioned order, JSON), the line kernels on both routes, the
 circle lattice power and a convergence sweep, the state-check report with
-its closed-form spectrum, the stderr report of the sum-splitting check in
-both summation orders, and the warnings of the quadrature domain and of a
-coarse circle lattice.  A change that is meant to
-keep every output byte-identical must leave them all unchanged.  They were
-recorded on x86-64 Linux with CPython 3.11 and numpy 2.4; another libm or
-numpy build may round the last bits differently.
+its closed-form spectrum, the violation report of a corrupted groupoid file,
+the stderr report of the sum-splitting check in both summation orders, and
+the warnings of the quadrature domain and of a coarse circle lattice.  A
+change that is meant to keep every output byte-identical must leave them all
+unchanged.  They were recorded on x86-64 Linux with CPython 3.11 and numpy
+2.4; another libm or numpy build may round the last bits differently.
 """
 
 import hashlib
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sumhist as sh
 from sumhist.cli import main
 
+from conftest import mutated_copy
+
 ANCHORED_SPEC = "hbar: 0.7\nmode: real\nconvention: anchored\ndensity: uniform\n"
+
+
+def write_corrupted_groupoid(path):
+    """pair_x_cyclic:2,2 after four seeded mutated_copy corruptions; its report
+    holds domain, unit, inverse and associativity violations."""
+    rng = np.random.default_rng(9)
+    g = sh.builtin_groupoid("pair_x_cyclic:2,2")
+    for _ in range(4):
+        g = mutated_copy(g, rng)
+    sh.save_groupoid_file(g, path)
+
 
 GOLDEN = {
     "finite-real": (
@@ -54,6 +69,9 @@ GOLDEN = {
         ["state-check", "--groupoid", "pair:3", "--grid", "0,1,3",
          "--lagrangian", "energy:line,0.5"],
         0, "1fef8209a5ba324446dd5c3c954fee7a62ed3d30004fe5803fadae7359899535"),
+    "validate-corrupted": (
+        ["validate", "--groupoid", "{corrupted}"],
+        3, "c4526e2072eaa658c022505119fbd5cdab445ae5ed0faec4b8bf928f7d866a88"),
     "converge-line": (
         ["converge", "--geometry", "line", "--sweep", "1,2,4,8", "--x1", "0.75"],
         0, "b636e23497d168ad43b78125f860840f2c195cc5e2fc78efc77a4f9b5b2ba40b"),
@@ -65,7 +83,9 @@ def test_cli_stdout_is_byte_identical(name, capsys, tmp_path):
     argv, want_code, want_digest = GOLDEN[name]
     spec = tmp_path / "spec.yaml"
     spec.write_text(ANCHORED_SPEC)
-    code = main([a.format(spec=spec) for a in argv])
+    corrupted = tmp_path / "corrupted.yaml"
+    write_corrupted_groupoid(corrupted)
+    code = main([a.format(spec=spec, corrupted=corrupted) for a in argv])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == (want_code, want_digest)
 

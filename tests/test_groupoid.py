@@ -115,6 +115,27 @@ def test_validate_mutation_scan(rng):
         assert not sh.validate_axioms(bad, limit=1).ok
 
 
+@pytest.mark.parametrize("field, index, value, first", [
+    ("src", 0, 5, "[range] src[0] out of range"),
+    ("src", 0, -1, "[range] src[0] out of range"),
+    ("tgt", 1, 2, "[range] tgt[1] out of range"),
+    ("unit_of", 0, 4, "[unit] unit_of[0] = 4 is not a morphism"),
+    ("inverse_of", 3, -1, "[inverse] inverse_of[3] = -1 is not a morphism"),
+])
+def test_validate_reports_out_of_range_entries(field, index, value, first):
+    import dataclasses
+    g = sh.pair_groupoid(2)
+    entries = np.array(getattr(g, field))
+    entries[index] = value
+    report = sh.validate_axioms(dataclasses.replace(g, **{field: entries}))
+    assert str(report.violations[0]) == first
+
+
+def test_validate_limit_must_be_positive():
+    with pytest.raises(ValueError, match="at least 1"):
+        sh.validate_axioms(sh.pair_groupoid(2), limit=0)
+
+
 def dense_associativity_violations(C, defined):
     """Reference scan: (a∘b)∘c against a∘(b∘c) as dense (chunk, M, M) gathers
     over every b and c, reported in (a, b, c) order."""
@@ -136,8 +157,11 @@ def dense_associativity_violations(C, defined):
 def test_composable_triple_scan_reports_as_the_dense_scan(rng, monkeypatch):
     targets = small_groupoids() + [sh.product_with_group(2, sh.cyclic_groupoid(2))]
     bad = [mutated_copy(targets[i % len(targets)], rng) for i in range(150)]
-    limits = (None, 1)
-    got = [sh.validate_axioms(g, limit).summary() for g in bad for limit in limits]
+    limits = (None, 1, 3)
+    reports = [sh.validate_axioms(g, limit) for g in bad for limit in limits]
+    assert all(len(r.violations) <= limit
+               for r, limit in zip(reports, limits * len(bad)) if limit is not None)
+    got = [r.summary() for r in reports]
     monkeypatch.setattr(groupoid_module, "_associativity_violations",
                         dense_associativity_violations)
     want = [sh.validate_axioms(g, limit).summary() for g in bad for limit in limits]
