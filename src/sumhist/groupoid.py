@@ -172,7 +172,7 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     built as the product with the trivial group."""
     if n < 1:
         raise ValueError("pair groupoid needs at least one object")
-    return replace(product_with_group(n, cyclic_groupoid(1)), name=f"pair:{n}")
+    return replace(product_with_group(n, _TRIVIAL_GROUP), name=f"pair:{n}")
 
 
 def _check_group_table(cayley: np.ndarray) -> tuple[int, np.ndarray]:
@@ -224,6 +224,9 @@ def cyclic_groupoid(k: int) -> FiniteGroupoid:
     a = np.arange(k)
     table = (a[:, None] + a[None, :]) % k
     return group_groupoid(table, name=f"cyclic:{k}")
+
+
+_TRIVIAL_GROUP = cyclic_groupoid(1)   # read-only tables, shared by every pair groupoid
 
 
 def product_with_group(n: int, group: FiniteGroupoid) -> FiniteGroupoid:

@@ -448,15 +448,20 @@ def lattice_transfer(geometry, cfg: SliceConfig) -> np.ndarray:
 
 
 def lattice_line_propagator(geometry, cfg: SliceConfig, site0: int, site1: int) -> complex:
-    """Time-sliced path sum on a lattice geometry via transfer-matrix powers;
-    endpoints carry no measure factor (kernel density convention)."""
+    """Time-sliced path sum on a lattice geometry: the site0 column of the
+    transfer power T^N, propagated slice by slice; endpoints carry no measure
+    factor (kernel density convention)."""
     return _lattice_amplitudes(geometry, cfg, site0, [site1])[0]
 
 
 def _lattice_amplitudes(geometry, cfg: SliceConfig, site0: int, site1s) -> list[complex]:
-    """lattice_line_propagator for each of site1s from one transfer power."""
-    A = np.linalg.matrix_power(lattice_transfer(geometry, cfg), cfg.n_slices)
-    return [complex(A[s1, site0] / geometry.spacing) for s1 in site1s]
+    """lattice_line_propagator for each of site1s from one start column:
+    v = T[:, site0], then N - 1 mat-vecs v = T @ v give column site0 of T^N."""
+    T = lattice_transfer(geometry, cfg)
+    v = T[:, site0]
+    for _ in range(cfg.n_slices - 1):
+        v = T @ v
+    return [complex(v[s1] / geometry.spacing) for s1 in site1s]
 
 
 def circle_propagator(cfg: SliceConfig, circumference: float, theta0: float,
@@ -470,7 +475,7 @@ def circle_propagator(cfg: SliceConfig, circumference: float, theta0: float,
 def circle_propagators(cfg: SliceConfig, circumference: float, theta0: float,
                        theta1s, n_sites: int = 256) -> list[complex]:
     """circle_propagator from theta0 to each of theta1s, from one lattice and
-    one transfer power; every value is bit-identical to its single call."""
+    one start-column chain; every value is bit-identical to its single call."""
     return _circle_amplitudes(cfg, CircleLattice(n_sites, circumference),
                               theta0, theta1s, 2)
 

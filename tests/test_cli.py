@@ -156,7 +156,7 @@ def _counted(calls, name, fn):
     return counting
 
 
-def test_propagate_circle_takes_one_transfer_power(capsys, monkeypatch):
+def test_circle_builds_one_transfer_per_slicing_and_no_power(capsys, monkeypatch):
     import sumhist.propagator as sp
     calls = {}
     monkeypatch.setattr(sp, "lattice_transfer", _counted(calls, "transfer", sp.lattice_transfer))
@@ -165,7 +165,12 @@ def test_propagate_circle_takes_one_transfer_power(capsys, monkeypatch):
     code, out, _ = run(capsys, "propagate", "--geometry", "circle", "--mode", "euclidean",
                        "--N", "16", "--sites", "64")
     assert code == 0 and len(out.splitlines()) == 1 + 8
-    assert calls == {"transfer": 1, "power": 1}
+    assert calls == {"transfer": 1}
+    calls.clear()
+    code, out, _ = run(capsys, "converge", "--geometry", "circle", "--mode", "euclidean",
+                       "--sweep", "1,2,4,8,16", "--sites", "64")
+    assert code == 0 and len(out.splitlines()) == 1 + 5
+    assert calls == {"transfer": 5}
 
 
 def test_propagate_line_builds_one_interior_chain(capsys, monkeypatch):

@@ -301,16 +301,30 @@ def test_circle_coarse_lattice_warns_once_at_the_caller():
                                                      (REAL_PHASE, 64, 16)])
 def test_circle_transfer_power_matches_its_circulant_spectrum(mode, n_sites, n_slices):
     # CircleLattice distances depend only on (i - j) mod n, so the lattice
-    # transfer matrix is circulant and T^N is the circulant whose first column
-    # is ifft(fft(T[:, 0]) ** N): a route to the power that shares no
-    # arithmetic with matrix_power
+    # transfer matrix is circulant and column 0 of T^N is
+    # ifft(fft(T[:, 0]) ** N): a route to the amplitudes from site 0 that
+    # shares no arithmetic with the mat-vec chain of circle_propagators
     geom = CircleLattice(n_sites, 2 * math.pi)
     cfg = SliceConfig(n_slices, 1.0, mode=mode)
     T = lattice_transfer(geom, cfg)
-    A = np.linalg.matrix_power(T, n_slices)
     col = np.fft.ifft(np.fft.fft(T[:, 0]) ** n_slices)
-    idx = np.arange(n_sites)
-    circulant = col[(idx[:, None] - idx[None, :]) % n_sites]
-    rel_dev = float(np.max(np.abs(A - circulant)) / np.max(np.abs(A)))
+    thetas = [geom.position(s) for s in range(n_sites)]
+    got = np.array(sh.circle_propagators(cfg, 2 * math.pi, 0.0, thetas, n_sites))
+    rel_dev = float(np.max(np.abs(got * geom.spacing - col)) / np.max(np.abs(col)))
     assert rel_dev <= 1e-11
+
+
+@pytest.mark.parametrize("mode", [REAL_PHASE, EUCLIDEAN])
+@pytest.mark.parametrize("n_sites, spacing, n_slices", [(17, 0.35, 5), (30, 0.2, 12)])
+def test_lattice_line_propagator_matches_the_transfer_power(mode, n_sites, spacing,
+                                                            n_slices):
+    # a line lattice is not circulant: numpy's matrix_power is the oracle for
+    # every entry of T^N
+    geom = LineLattice(n_sites, spacing, origin=-1.0)
+    cfg = SliceConfig(n_slices, 0.9, mass=1.3, hbar=0.8, mode=mode)
+    A = np.linalg.matrix_power(lattice_transfer(geom, cfg), n_slices) / spacing
+    for s0 in range(n_sites):
+        for s1 in range(n_sites):
+            z = sh.lattice_line_propagator(geom, cfg, s0, s1)
+            assert abs(z - A[s1, s0]) <= 1e-12 * abs(A[s1, s0])
 

@@ -2,7 +2,7 @@
 
 The digests pin the exact bytes of the finite path sum (real, euclidean,
 anchored, partitioned order, JSON), the line kernels on both routes, the
-circle lattice power and a convergence sweep, the state-check report with
+circle lattice chain and a convergence sweep, the state-check report with
 its closed-form spectrum, the violation report of a corrupted groupoid file,
 the stderr report of the sum-splitting check in both summation orders, and
 the warnings of the quadrature domain and of a coarse circle lattice.  A
@@ -64,7 +64,7 @@ GOLDEN = {
     "circle-euclidean": (
         ["propagate", "--geometry", "circle", "--mode", "euclidean", "--N", "4",
          "--T", "0.5", "--sites", "48"],
-        0, "a2620b72aa3544c59e6f6a54210258ce0cce67cc8c71ef83cfa2a435225792e4"),
+        0, "8269ea95ea9398f20b6397d5cc9b5ee946848951a4faff5865f7018f0024d2e9"),
     "state-check": (
         ["state-check", "--groupoid", "pair:3", "--grid", "0,1,3",
          "--lagrangian", "energy:line,0.5"],
@@ -123,7 +123,7 @@ WARNING_GOLDEN = {
     "circle-coarse-lattice": (
         ["propagate", "--geometry", "circle", "--mode", "euclidean", "--N", "4",
          "--T", "0.5", "--sites", "16"],
-        ["ac9163145906768f086289aff9acca394d6a7609a20cd5d5a7aac44a84814dff",
+        ["7704f0074b517ab775124e4f9db5d70baff70b79e2b88d8d65504843a2b923a0",
          "08cfb226cbf6e7d18e8e2e09ae8ad94b85c181028104dd63ab97476fe572d286"]),
 }
 
