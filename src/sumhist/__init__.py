@@ -22,7 +22,7 @@ from .histories import (FUTURE, PAST, ChainError, GridError, History,
                         HistoryWord, TimeGrid, accumulated, change_reference,
                         compose_histories, count_histories, enumerate_histories,
                         from_links, invert_history, link_walks, links_of,
-                        reduce_word, restrict, trivial_history)
+                        reduce_word, restrict, total_histories, trivial_history)
 from .propagator import (ConvergenceRow, PropagatorTable, SliceConfig,
                          VelocityPath, circle_convergence, circle_propagator,
                          circle_propagators, errors_decrease,

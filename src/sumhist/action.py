@@ -192,7 +192,7 @@ def history_actions(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     terms = np.empty(links.shape)
     acc = g.unit_of[g.src[links[:, 0]]]
     for k in range(links.shape[1]):
-        acc = g.table[links[:, k], acc]
+        acc = g.composite(links[:, k], acc)
         if (acc == UNDEFINED).any():
             # compose each row as a history would, raising at the first
             # history with a missing composition

@@ -27,7 +27,7 @@ from .action import (EUCLIDEAN, Lagrangian, NormalizationError,
 from .algebra import GroupoidMeasure, counting_measure
 from .geometry import CircleLattice, LineLattice
 from .groupoid import is_builtin_name, resolve_groupoid, validate_axioms
-from .histories import TimeGrid
+from .histories import TimeGrid, total_histories
 from .propagator import (SliceConfig, circle_convergence, circle_propagators,
                          errors_decrease, image_sum_circle_kernel,
                          line_convergence, line_kernel, propagator_table,
@@ -160,9 +160,7 @@ def cmd_state_check(args) -> int:
 
     if status == EXIT_OK:
         state = state_from_lagrangian(lag, spec, g, grid, measure)
-        hom_sizes = np.zeros((g.n_objects, g.n_objects))
-        np.add.at(hom_sizes, (g.tgt, g.src), 1.0)
-        count = int(round(np.linalg.matrix_power(hom_sizes, grid.n_intervals).sum()))
+        count = total_histories(g, grid.n_intervals)
         if count > 20000:
             raise ValueError(f"{count} histories on this grid; the positivity "
                              "certificate needs <= 20000 (use a coarser grid)")

@@ -1,8 +1,11 @@
-"""Finite groupoids as dense index tables.
+"""Finite groupoids as index arrays with vectorized composition.
 
 Objects and morphisms are non-negative integers.  A groupoid is stored as its
-source/target maps, unit and inverse assignments, and a partial composition
-table with ``UNDEFINED`` (-1) marking non-composable pairs.  ``compose(a, b)``
+source/target maps and unit and inverse assignments, plus its composition:
+either a partial composition table with ``UNDEFINED`` (-1) marking
+non-composable pairs (description files, groups), or, for the pair and
+pair-times-group builtins, the product rule, which composes by arithmetic and
+builds the M×M table only when something reads ``table``.  ``compose(a, b)``
 means "b first, then a" and is defined exactly when ``src[a] == tgt[b]``.
 
 All instances are immutable after construction and safe to share between
@@ -12,7 +15,7 @@ threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -63,21 +66,58 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+class _CompositionTable:
+    """The ``table`` field of FiniteGroupoid: the table passed at
+    construction, or, for a groupoid that composes by its product rule, the
+    table built from that rule on first read and kept.  Either way it is a
+    read-only int32 array."""
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            return None         # the field's default: no stored table
+        table = g.__dict__["_table"]
+        if table is None:
+            table = _product_table(g.n_objects, g.group_factor)
+            table.setflags(write=False)
+            g.__dict__["_table"] = table
+        return table
+
+    def __set__(self, g, table):
+        if table is not None:
+            table.setflags(write=False)
+        g.__dict__["_table"] = table
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroupoid:
-    """Dense-table groupoid: src/tgt maps, units, inverses, composition table."""
+    """Finite groupoid: src/tgt maps, units, inverses, and a composition that
+    is either a stored table or the product rule of pair:n × G.
+
+    group_factor, given instead of a table, is the Cayley table of G, and
+    the groupoid is the product of the pair groupoid on n_objects with G:
+    morphism (y; g; x): x -> y has id (y*k + g)*n + x, and
+    (ya; ga; xa)∘(yb; gb; xb) = (ya; ga·gb; xb) where xa == yb.  A stored
+    table supersedes the rule, so replace(g, table=T) composes by T."""
 
     n_objects: int
     src: np.ndarray
     tgt: np.ndarray
     unit_of: np.ndarray     # object -> morphism id of its unit
     inverse_of: np.ndarray  # morphism -> morphism id of its inverse
-    table: np.ndarray       # table[a, b] = a∘b, UNDEFINED where src[a] != tgt[b]
+    # table[a, b] = a∘b, UNDEFINED where src[a] != tgt[b]
+    table: np.ndarray | None = _CompositionTable()
     name: str = "groupoid"
+    group_factor: np.ndarray | None = None  # Cayley table of G, for pair:n × G
 
     def __post_init__(self):
-        for arr in (self.src, self.tgt, self.unit_of, self.inverse_of, self.table):
+        for arr in (self.src, self.tgt, self.unit_of, self.inverse_of):
             arr.setflags(write=False)
+        if self.__dict__["_table"] is not None:
+            object.__setattr__(self, "group_factor", None)
+        elif self.group_factor is None:
+            raise ValueError("a groupoid needs a composition table or a group factor")
+        else:
+            self.group_factor.setflags(write=False)
 
     @property
     def n_morphisms(self) -> int:
@@ -98,8 +138,23 @@ class FiniteGroupoid:
     def is_unit(self, m: int) -> bool:
         return int(self.unit_of[self.src[m]]) == m
 
+    def composite(self, a, b):
+        """a∘b elementwise over index arrays that broadcast (or two ints),
+        UNDEFINED where a and b are not composable."""
+        G = self.group_factor
+        if G is None:
+            return self.table[a, b]
+        n, k = self.n_objects, G.shape[0]
+        ya, xa = divmod(a, n)           # ya = y_a*k + g_a
+        yb, xb = divmod(b, n)
+        c = (ya - ya % k + G[ya % k, yb % k]) * n + xb
+        return (xa == yb // k) * (c - UNDEFINED) + UNDEFINED
+
     def compose(self, a: int, b: int) -> int:
-        c = int(self.table[a, b])
+        M = self.n_morphisms
+        if not (0 <= a < M and 0 <= b < M):
+            raise IndexError(f"morphism pair ({a}, {b}) out of range for {M} morphisms")
+        c = int(self.composite(a, b))
         if c == UNDEFINED:
             raise CompositionError(
                 f"morphisms {a} and {b} are not composable "
@@ -153,7 +208,7 @@ class FiniteGroupoid:
         leaving y after one entering y, at O(|fiber|^2) per object."""
         out = []
         for fib in self.fibers:
-            block = self.table[np.ix_(self.inverse_of[fib], fib)]
+            block = self.composite(self.inverse_of[fib][:, None], fib[None, :])
             block.setflags(write=False)
             out.append((fib, block))
         return tuple(out)
@@ -172,7 +227,7 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     built as the product with the trivial group."""
     if n < 1:
         raise ValueError("pair groupoid needs at least one object")
-    return replace(product_with_group(n, _TRIVIAL_GROUP), name=f"pair:{n}")
+    return product_with_group(n, _TRIVIAL_GROUP, name=f"pair:{n}")
 
 
 def _check_group_table(cayley: np.ndarray) -> tuple[int, np.ndarray]:
@@ -229,29 +284,42 @@ def cyclic_groupoid(k: int) -> FiniteGroupoid:
 _TRIVIAL_GROUP = cyclic_groupoid(1)   # read-only tables, shared by every pair groupoid
 
 
-def product_with_group(n: int, group: FiniteGroupoid) -> FiniteGroupoid:
-    """Pair groupoid on n objects times a one-object group: morphisms (y; g; x)."""
+def product_with_group(n: int, group: FiniteGroupoid,
+                       name: str | None = None) -> FiniteGroupoid:
+    """Pair groupoid on n objects times a one-object group: morphisms (y; g; x),
+    composed by the product rule (no M×M table is built here)."""
     if group.n_objects != 1:
         raise ValueError("second factor must be a one-object groupoid (a group)")
     if n < 1:
         raise ValueError("pair factor needs at least one object")
     k = group.n_morphisms
-    ids = np.arange(n * n * k)
-    x = ids % n
-    g = (ids // n) % k
-    y = ids // (n * k)
+    _, y, g, x = _product_coordinates(n, k)
     e = group.unit(0)
     ginv = np.asarray(group.inverse_of)
     unit_of = (np.arange(n) * k + e) * n + np.arange(n)
     inverse_of = (x * k + ginv[g]) * n + y
+    return FiniteGroupoid(n, x, y, unit_of, inverse_of, name=name or f"{group.name}-pairs:{n}",
+                          group_factor=np.asarray(group.table, dtype=np.intp))
+
+
+def _product_coordinates(n: int, k: int):
+    """(ids, y, g, x) of every morphism (y; g; x) of pair:n × a group of order k."""
+    ids = np.arange(n * n * k)
+    return ids, ids // (n * k), (ids // n) % k, ids % n
+
+
+def _product_table(n: int, cayley: np.ndarray) -> np.ndarray:
+    """The int32 composition table of pair:n × the group with this Cayley
+    table, written from its composable pairs."""
+    k = cayley.shape[0]
+    M = n * n * k
+    ids, y, g, x = _product_coordinates(n, k)
     # (ya; ga; xa)∘(yb; gb; xb) = (ya; ga·gb; xb) defined iff xa == yb: row a
     # of the table, read as (yb, gb, xb), is defined only in its block yb = xa
-    M = n * n * k
     table = np.full((M, n, k, n), UNDEFINED, dtype=np.int32)
-    head = (y * k)[:, None] + np.asarray(group.table, dtype=np.int32)[g]    # (M, k)
+    head = (y * k)[:, None] + cayley.astype(np.int32)[g]    # (M, k)
     table[ids, x] = head[:, :, None] * n + np.arange(n, dtype=np.int32)
-    return FiniteGroupoid(n, x, y, unit_of, inverse_of, table.reshape(M, M),
-                          name=f"{group.name}-pairs:{n}")
+    return table.reshape(M, M)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +330,12 @@ def _associativity_violations(C: np.ndarray, defined: np.ndarray):
     """Violations of (a∘b)∘c == a∘(b∘c) on the triples the table composes:
     every (a, b) with table[a, b] defined, then every c with table[b, c]
     defined, in (a, b, c) order, gathered at most ASSOC_CHUNK triples at a
-    time.  defined[a, b] says whether C[a, b] names a morphism."""
+    time.  defined[a, b] says whether C[a, b] names a morphism.
+
+    C[x, y] is gathered as flat[x*M + y] with intp indices, since M² can
+    exceed the int32 range of the entries."""
+    M = C.shape[0]
+    flat = C.ravel()
     # np.nonzero is row-major, so row b's defined columns are
     # pb[start[b]:start[b] + count[b]], ascending
     pa, pb = np.nonzero(defined)
@@ -274,7 +347,9 @@ def _associativity_violations(C: np.ndarray, defined: np.ndarray):
         a = np.repeat(pa[p0:p0 + step], reps)
         b = np.repeat(pb[p0:p0 + step], reps)
         c = pb[start[b] + np.arange(len(b)) - np.repeat(np.cumsum(reps) - reps, reps)]
-        for i in np.flatnonzero(C[C[a, b], c] != C[a, C[b, c]]):
+        aM = a * M
+        ab = flat[aM + b].astype(np.intp)
+        for i in np.flatnonzero(flat[ab * M + c] != flat[aM + flat[b * M + c]]):
             yield Violation("associativity",
                             f"({a[i]}∘{b[i]})∘{c[i]} != {a[i]}∘({b[i]}∘{c[i]})")
 

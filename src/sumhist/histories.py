@@ -319,18 +319,34 @@ def enumerate_histories(g: FiniteGroupoid, grid: TimeGrid, x0: int, x1: int):
         yield from_links(g, grid, links)
 
 
+def _hom_power_counts(g: FiniteGroupoid, start: np.ndarray, n_steps: int) -> np.ndarray:
+    """H^n_steps @ start in Python integers, H[y, x] = |hom(x, y)| from
+    hom_arrays: entry y counts the histories of n_steps intervals that end at
+    y, each weighted by start at its first object."""
+    if n_steps < 1:
+        raise ValueError("need at least one interval")
+    n = g.n_objects
+    H = g.hom_arrays[0].reshape(n, n).T.astype(object)
+    v = start
+    for _ in range(n_steps):
+        v = H.dot(v)
+    return v
+
+
 def count_histories(g: FiniteGroupoid, x0: int, x1: int, n_steps: int) -> int:
-    """Product-formula count of the enumeration stream."""
-    total = 0
-    for mids in itertools.product(range(g.n_objects), repeat=n_steps - 1):
-        chain = (x0, *mids, x1)
-        prod = 1
-        for k in range(n_steps):
-            prod *= len(g.hom_set(chain[k], chain[k + 1]))
-            if prod == 0:
-                break
-        total += prod
-    return total
+    """Exact count of the enumeration stream: entry (x1, x0) of the
+    n_steps-th power of the hom-size matrix."""
+    if not (0 <= x0 < g.n_objects and 0 <= x1 < g.n_objects):
+        raise IndexError(f"object pair ({x0}, {x1}) out of range for {g.n_objects} objects")
+    start = np.zeros(g.n_objects, dtype=object)
+    start[x0] = 1
+    return int(_hom_power_counts(g, start, n_steps)[x1])
+
+
+def total_histories(g: FiniteGroupoid, n_steps: int) -> int:
+    """Exact count of the histories between every pair of endpoint objects:
+    the sum of all entries of the n_steps-th power of the hom-size matrix."""
+    return int(_hom_power_counts(g, np.ones(g.n_objects, dtype=object), n_steps).sum())
 
 
 # ---------------------------------------------------------------------------

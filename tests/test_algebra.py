@@ -140,6 +140,21 @@ def test_convolve_allocates_per_fiber():
     assert peak <= 8 * 2 ** 20
 
 
+def test_pair_48_measure_modular_and_convolve_build_no_table():
+    # the int32 composition table of pair:48 alone is 2304^2 * 4 bytes, 21 MB
+    rng = np.random.default_rng(11)
+    tracemalloc.start()
+    try:
+        g = sh.resolve_groupoid("pair:48")
+        m = sh.GroupoidMeasure(g, rng.uniform(0.5, 1.5, 48), np.ones(g.n_morphisms))
+        sh.modular_function(m)
+        sh.convolve(random_element(g, rng), random_element(g, rng), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
 def test_involution_is_involutive(rng):
     g, m = product_measure(3, [1.0, 2.0, 0.5], [1.5, 1.0, 2.0])
     for _ in range(10):

@@ -366,6 +366,15 @@ def test_state_check_refuses_oversized_family(capsys):
     assert "20000" in err
 
 
+def test_state_check_counts_histories_exactly(capsys):
+    # 3**41 histories: a float64 matrix power rounds it to 36472996377170788352
+    code, _, err = run(capsys, "state-check", "--groupoid", "pair:3",
+                       "--grid", "0,1,40", "--lagrangian", "zero")
+    assert code == 2
+    assert err == (f"error: {3 ** 41} histories on this grid; the positivity "
+                   "certificate needs <= 20000 (use a coarser grid)\n")
+
+
 def test_geometry_bad_endpoint_list(capsys):
     code, _, err = run(capsys, "propagate", "--geometry", "line",
                        "--mode", "euclidean", "--N", "4", "--x1", "1.0,oops")

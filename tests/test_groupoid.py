@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -170,6 +173,29 @@ def test_composable_triple_scan_reports_as_the_dense_scan(rng, monkeypatch):
     assert sum(r.count("[associativity]") for r in want) > 500
 
 
+def triple_associativity_violations(C, defined):
+    """Reference scan, one triple at a time: every (a, b) with C[a, b]
+    defined, then every c with C[b, c] defined, in (a, b, c) order."""
+    M = C.shape[0]
+    for a, b, c in itertools.product(range(M), repeat=3):
+        if defined[a, b] and defined[b, c] and C[C[a, b], c] != C[a, C[b, c]]:
+            yield sh.Violation("associativity", f"({a}∘{b})∘{c} != {a}∘({b}∘{c})")
+
+
+def test_flat_gather_scan_reports_as_the_per_triple_scan(monkeypatch):
+    rng = np.random.default_rng(2024)
+    targets = [sh.resolve_groupoid(name) for name in
+               ("pair:3", "pair_x_cyclic:2,2", "cyclic:4", "pair_x_cyclic:3,2")]
+    bad = [mutated_copy(targets[i % len(targets)], rng) for i in range(300)]
+    limits = (None, 1, 3)
+    got = [sh.validate_axioms(g, limit).violations for g in bad for limit in limits]
+    monkeypatch.setattr(groupoid_module, "_associativity_violations",
+                        triple_associativity_violations)
+    want = [sh.validate_axioms(g, limit).violations for g in bad for limit in limits]
+    assert got == want
+    assert sum(v.kind == "associativity" for r in want for v in r) > 300
+
+
 def dense_table(g):
     """The composition table from the endpoint arithmetic of a pair or
     pair-times-group builtin, as one np.where over all M^2 pairs."""
@@ -188,6 +214,85 @@ def test_builtin_tables_match_the_dense_reference(name):
     g = sh.resolve_groupoid(name)
     want = dense_table(g)
     assert g.table.dtype == want.dtype and np.array_equal(g.table, want)
+
+
+def writer_table(n, cayley):
+    """The int32 table the builtin writer stored for pair:n × G, entry by
+    entry: (y; g; x)∘(x; h; w) = (y; g·h; w), UNDEFINED off the composable
+    pairs."""
+    k = len(cayley)
+
+    def mid(y, gg, x):
+        return (y * k + gg) * n + x
+
+    table = np.full((n * n * k,) * 2, UNDEFINED, dtype=np.int32)
+    for y, gg, x, h, w in itertools.product(range(n), range(k), range(n), range(k), range(n)):
+        table[mid(y, gg, x), mid(x, h, w)] = mid(y, cayley[gg][h], w)
+    return table
+
+
+def s3_cayley():
+    """Cayley table of the permutations of three points, a non-abelian group."""
+    perms = list(itertools.permutations(range(3)))
+    return [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("k", range(1, 4))
+def test_rule_built_tables_equal_the_writer_tables(n, k):
+    groupoids = [sh.product_with_group(n, sh.cyclic_groupoid(k))]
+    if k == 1:
+        groupoids.append(sh.pair_groupoid(n))
+    want = writer_table(n, [[(a + b) % k for b in range(k)] for a in range(k)])
+    for g in groupoids:
+        assert g.table.dtype == want.dtype and np.array_equal(g.table, want)
+        assert g.table is g.table and not g.table.flags.writeable
+        with pytest.raises(ValueError):
+            g.table[0, 0] = 0
+
+
+def assert_composition_agrees_with_the_table(g):
+    ids = np.arange(g.n_morphisms)
+    assert np.array_equal(g.composite(ids[:, None], ids[None, :]), g.table)
+    for a, b in itertools.product(range(g.n_morphisms), repeat=2):
+        if g.table[a, b] == UNDEFINED:
+            with pytest.raises(sh.CompositionError):
+                g.compose(a, b)
+        else:
+            assert g.compose(a, b) == g.table[a, b]
+
+
+@pytest.mark.parametrize("name", ["pair:1", "pair:4", "cyclic:5", "pair_x_cyclic:1,3",
+                                  "pair_x_cyclic:3,2", "pair_x_cyclic:2,3"])
+def test_vectorized_and_scalar_composition_agree_with_the_table(name):
+    assert_composition_agrees_with_the_table(sh.resolve_groupoid(name))
+
+
+def test_product_with_a_non_abelian_group_keeps_the_factor_order():
+    g = sh.product_with_group(3, sh.group_groupoid(s3_cayley()))
+    assert np.array_equal(g.table, writer_table(3, s3_cayley()))
+    assert sh.validate_axioms(g).ok
+    assert_composition_agrees_with_the_table(sh.product_with_group(2, sh.group_groupoid(s3_cayley())))
+
+
+def test_a_stored_table_supersedes_the_product_rule():
+    g = sh.pair_groupoid(3)
+    table = np.array(g.table)
+    table[4, 4] = 0
+    table[4, 3] = UNDEFINED
+    bad = dataclasses.replace(g, table=table)
+    assert bad.group_factor is None and bad.compose(4, 4) == 0
+    with pytest.raises(sh.CompositionError):
+        bad.compose(4, 3)
+    ids = np.arange(9)
+    assert np.array_equal(bad.composite(ids[:, None], ids), table)
+    assert g.compose(4, 4) == 4 and g.compose(4, 3) == 3
+
+
+def test_a_groupoid_needs_a_table_or_a_group_factor():
+    g = sh.pair_groupoid(2)
+    with pytest.raises(ValueError, match="composition table or a group factor"):
+        sh.FiniteGroupoid(2, g.src, g.tgt, g.unit_of, g.inverse_of)
 
 
 def test_hom_set_examples():
@@ -224,6 +329,15 @@ def test_compose_raises_on_non_composable():
     g = sh.pair_groupoid(2)
     with pytest.raises(sh.CompositionError):
         g.compose(0 * 2 + 0, 1 * 2 + 0)  # src(0,0)=0 != tgt(1,0)=1
+
+
+@pytest.mark.parametrize("name", ["pair:2", "pair_x_cyclic:2,3", "cyclic:3"])
+@pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), ("M", 0), (0, "M")])
+def test_compose_refuses_ids_out_of_range(name, a, b):
+    g = sh.resolve_groupoid(name)
+    a, b = (g.n_morphisms if v == "M" else v for v in (a, b))
+    with pytest.raises(IndexError, match="out of range"):
+        g.compose(a, b)
 
 
 def test_spec_file_round_trip(tmp_path):

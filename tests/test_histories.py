@@ -199,6 +199,21 @@ def test_enumeration_counts_pair():
         assert sh.count_histories(g, 0, 2, n) == count
 
 
+def test_history_counts_are_exact_integers():
+    # 64**11 = 2**66 is past int64; 3**41 is past float64's 2**53 and odd
+    assert sh.total_histories(sh.pair_groupoid(64), 10) == 64 ** 11
+    g = sh.pair_groupoid(3)
+    assert sh.total_histories(g, 40) == 3 ** 41 != int(float(3 ** 41))
+    assert sh.count_histories(g, 0, 2, 40) == 3 ** 39
+    pg = sh.product_with_group(2, sh.cyclic_groupoid(3))
+    assert sh.total_histories(pg, 5) == sum(sh.count_histories(pg, x0, x1, 5)
+                                            for x0 in range(2) for x1 in range(2))
+    with pytest.raises(ValueError):
+        sh.count_histories(g, 0, 2, 0)
+    with pytest.raises(IndexError):
+        sh.count_histories(g, 0, 3, 2)
+
+
 def test_enumeration_group_fixed_total(rng):
     # over a group, histories with a prescribed total transition number
     # |G|^(N-1) for each total, by brute-force classification

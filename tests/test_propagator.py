@@ -101,6 +101,28 @@ def test_finite_propagator_matches_transfer_oracle(rng):
             assert abs(z - ref) <= RTOL * max(1.0, abs(ref))
 
 
+def test_pair_256_transfer_oracle_fits_its_memory_bound():
+    # the composition table of pair:256 would be 256^4 int32 entries, 16 GiB;
+    # the bound is recorded in BENCH_17.json (measured peak 13.1 MB)
+    n = 256
+    tracemalloc.start()
+    try:
+        g = sh.pair_groupoid(n)
+        grid = sh.TimeGrid.uniform(0.0, 0.5, 4)
+        lag = sh.energy_lagrangian(g, sh.CircleLattice(n, 2 * math.pi), grid.dt(0), 1.0)
+        oracle = sh.transfer_oracle_table(g, grid, lag, sh.uniform_state_spec(g, mode=EUCLIDEAN))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+    amps = oracle.amplitudes
+    assert len(amps) == n * n
+    # the circle is translation invariant, so the amplitudes are circulant
+    for x0, x1, shift in ((0, 0, 97), (3, 40, 200), (250, 7, 11)):
+        z, w = amps[(x0, x1)], amps[((x0 + shift) % n, (x1 + shift) % n)]
+        assert z.real > 0 and abs(z - w) <= 1e-12 * abs(z)
+
+
 def test_finite_propagator_weighted_measure(rng):
     # left-invariant product measure on a pair groupoid, non-uniform densities
     g = sh.pair_groupoid(3)
