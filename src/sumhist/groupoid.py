@@ -162,44 +162,30 @@ class FiniteGroupoid:
             )
         return c
 
-    @cached_property
-    def _hom(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        d: dict[tuple[int, int], list[int]] = {}
-        for m in range(self.n_morphisms):
-            d.setdefault((int(self.src[m]), int(self.tgt[m])), []).append(m)
-        return {k: tuple(v) for k, v in d.items()}
-
     def hom_set(self, a: int, b: int) -> tuple[int, ...]:
         """Morphisms a -> b in ascending index order."""
-        if not (0 <= a < self.n_objects and 0 <= b < self.n_objects):
-            raise IndexError(f"object pair ({a}, {b}) out of range for {self.n_objects} objects")
-        return self._hom.get((a, b), ())
+        n = self.n_objects
+        if not (0 <= a < n and 0 <= b < n):
+            raise IndexError(f"object pair ({a}, {b}) out of range for {n} objects")
+        sizes, homs = self.hom_arrays
+        ab = a * n + b
+        return tuple(homs[ab, :sizes[ab]].tolist())
 
     @cached_property
     def hom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Hom sets as arrays indexed by the object pair a * n_objects + b:
         sizes[ab] = |hom_set(a, b)|, and homs[ab, j] is its j-th morphism for
         j < sizes[ab], UNDEFINED after that."""
-        n = self.n_objects
-        homs_of = {a * n + b: ms for (a, b), ms in self._hom.items()
-                   if 0 <= a < n and 0 <= b < n}
-        sizes = np.zeros(n * n, dtype=np.intp)
-        homs = np.full((n * n, max(map(len, homs_of.values()), default=1)), UNDEFINED,
-                       dtype=np.intp)
-        for ab, ms in homs_of.items():
-            sizes[ab] = len(ms)
-            homs[ab, :len(ms)] = ms
-        sizes.setflags(write=False)
-        homs.setflags(write=False)
-        return sizes, homs
+        return _hom_index(self.src, self.tgt, self.n_objects)
 
     @cached_property
     def fibers(self) -> tuple[np.ndarray, ...]:
-        """fibers[y] = morphism ids with target y (the fiber over y)."""
-        out = []
-        for y in range(self.n_objects):
-            out.append(np.flatnonzero(self.tgt == y))
-        return tuple(out)
+        """fibers[y] = morphism ids with target y (the fiber over y), ascending."""
+        n = self.n_objects
+        ids = np.flatnonzero((self.tgt >= 0) & (self.tgt < n))
+        ids = ids[np.argsort(self.tgt[ids], kind="stable")]
+        ends = np.cumsum(np.bincount(self.tgt[ids], minlength=n))
+        return tuple(np.split(ids, ends[:-1]))
 
     @cached_property
     def fiber_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -216,6 +202,24 @@ class FiniteGroupoid:
     def __repr__(self):
         return (f"FiniteGroupoid({self.name!r}, objects={self.n_objects}, "
                 f"morphisms={self.n_morphisms})")
+
+
+def _hom_index(src: np.ndarray, tgt: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sizes, homs) of the hom sets a -> b keyed by ab = a * n + b, from one
+    stable sort of the keys: sizes[ab] morphisms in homs[ab], ascending, then
+    UNDEFINED padding.  Morphisms with an endpoint outside 0..n-1 are left
+    out.  Both arrays are intp and read-only."""
+    ids = np.flatnonzero((src >= 0) & (src < n) & (tgt >= 0) & (tgt < n))
+    keys = src[ids].astype(np.intp) * n + tgt[ids]
+    order = np.argsort(keys, kind="stable")
+    ids, keys = ids[order], keys[order]
+    sizes = np.bincount(keys, minlength=n * n)
+    homs = np.full((n * n, max(int(sizes.max(initial=0)), 1)), UNDEFINED, dtype=np.intp)
+    # the j-th member of a hom set sits j places after the set's first
+    homs[keys, np.arange(len(keys)) - (np.cumsum(sizes) - sizes)[keys]] = ids
+    sizes.setflags(write=False)
+    homs.setflags(write=False)
+    return sizes, homs
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +455,37 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _int_rows(path, data: dict, key: str, width: int) -> list[list[int]]:
-    """The rows of an optional section, each a list of ``width`` integers."""
-    rows = data[key]
+def _fill(path, data: dict, key: str, out: np.ndarray, bounds) -> np.ndarray:
+    """out with the rows of section key written in: row [*at, v] sets
+    out[at] = v.  Each row holds len(bounds) integers, each entry lies in
+    0..bound-1, and each at may be given once."""
+    rows, width = data[key], len(bounds)
     if not isinstance(rows, list):
         raise GroupoidFormatError(f"{path}: '{key}' must be a list of rows")
     for i, row in enumerate(rows, start=1):
         if not (isinstance(row, list) and len(row) == width and all(map(is_int, row))):
             raise GroupoidFormatError(
                 f"{path}: {key} row {i} {row!r}: expected {width} integers")
-    return rows
+    for i, row in enumerate(rows, start=1):
+        if not all(0 <= v < b for v, b in zip(row, bounds)):
+            raise GroupoidFormatError(f"{path}: bad {key} row {row}")
+        *at, v = row
+        if out[tuple(at)] != UNDEFINED:
+            raise GroupoidFormatError(f"{path}: {key} row {i} {row}: repeats an "
+                                      f"earlier row for {', '.join(map(str, at))}")
+        out[tuple(at)] = v
+    return out
 
 
-def _unique(path, seq, what):
-    if len(seq) != 1:
-        raise GroupoidFormatError(f"{path}: cannot infer {what}: expected exactly "
-                                  f"one candidate, found {len(seq)}")
-    return seq[0]
+def _infer(path, index, keys: np.ndarray, what) -> np.ndarray:
+    """The one morphism of each hom set keys[i] of the index (sizes, homs);
+    the first i whose hom set is not a singleton raises, what(i) naming it."""
+    sizes, homs = index
+    bad = np.flatnonzero(sizes[keys] != 1)
+    if len(bad):
+        raise GroupoidFormatError(f"{path}: cannot infer {what(bad[0])}: expected "
+                                  f"exactly one candidate, found {sizes[keys[bad[0]]]}")
+    return homs[keys, 0]
 
 
 def load_groupoid_file(path) -> FiniteGroupoid:
@@ -506,45 +524,23 @@ def load_groupoid_file(path) -> FiniteGroupoid:
             raise GroupoidFormatError(f"{path}: morphism {i} endpoints out of range")
         src[i], tgt[i] = s, t
 
-    hom: dict[tuple[int, int], list[int]] = {}
-    for m in range(M):
-        hom.setdefault((int(src[m]), int(tgt[m])), []).append(m)
-
+    index = _hom_index(src, tgt, n)
     if "units" in data:
-        unit_of = np.full(n, -1, dtype=np.int64)
-        for x, u in _int_rows(path, data, "units", 2):
-            if not (0 <= x < n and 0 <= u < M):
-                raise GroupoidFormatError(f"{path}: bad units row [{x}, {u}]")
-            unit_of[x] = u
-    else:
-        unit_of = np.array([_unique(path, hom.get((x, x), []), f"unit at object {x}")
-                            for x in range(n)], dtype=np.int64)
-
+        unit_of = _fill(path, data, "units", np.full(n, UNDEFINED, dtype=np.int64), (n, M))
+    else:   # the key of hom set x -> x is x * n + x
+        unit_of = _infer(path, index, np.arange(n) * (n + 1), lambda x: f"unit at object {x}")
     if "inverse" in data:
-        inverse_of = np.full(M, -1, dtype=np.int64)
-        for m, i in _int_rows(path, data, "inverse", 2):
-            if not (0 <= m < M and 0 <= i < M):
-                raise GroupoidFormatError(f"{path}: bad inverse row [{m}, {i}]")
-            inverse_of[m] = i
+        inverse_of = _fill(path, data, "inverse", np.full(M, UNDEFINED, dtype=np.int64), (M, M))
     else:
-        inverse_of = np.array(
-            [_unique(path, hom.get((int(tgt[m]), int(src[m])), []), f"inverse of morphism {m}")
-             for m in range(M)], dtype=np.int64)
-
+        inverse_of = _infer(path, index, tgt * n + src, lambda m: f"inverse of morphism {m}")
     table = np.full((M, M), UNDEFINED, dtype=np.int32)
     if "compose" in data:
-        for a, b, c in _int_rows(path, data, "compose", 3):
-            if not (0 <= a < M and 0 <= b < M and 0 <= c < M):
-                raise GroupoidFormatError(f"{path}: bad compose row [{a}, {b}, {c}]")
-            table[a, b] = c
+        _fill(path, data, "compose", table, (M, M, M))
     else:
-        for a in range(M):
-            for b in range(M):
-                if src[a] == tgt[b]:
-                    table[a, b] = _unique(
-                        path, hom.get((int(src[b]), int(tgt[a])), []),
-                        f"composition {a}∘{b}")
-
+        # a∘b: src(b) -> tgt(a), for each composable (a, b) in row-major order
+        a, b = np.nonzero(src[:, None] == tgt[None, :])
+        table[a, b] = _infer(path, index, src[b] * n + tgt[a],
+                             lambda i: f"composition {a[i]}∘{b[i]}")
     return FiniteGroupoid(n, src, tgt, unit_of, inverse_of, table, name=path.stem)
 
 

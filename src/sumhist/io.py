@@ -54,9 +54,11 @@ def render_rows(header, rows, fmt: str = "csv", path=None) -> str:
 
 def _id_rows(path, n: int, id_col: str, value_cols) -> list[tuple]:
     """Rows (id, *values) of a CSV keyed by an integer id in 0..n-1, the value
-    columns read as floats.  A missing column, a malformed cell or an id out
-    of range raises ValueError naming the file, line and column."""
+    columns read as floats.  A missing column, a malformed cell, an id out
+    of range or an id read before raises ValueError naming the file, line
+    and column."""
     out = []
+    line_of = {}    # id -> the line that gave it
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for col in (id_col, *value_cols):
@@ -70,6 +72,9 @@ def _id_rows(path, n: int, id_col: str, value_cols) -> list[tuple]:
                 raise ValueError(f"{where} {id_col!r}: bad id {row[id_col]!r}") from None
             if not 0 <= i < n:
                 raise ValueError(f"{where} {id_col!r}: id {i} is outside 0..{n - 1}")
+            if i in line_of:
+                raise ValueError(f"{where} {id_col!r}: id {i} repeats line {line_of[i]}")
+            line_of[i] = reader.line_num
             values = []
             for col in value_cols:
                 try:
@@ -163,6 +168,8 @@ def _density_table(rows, n_objects: int) -> np.ndarray:
             raise ValueError(f"{where}: object {x} is outside 0..{n_objects - 1}")
         if k < 0:
             raise ValueError(f"{where}: slice {k} is negative")
+        if (k, x) in cells:
+            raise ValueError(f"{where}: object {x} at slice {k} already has a density")
         try:
             cells[k, x] = float(v)
         except (TypeError, ValueError):

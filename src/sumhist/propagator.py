@@ -16,7 +16,7 @@ import cmath
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
@@ -535,11 +535,10 @@ def line_convergence(cfg: SliceConfig, x0: float, x1: float, sweep) -> list[Conv
     """Sliced line propagator against the closed-form kernel over a slice-count
     sweep (quadrature route in euclidean mode, recursion otherwise)."""
     ref = line_kernel(cfg.mass, cfg.hbar, cfg.total_time, x1 - x0, cfg.mode)
+    method = "quadrature" if cfg.mode == EUCLIDEAN else "recursion"
     rows = []
     for n in sweep:
-        c = SliceConfig(n, cfg.total_time, cfg.mass, cfg.hbar, cfg.mode,
-                        cfg.quad_halfwidth, cfg.quad_nodes)
-        method = "quadrature" if cfg.mode == EUCLIDEAN else "recursion"
+        c = replace(cfg, n_slices=n)
         rows.append(ConvergenceRow(n, c.dt, sliced_line_propagator(c, x0, x1, method), ref))
     return rows
 
@@ -551,8 +550,7 @@ def circle_convergence(cfg: SliceConfig, circumference: float, theta0: float,
     geom = CircleLattice(n_sites, circumference)
     rows = []
     for n in sweep:
-        c = SliceConfig(n, cfg.total_time, cfg.mass, cfg.hbar, cfg.mode,
-                        cfg.quad_halfwidth, cfg.quad_nodes)
+        c = replace(cfg, n_slices=n)
         ref = image_sum_circle_kernel(c, circumference, theta0, theta1, winding_max)
         val = _circle_amplitudes(c, geom, theta0, [theta1], 1)[0]
         rows.append(ConvergenceRow(n, c.dt, val, ref))

@@ -90,6 +90,26 @@ def units_only_groupoid():
         table=np.array([[0, -1], [-1, 1]], dtype=np.int32))
 
 
+def stray_ends_groupoid():
+    """pair:3 with some src/tgt entries outside 0..2, which no hom set or
+    fiber may list."""
+    import dataclasses
+    g = sh.pair_groupoid(3)
+    src, tgt = np.array(g.src), np.array(g.tgt)
+    src[[1, 5]] = [-1, 3]
+    tgt[[2, 5, 7]] = [3, -2, 7]
+    return dataclasses.replace(g, src=src, tgt=tgt)
+
+
+def hom_sets_by_scan(g):
+    """{(a, b): [morphisms a -> b, ascending]} from one pass over the morphisms,
+    independent of the groupoid's endpoint index."""
+    hom = {}
+    for m in range(g.n_morphisms):
+        hom.setdefault((int(g.src[m]), int(g.tgt[m])), []).append(m)
+    return hom
+
+
 def product_walks(g, x0, x1, n_steps):
     """Reference stream: the itertools.product walk over interior objects and
     then hom sets that defined the canonical order of link_walks."""

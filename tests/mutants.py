@@ -1,0 +1,138 @@
+"""Mutants of sumhist: each one is a single string replacement in a copy of
+src/, together with the tests that must fail on it.
+
+Kill run, from the repository root (all mutants, or the named ones):
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant is applied to a fresh temporary copy of src/, and its selection
+runs under pytest in one subprocess, one mutant at a time.  A mutant is
+killed when its selection reports a failing test (pytest exit code 1); any
+other outcome is a survivor or an error.  The run prints one line per mutant
+and exits 1 unless every mutant is killed.
+
+A gate that can pass on wrong results proves nothing, so each gate that
+guards an output gets a mutant here.  Every old text must occur exactly once
+in its file (tests/test_mutants.py checks it), so a refactor that removes a
+mutated line fails loudly instead of dropping its mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str                   # relative to the repository root
+    old: str                    # occurs exactly once in file
+    new: str
+    selection: tuple[str, ...]  # pytest arguments that must fail on the mutant
+
+
+MUTANTS = (
+    Mutant("circle-without-wrap", "src/sumhist/geometry.py",
+           "d = np.minimum(raw, self.n_sites - raw) * self.spacing",
+           "d = raw * self.spacing",
+           ("tests/test_continuum.py",)),
+    Mutant("assoc-scan-drops-last-c", "src/sumhist/groupoid.py",
+           "reps = count[pb[p0:p0 + step]]\n",
+           "reps = count[pb[p0:p0 + step]] - 1\n",
+           ("tests/test_groupoid.py",)),
+    Mutant("gns-vector-conjugates-psi", "src/sumhist/action.py",
+           "f * family_psi(state, family))",
+           "f * np.conj(family_psi(state, family)))",
+           ("tests/test_action.py", "-k", "gns_vector")),
+    Mutant("propagate-oracle-gate", "src/sumhist/cli.py",
+           "if worst > args.tol:",
+           "if worst > 1.0:",
+           ("tests/test_cli.py", "-k", "tol_gates")),
+    Mutant("propagate-residual-gate", "src/sumhist/cli.py",
+           "if res > args.tol:",
+           "if res > 1.0:",
+           ("tests/test_cli.py", "-k", "tol_gates")),
+    Mutant("errors-decrease-never-fails", "src/sumhist/propagator.py",
+           "if prev is not None and e > max(prev, floor):\n            return False",
+           "if prev is not None and e > max(prev, floor):\n            continue",
+           ("tests/test_continuum.py", "-k", "errors_decrease")),
+    Mutant("converge-exit-ignores-the-gate", "src/sumhist/cli.py",
+           "ok = errors_decrease(rows, burn_in=args.burnin, floor=args.floor)",
+           "ok = True",
+           ("tests/test_cli.py", "-k", "converge_failure")),
+    Mutant("validate-exit-ignores-the-report", "src/sumhist/cli.py",
+           "return EXIT_OK if report.ok else EXIT_CHECK",
+           "return EXIT_OK",
+           ("tests/test_cli.py", "-k", "validate")),
+    Mutant("hom-index-keeps-stray-targets", "src/sumhist/groupoid.py",
+           "ids = np.flatnonzero((src >= 0) & (src < n) & (tgt >= 0) & (tgt < n))",
+           "ids = np.flatnonzero((src >= 0) & (src < n) & (tgt >= 0))",
+           ("tests/test_groupoid.py", "tests/test_histories.py",
+            "-k", "per_morphism_scan or hom_arrays")),
+    Mutant("hom-index-unstable-sort", "src/sumhist/groupoid.py",
+           'order = np.argsort(keys, kind="stable")',
+           "order = np.argsort(keys)",
+           ("tests/test_groupoid.py", "tests/test_histories.py",
+            "-k", "per_morphism_scan or hom_arrays")),
+    Mutant("description-file-takes-repeated-rows", "src/sumhist/groupoid.py",
+           "if out[tuple(at)] != UNDEFINED:",
+           "if False:",
+           ("tests/test_groupoid.py", "tests/test_cli.py", "-k", "repeat")),
+    Mutant("csv-takes-repeated-ids", "src/sumhist/io.py",
+           "if i in line_of:",
+           "if False:",
+           ("tests/test_cli.py", "-k", "repeated_id")),
+    Mutant("density-takes-repeated-keys", "src/sumhist/io.py",
+           "if (k, x) in cells:",
+           "if False:",
+           ("tests/test_cli.py", "-k", "malformed_state_spec")),
+)
+
+
+def kill(mutant: Mutant) -> str:
+    """'killed', 'survived' or 'error (pytest exit N)' for one mutant."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = Path(tmp) / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            return "error (old text does not occur exactly once)"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        paths = filter(None, (str(src), os.environ.get("PYTHONPATH")))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(paths))
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.selection],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+    return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    outcomes = []
+    for m in chosen:
+        t0 = time.perf_counter()
+        outcomes.append(kill(m))
+        print(f"{m.name}: {outcomes[-1]} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    killed = outcomes.count("killed")
+    print(f"{killed} of {len(chosen)} killed")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

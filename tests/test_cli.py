@@ -123,6 +123,28 @@ def test_propagate_reproducing_check(capsys, tmp_path):
     assert "reproducing residual" in err
 
 
+@pytest.mark.parametrize("gate", ["oracle", "residual"])
+def test_propagate_tol_gates_exit_3_on_a_deviation_above_tol(capsys, monkeypatch, gate):
+    # a reference 1e-6 off must fail each --tol gate that reads it
+    cli = importlib.import_module("sumhist.cli")
+    if gate == "oracle":
+        exact = cli.transfer_oracle_table
+
+        def skewed(*args, **kw):
+            t = exact(*args, **kw)
+            return sh.PropagatorTable(t.grid, {k: z * (1 + 1e-6) for k, z in
+                                               t.amplitudes.items()}, None)
+        monkeypatch.setattr(cli, "transfer_oracle_table", skewed)
+        argv = ("--oracle", "transfer-matrix")
+    else:
+        monkeypatch.setattr(cli, "reproducing_residual", lambda *args: 1e-6)
+        argv = ("--check", "reproducing", "--at", "2")
+    code, out, err = run(capsys, "propagate", "--groupoid", "pair:3", "--grid", "0,1,4",
+                         "--lagrangian", "energy:line,0.5", *argv)
+    assert code == 3 and out.startswith("x0,")
+    assert "1.000e-06" in err
+
+
 def test_propagate_requires_interior_slice(capsys, tmp_path):
     code, _, err = run(capsys, "propagate", "--groupoid", "pair:3",
                        "--grid", "0,1,4", "--check", "reproducing", "--at", "0")
@@ -442,8 +464,39 @@ def test_loaders_refuse_negative_ids_and_bad_numbers(tmp_path):
         load_lagrangian_csv(path, 4)
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--lagrangian", "morphism_id,value\n1,0.9\n2,0.9\n1,0.5\n2,0.5\n",
+     "line 4, column 'morphism_id': id 1 repeats line 2"),
+    ("--measure", "object_id,weight\n0,1.0\n1,2.0\n1,2.0\n",
+     "line 4, column 'object_id': id 1 repeats line 3"),
+])
+def test_csv_inputs_refuse_a_repeated_id(capsys, tmp_path, flag, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "propagate", "--groupoid", "pair:2", "--grid", "0,1,2",
+                         flag, str(path))
+    assert code == 2 and out == ""
+    line = _one_line_error(err)
+    assert "in.csv" in line and message in line
+
+
+def test_validate_refuses_a_repeated_compose_row(capsys, tmp_path):
+    path = tmp_path / "z2.yaml"
+    path.write_text("objects: 1\nmorphisms:\n  - {id: 0, src: 0, tgt: 0}\n"
+                    "  - {id: 1, src: 0, tgt: 0}\nunits: [[0, 0]]\n"
+                    "inverse: [[0, 0], [1, 1]]\n"
+                    "compose: [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 0]]\n")
+    code, out, err = run(capsys, "validate", "--groupoid", str(path))
+    assert code == 2 and out == ""
+    assert "z2.yaml: compose row 5 [1, 1, 0]: repeats" in _one_line_error(err)
+
+
 @pytest.mark.parametrize("text, message", [
     ("density: 5\n", "density must be 'uniform' or a list of rows, not 5"),
+    ("density: [[0, 0.5], [1, 0.5], [0, 0.25]]\n",
+     "density row 3 [0, 0.25]: object 0 at slice 0 already has a density"),
+    ("density: [[0, 2, 0.5], [0, 1, 0.5], [0, 2, 0.5]]\n",
+     "density row 3 [0, 2, 0.5]: object 0 at slice 2 already has a density"),
     ("density: other\n", "not 'other'"),
     ("density: [[2, 0.5], [0, 0.5]]\n", "density row 1 [2, 0.5]: object 2 is outside 0..1"),
     ("density: [[0, 0.5], [-1, 0.5]]\n", "density row 2 [-1, 0.5]: object -1 is outside"),

@@ -8,7 +8,7 @@ import sumhist as sh
 from sumhist import groupoid as groupoid_module
 from sumhist.groupoid import UNDEFINED
 
-from conftest import mutated_copy, small_groupoids
+from conftest import hom_sets_by_scan, mutated_copy, small_groupoids, stray_ends_groupoid
 
 
 def test_pair_groupoid_counts():
@@ -304,6 +304,18 @@ def test_hom_set_examples():
     assert len(pg.hom_set(0, 1)) == 2
 
 
+@pytest.mark.parametrize("g", small_groupoids() + [stray_ends_groupoid()], ids=repr)
+def test_hom_sets_and_fibers_match_a_per_morphism_scan(g):
+    n, M = g.n_objects, g.n_morphisms
+    scan = hom_sets_by_scan(g)
+    for a, b in itertools.product(range(n), repeat=2):
+        assert g.hom_set(a, b) == tuple(scan.get((a, b), ()))
+    assert len(g.fibers) == n
+    for y, fib in enumerate(g.fibers):
+        assert fib.tolist() == [m for m in range(M) if g.tgt[m] == y]
+    assert g.fibers is g.fibers
+
+
 def test_hom_set_range_error():
     g = sh.pair_groupoid(2)
     with pytest.raises(IndexError):
@@ -365,6 +377,19 @@ def test_spec_file_inference(tmp_path):
     assert np.array_equal(g2.unit_of, g.unit_of)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_compose_unit_and_inverse_less_files_load_to_the_builtin(tmp_path, n):
+    g = sh.pair_groupoid(n)
+    path = tmp_path / "pairs.yaml"
+    path.write_text(f"objects: {n}\nmorphisms:\n" + "".join(
+        f"  - {{id: {m}, src: {g.source(m)}, tgt: {g.target(m)}}}\n"
+        for m in range(g.n_morphisms)))
+    g2 = sh.load_groupoid_file(path)
+    assert g2.table.dtype == np.int32 and np.array_equal(g2.table, g.table)
+    assert np.array_equal(g2.unit_of, g.unit_of)
+    assert np.array_equal(g2.inverse_of, g.inverse_of)
+
+
 def test_spec_file_inference_fails_on_ambiguity(tmp_path):
     # two parallel morphisms: composition cannot be inferred
     path = tmp_path / "ambig.yaml"
@@ -393,6 +418,9 @@ def test_builtin_names():
 
 
 ONE_MORPHISM = "objects: 1\nmorphisms:\n  - {id: 0, src: 0, tgt: 0}\n"
+TWO_LOOPS = ("objects: 1\nmorphisms:\n  - {id: 0, src: 0, tgt: 0}\n"
+             "  - {id: 1, src: 0, tgt: 0}\n")
+Z2_UNITS_INVERSE = TWO_LOOPS + "units: [[0, 0]]\ninverse: [[0, 0], [1, 1]]\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -407,6 +435,16 @@ ONE_MORPHISM = "objects: 1\nmorphisms:\n  - {id: 0, src: 0, tgt: 0}\n"
      "2 objects need at least 2 morphisms"),
     ("objects: 1\nmorphisms:\n  - {id: 0, src: 0, tgt: 0}\n  - {id: 1, src: 0, tgt: 0}\n",
      "cannot infer unit at object 0"),
+    (TWO_LOOPS + "units: [[0, 0]]\n",
+     "cannot infer inverse of morphism 0: expected exactly one candidate, found 2"),
+    (Z2_UNITS_INVERSE,
+     "cannot infer composition 0∘0: expected exactly one candidate, found 2"),
+    (TWO_LOOPS + "units: [[0, 0], [0, 1], [0, 0]]\n",
+     "units row 2 [0, 1]: repeats an earlier row for 0"),
+    (TWO_LOOPS + "units: [[0, 0]]\ninverse: [[0, 0], [1, 1], [1, 0]]\n",
+     "inverse row 3 [1, 0]: repeats an earlier row for 1"),
+    (Z2_UNITS_INVERSE + "compose: [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 0]]\n",
+     "compose row 5 [1, 1, 0]: repeats an earlier row for 1, 1"),
 ])
 def test_description_file_errors_name_the_file_and_row(tmp_path, text, message):
     path = tmp_path / "g.yaml"

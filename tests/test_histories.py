@@ -5,7 +5,8 @@ import pytest
 
 import sumhist as sh
 
-from conftest import product_walks, random_history, small_groupoids, units_only_groupoid
+from conftest import (hom_sets_by_scan, product_walks, random_history, small_groupoids,
+                      stray_ends_groupoid, units_only_groupoid)
 
 
 def test_from_links_pair_example():
@@ -430,12 +431,19 @@ def test_link_walks_refuses_objects_out_of_range():
 
 
 def test_hom_arrays_list_every_hom_set_in_order():
-    for g in small_groupoids():
+    for g in small_groupoids() + [stray_ends_groupoid()]:
+        n = g.n_objects
+        scan = hom_sets_by_scan(g)
         sizes, homs = g.hom_arrays
-        for a, b in itertools.product(range(g.n_objects), repeat=2):
-            hom = g.hom_set(a, b)
-            ab = a * g.n_objects + b
+        width = max((len(scan.get((a, b), ()))
+                     for a, b in itertools.product(range(n), repeat=2)), default=0)
+        assert sizes.shape == (n * n,) and homs.shape == (n * n, max(width, 1))
+        for a, b in itertools.product(range(n), repeat=2):
+            hom = scan.get((a, b), [])
+            ab = a * n + b
             assert sizes[ab] == len(hom)
-            assert tuple(homs[ab, :len(hom)].tolist()) == hom
+            assert homs[ab, :len(hom)].tolist() == hom
             assert (homs[ab, len(hom):] == sh.UNDEFINED).all()
+        for arr in (sizes, homs):
+            assert arr.dtype == np.intp and not arr.flags.writeable
         assert g.hom_arrays is g.hom_arrays   # cached on the groupoid
