@@ -189,10 +189,17 @@ def cmd_state_check(args) -> int:
     return status
 
 
+# propagate flags that only a finite groupoid model reads
+_FINITE_ONLY = ("groupoid", "measure", "dfs", "oracle", "check", "at")
+
+
 def cmd_propagate(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, not {args.threads}")
     if args.geometry:
+        unread = [f"--{name}" for name in _FINITE_ONLY if getattr(args, name) is not None]
+        if unread:
+            raise ValueError(f"propagate --geometry does not read {', '.join(unread)}")
         return _propagate_geometry(args)
     if not args.groupoid or not args.grid:
         raise ValueError("propagate needs --geometry, or --groupoid with --grid")
@@ -201,10 +208,7 @@ def cmd_propagate(args) -> int:
         raise ValueError("--check reproducing needs an interior --at slice")
     state_from_lagrangian(lag, spec, g, grid, measure)  # symmetry + normalization
 
-    # the residual reads the canonical amplitudes, summed from the same
-    # enumeration as the table's when --threads partitions the sum
-    table = propagator_table(g, grid, lag, spec, measure, partitions=args.threads,
-                             canonical=args.check == "reproducing")
+    table = propagator_table(g, grid, lag, spec, measure)
     status = EXIT_OK
     extra = None
     extra_name = ""
@@ -221,8 +225,6 @@ def cmd_propagate(args) -> int:
         if worst > args.tol:
             status = EXIT_CHECK
     if args.check == "reproducing":
-        # taken against the canonical amplitudes whatever --threads says, so
-        # its bytes do not depend on the summation order chosen
         res = reproducing_residual(g, grid, lag, spec, args.at, measure, table)
         print(f"reproducing residual at slice {args.at}: {res:.3e}", file=sys.stderr)
         if res > args.tol:
@@ -321,6 +323,10 @@ def _add_model(p: argparse.ArgumentParser) -> None:
                    help="'zero', 'energy:line[,spacing]', 'energy:circle[,circumference]', "
                         "or a CSV file")
     p.add_argument("--dfs", help="state-spec YAML (density, hbar, mode, convention)")
+    _add_slicing(p)
+
+
+def _add_slicing(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", help="uniform grid spec t0,t1,N")
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--hbar", type=float, default=1.0)
@@ -363,9 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry(p)
     _add_output(p, formats=True)
     p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="N > 1 selects the partitioned summation order (one "
-                        "exactly rounded partial per first interior object, "
-                        "then their sum); it starts no threads")
+                   help="accepted for compatibility; it has no effect on the "
+                        "result and starts no threads")
     p.add_argument("--check", choices=("reproducing",))
     p.add_argument("--at", type=int, help="interior slice for --check reproducing")
     p.add_argument("--oracle", choices=("transfer-matrix",))
@@ -373,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("converge", help="error-vs-dt sweep against a reference kernel")
-    _add_model(p)
+    _add_slicing(p)
     _add_geometry(p)
     _add_output(p, formats=True)
     p.add_argument("--sweep", help="comma-separated slice counts")

@@ -95,57 +95,26 @@ def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
         yield mids, w * phase_factors(s, spec.hbar, spec.mode)
 
 
-def _pair_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
-                spec: StateSpec, x0: int, x1: int, measure: GroupoidMeasure | None,
-                split: bool):
-    """One enumeration of the histories from (x0, t_0) to (x1, t_N): the
-    density factor sqrt(p(x1, t_N) p(x0, t_0)), every term in canonical order
-    and, if split, the number of terms of each first interior object."""
+def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
+                      spec: StateSpec, x0: int, x1: int,
+                      measure: GroupoidMeasure | None = None) -> complex:
+    """Path-sum amplitude sqrt(p(x1, t_N) p(x0, t_0)) times the sum over all
+    histories from (x0, t_0) to (x1, t_N) of weight(w) * phase(action(w)),
+    every term summed in canonical order with exactly rounded accumulation."""
     p = spec.slices(grid)
     amp = math.sqrt(p[grid.n_intervals, x1] * p[0, x0])
     # an empty first block makes a pair without histories sum to 0
-    blocks, firsts = [np.zeros(0, dtype=complex)], np.zeros(g.n_objects, dtype=np.intp)
-    for mids, t in path_sum_terms(g, grid, lag, spec, x0, x1, measure):
-        blocks.append(t)
-        if split:
-            firsts += np.bincount(mids[:, 0], minlength=g.n_objects)
-    return amp, np.concatenate(blocks), firsts
-
-
-def _partitioned_sum(terms: np.ndarray, firsts: np.ndarray) -> complex:
-    # the canonical order is lexicographic in the interior objects, so the
-    # terms of each first object are contiguous
-    parts = np.split(terms, np.cumsum(firsts)[:-1])
-    return fsum_complex([fsum_complex(part) for part in parts])
-
-
-def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
-                      spec: StateSpec, x0: int, x1: int,
-                      measure: GroupoidMeasure | None = None,
-                      partitions: int = 1) -> complex:
-    """Path-sum amplitude sqrt(p(x1, t_N) p(x0, t_0)) times the sum over all
-    histories from (x0, t_0) to (x1, t_N) of weight(w) * phase(action(w)).
-
-    The canonical result sums every term in enumeration order with exactly
-    rounded accumulation.  With partitions > 1 the sum is split by the first
-    interior object, each partition is summed with exactly rounded
-    accumulation, and the rounded partials are summed in object order; the
-    result may differ from the canonical one in the last bit."""
-    split = partitions > 1 and grid.n_intervals > 1
-    amp, terms, firsts = _pair_terms(g, grid, lag, spec, x0, x1, measure, split)
-    return amp * (_partitioned_sum(terms, firsts) if split else fsum_complex(terms))
+    blocks = [np.zeros(0, dtype=complex)]
+    blocks += [t for _, t in path_sum_terms(g, grid, lag, spec, x0, x1, measure)]
+    return amp * fsum_complex(np.concatenate(blocks))
 
 
 @dataclass(frozen=True)
 class PropagatorTable:
-    """Amplitudes indexed by endpoint pair over a fixed grid span, and the
-    same amplitudes in the canonical summation order: the amplitudes
-    themselves when they were summed canonically, None when they were
-    partitioned and the canonical order was not asked for."""
+    """Amplitudes indexed by endpoint pair over a fixed grid span."""
 
     grid: TimeGrid
     amplitudes: dict        # (x0, x1) -> complex
-    canonical: dict | None  # (x0, x1) -> complex, canonical order
 
     def rows(self):
         t0, t1 = self.grid.times[0], self.grid.times[-1]
@@ -154,27 +123,14 @@ class PropagatorTable:
 
 
 def propagator_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
-                     spec: StateSpec, measure: GroupoidMeasure | None = None,
-                     partitions: int = 1, canonical: bool = False) -> PropagatorTable:
-    """The amplitude of every endpoint pair, in the summation order that
-    partitions selects.  With canonical=True a partitioned table also sums
-    each pair in the canonical order, from the same enumeration."""
-    split = partitions > 1 and grid.n_intervals > 1
-    amps, canon = {}, {}
+                     spec: StateSpec,
+                     measure: GroupoidMeasure | None = None) -> PropagatorTable:
+    """The amplitude of every endpoint pair, one finite_propagator each."""
+    amps = {}
     for x0 in range(g.n_objects):
         for x1 in range(g.n_objects):
-            if split and canonical:
-                amp, terms, firsts = _pair_terms(g, grid, lag, spec, x0, x1, measure, True)
-                amps[(x0, x1)] = amp * _partitioned_sum(terms, firsts)
-                canon[(x0, x1)] = amp * fsum_complex(terms)
-            else:
-                amps[(x0, x1)] = finite_propagator(g, grid, lag, spec, x0, x1,
-                                                   measure, partitions)
-    if not split:
-        canon = amps
-    elif not canonical:
-        canon = None
-    return PropagatorTable(grid, amps, canon)
+            amps[(x0, x1)] = finite_propagator(g, grid, lag, spec, x0, x1, measure)
+    return PropagatorTable(grid, amps)
 
 
 def transfer_oracle_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
@@ -188,7 +144,7 @@ def transfer_oracle_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     for x0 in range(g.n_objects):
         for x1 in range(g.n_objects):
             amps[(x0, x1)] = math.sqrt(p[grid.n_intervals, x1] * p[0, x0]) * A[x1, x0]
-    return PropagatorTable(grid, amps, amps)
+    return PropagatorTable(grid, amps)
 
 
 def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
@@ -201,9 +157,7 @@ def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     out.
 
     table is a propagator_table of the same arguments, if the caller already
-    holds it; its canonical amplitudes are used whatever its summation order.
-    Without a table, or without canonical amplitudes in it, the canonical
-    table is computed here."""
+    holds it; without one the table is computed here."""
     n = grid.n_intervals
     if not (0 < j < n):
         raise ValueError(f"splitting slice {j} must be interior to 0..{n}")
@@ -215,9 +169,9 @@ def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     s1, s2 = spec.sub(grid, 0, j), spec.sub(grid, j, n)
     if table is not None and table.grid != grid:
         raise ValueError("the propagator table spans another grid")
-    if table is None or table.canonical is None:
+    if table is None:
         table = propagator_table(g, grid, lag, spec, measure)
-    full = table.canonical
+    full = table.amplitudes
     first = propagator_table(g, g1, lag, s1, measure).amplitudes
     second = propagator_table(g, g2, lag, s2, measure).amplitudes
     worst = 0.0

@@ -56,6 +56,10 @@ MUTANTS = (
            "if worst > args.tol:",
            "if worst > 1.0:",
            ("tests/test_cli.py", "-k", "tol_gates")),
+    Mutant("propagate-geometry-reads-finite-flags", "src/sumhist/cli.py",
+           "if unread:",
+           "if False:",
+           ("tests/test_cli.py", "-k", "geometry_refuses")),
     Mutant("propagate-residual-gate", "src/sumhist/cli.py",
            "if res > args.tol:",
            "if res > 1.0:",

@@ -133,7 +133,7 @@ def test_propagate_tol_gates_exit_3_on_a_deviation_above_tol(capsys, monkeypatch
         def skewed(*args, **kw):
             t = exact(*args, **kw)
             return sh.PropagatorTable(t.grid, {k: z * (1 + 1e-6) for k, z in
-                                               t.amplitudes.items()}, None)
+                                               t.amplitudes.items()})
         monkeypatch.setattr(cli, "transfer_oracle_table", skewed)
         argv = ("--oracle", "transfer-matrix")
     else:
@@ -143,6 +143,24 @@ def test_propagate_tol_gates_exit_3_on_a_deviation_above_tol(capsys, monkeypatch
                          "--lagrangian", "energy:line,0.5", *argv)
     assert code == 3 and out.startswith("x0,")
     assert "1.000e-06" in err
+
+
+@pytest.mark.parametrize("flags, unread", [
+    (("--groupoid", "pair:3"), "--groupoid"),
+    (("--measure", "ow.csv"), "--measure"),
+    (("--dfs", "spec.yaml"), "--dfs"),
+    (("--oracle", "transfer-matrix"), "--oracle"),
+    (("--check", "reproducing"), "--check"),
+    (("--at", "2"), "--at"),
+    (("--oracle", "transfer-matrix", "--check", "reproducing", "--at", "2",
+      "--tol", "1e-30", "--groupoid", "pair:3"), "--groupoid, --oracle, --check, --at"),
+])
+def test_propagate_geometry_refuses_finite_model_flags(capsys, flags, unread):
+    # the geometry route reads no groupoid and runs no finite check, so a
+    # request for either must not pass silently
+    code, out, err = run(capsys, "propagate", "--geometry", "line", "--N", "4", *flags)
+    assert (code, out) == (2, "")
+    assert _one_line_error(err) == f"error: propagate --geometry does not read {unread}"
 
 
 def test_propagate_requires_interior_slice(capsys, tmp_path):
@@ -234,24 +252,21 @@ def test_propagate_geometry_json_format(capsys, tmp_path):
 
 
 def test_propagate_threads_deterministic(capsys, tmp_path):
+    # --threads has no effect on the result: every N gives the canonical sum
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for f, threads in ((f1, "1"), (f2, "4")):
         code, _, _ = run(capsys, "propagate", "--groupoid", "pair:3",
                          "--grid", "0,1,4", "--lagrangian", "energy:line,0.5",
                          "--threads", threads, "--out", str(f))
         assert code == 0
-    a = list(csv.DictReader(f1.open()))
-    b = list(csv.DictReader(f2.open()))
-    for ra, rb in zip(a, b):
-        assert abs(float(ra["re"]) - float(rb["re"])) <= 1e-13
-        assert abs(float(ra["im"]) - float(rb["im"])) <= 1e-13
+    assert f1.read_bytes() == f2.read_bytes()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_reproducing_check_enumerates_each_pair_once(capsys, monkeypatch, threads):
     # pair:3 over 4 intervals split at 2: one enumeration for each of the 9
-    # pairs of the table and the 9 + 9 of the two halves, whatever the
-    # summation order of the table
+    # pairs of the table and the 9 + 9 of the two halves, whatever --threads
+    # says
     calls = []
     inner = sh.propagator.path_sum_terms
 
@@ -311,7 +326,7 @@ def test_converge_failure_exit_code(capsys, tmp_path):
 
 
 def test_converge_requires_geometry(capsys):
-    code, _, err = run(capsys, "converge", "--groupoid", "pair:2")
+    code, _, err = run(capsys, "converge")
     assert code == 2
 
 
@@ -419,6 +434,7 @@ def test_validate_out_writes_the_summary(capsys, tmp_path):
     ("state-check", "--groupoid", "pair:2", "--grid", "0,1,2", "--format", "json"),
     ("propagate", "--groupoid", "pair:2", "--grid", "0,1,2", "--seed", "1"),
     ("converge", "--geometry", "line", "--threads", "2"),
+    ("converge", "--geometry", "line", "--groupoid", "pair:2"),
 ])
 def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:

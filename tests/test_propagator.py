@@ -179,53 +179,11 @@ def test_reproducing_residual_reuses_the_callers_table(rng):
     lag = symmetric_lagrangian(g, rng)
     grid = sh.TimeGrid.uniform(0.0, 1.0, 5)
     table = sh.propagator_table(g, grid, lag, spec, m)
-    # a partitioned table carries the canonical amplitudes only when asked
-    split = sh.propagator_table(g, grid, lag, spec, m, partitions=2, canonical=True)
-    bare = sh.propagator_table(g, grid, lag, spec, m, partitions=2)
-    assert split.canonical == table.amplitudes == table.canonical
-    assert bare.canonical is None and bare.amplitudes == split.amplitudes
     for j in (1, 2, 4):
         given = sh.reproducing_residual(g, grid, lag, spec, j, m, table)
         assert given == sh.reproducing_residual(g, grid, lag, spec, j, m)
-        assert given == sh.reproducing_residual(g, grid, lag, spec, j, m, split)
-        assert given == sh.reproducing_residual(g, grid, lag, spec, j, m, bare)
     with pytest.raises(ValueError, match="another grid"):
         sh.reproducing_residual(g, sh.TimeGrid.uniform(0.0, 2.0, 5), lag, spec, 2, m, table)
-
-
-def test_partitioned_reduction_reproduces_canonical(rng):
-    g = sh.pair_groupoid(4)
-    lag = symmetric_lagrangian(g, rng)
-    spec, m = uniform_setup(g)
-    grid = sh.TimeGrid.uniform(0.0, 1.0, 4)
-    canonical = sh.finite_propagator(g, grid, lag, spec, 0, 3, m)
-    for parts in (2, 4):
-        split = sh.finite_propagator(g, grid, lag, spec, 0, 3, m, partitions=parts)
-        assert abs(split - canonical) <= 1e-13
-
-
-@pytest.mark.parametrize("convention", [sh.INCREMENTAL, sh.ANCHORED])
-def test_partitioned_sum_is_the_sum_of_first_object_partials(rng, convention):
-    g = sh.pair_groupoid(3)
-    m = sh.GroupoidMeasure(g, rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3)[g.src])
-    lag = symmetric_lagrangian(g, rng)
-    p = rng.uniform(0.2, 1.0, (1, 3))
-    p /= (p * m.object_weights).sum()
-    spec = sh.StateSpec(p, convention=convention)
-    grid = sh.TimeGrid.uniform(0.0, 1.0, 4)
-    for x0, x1 in itertools.product(range(g.n_objects), repeat=2):
-        groups = {c: [] for c in range(g.n_objects)}
-        for w in sh.enumerate_histories(g, grid, x0, x1):
-            weight = 1.0
-            for l in sh.links_of(w):
-                weight *= m.fiber_weights[l]
-            for k in range(1, grid.n_intervals):
-                weight *= m.object_weights[w.object_at(k)]
-            s = sh.action(w, lag, convention)
-            groups[w.object_at(1)].append(weight * phase_factor(s, spec.hbar, spec.mode))
-        total = sh.fsum_complex([sh.fsum_complex(groups[c]) for c in range(g.n_objects)])
-        expect = math.sqrt(p[0, x1] * p[0, x0]) * total
-        assert sh.finite_propagator(g, grid, lag, spec, x0, x1, m, partitions=2) == expect
 
 
 def test_deterministic_bit_identical(rng):
@@ -540,16 +498,10 @@ def _loop_terms(g, grid, lag, spec, x0, x1, m):
         yield mids, w * phase_factor(s, spec.hbar, spec.mode)
 
 
-def _loop_propagator(g, grid, lag, spec, x0, x1, m, partitions):
+def _loop_propagator(g, grid, lag, spec, x0, x1, m):
     p = spec.slices(grid)
     amp = math.sqrt(p[grid.n_intervals, x1] * p[0, x0])
-    terms = list(_loop_terms(g, grid, lag, spec, x0, x1, m))
-    if partitions <= 1 or grid.n_intervals < 2:
-        return amp * _loop_fsum_complex(t for _, t in terms)
-    groups = {c: [] for c in range(g.n_objects)}
-    for mids, t in terms:
-        groups[mids[0]].append(t)
-    return amp * _loop_fsum_complex([_loop_fsum_complex(groups[c]) for c in range(g.n_objects)])
+    return amp * _loop_fsum_complex(t for _, t in _loop_terms(g, grid, lag, spec, x0, x1, m))
 
 
 def _block_terms(g, grid, lag, spec, x0, x1, m):
@@ -593,9 +545,8 @@ def test_block_terms_are_bit_identical_to_the_term_loop(name):
                 mids, terms = _block_terms(g, grid, lag, spec, x0, x1, m)
                 assert terms.tobytes() == np.array([t for _, t in ref], complex).tobytes()
                 assert [tuple(r) for r in mids.tolist()] == [c for c, _ in ref]
-                for parts in (1, 2):
-                    assert _bytes(sh.finite_propagator(g, grid, lag, spec, x0, x1, m, parts)) \
-                        == _bytes(_loop_propagator(g, grid, lag, spec, x0, x1, m, parts))
+                assert _bytes(sh.finite_propagator(g, grid, lag, spec, x0, x1, m)) \
+                    == _bytes(_loop_propagator(g, grid, lag, spec, x0, x1, m))
                 checked += len(ref)
     assert checked > 100
 
@@ -614,9 +565,8 @@ def test_block_terms_across_block_boundaries(name, n, pairs):
             _, terms = _block_terms(g, grid, lag, spec, x0, x1, m)
             assert len(terms) > BLOCK
             assert terms.tobytes() == np.array(ref, complex).tobytes()
-            for parts in (1, 2):
-                assert _bytes(sh.finite_propagator(g, grid, lag, spec, x0, x1, m, parts)) \
-                    == _bytes(_loop_propagator(g, grid, lag, spec, x0, x1, m, parts))
+            assert _bytes(sh.finite_propagator(g, grid, lag, spec, x0, x1, m)) \
+                == _bytes(_loop_propagator(g, grid, lag, spec, x0, x1, m))
 
 
 def test_anchored_terms_raise_on_a_missing_composition():
