@@ -57,8 +57,8 @@ def _load_measure(g, arg: str | None) -> GroupoidMeasure:
     return GroupoidMeasure(g, ow, fw)
 
 
-def _load_lagrangian(g, arg: str, grid: TimeGrid, mass: float) -> Lagrangian:
-    if arg == "zero":
+def _load_lagrangian(g, arg: str | None, grid: TimeGrid, mass: float) -> Lagrangian:
+    if arg is None or arg == "zero":
         return zero_lagrangian(g)
     if arg.startswith("energy:"):
         spec = arg.split(":", 1)[1]
@@ -190,7 +190,7 @@ def cmd_state_check(args) -> int:
 
 
 # propagate flags that only a finite groupoid model reads
-_FINITE_ONLY = ("groupoid", "measure", "dfs", "oracle", "check", "at")
+_FINITE_ONLY = ("groupoid", "measure", "lagrangian", "dfs", "oracle", "check", "at")
 
 
 def cmd_propagate(args) -> int:
@@ -235,12 +235,19 @@ def cmd_propagate(args) -> int:
     return status
 
 
-def _slice_config(args, n_slices) -> SliceConfig:
-    total = args.T
+def _slice_config(args) -> SliceConfig:
+    """The slicing of --grid, or of --N and --T (64 slices over time 1.0 by
+    default); a grid fixes both, so it is not given with either."""
     if args.grid:
+        given = [f"--{name}" for name in ("N", "T") if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--grid fixes the slice count and total time; "
+                             f"it is not given with {' or '.join(given)}")
         grid = _parse_grid(args.grid)
-        total = grid.times[-1] - grid.times[0]
-        n_slices = grid.n_intervals
+        n_slices, total = grid.n_intervals, grid.times[-1] - grid.times[0]
+    else:
+        n_slices = 64 if args.N is None else args.N
+        total = 1.0 if args.T is None else args.T
     return SliceConfig(n_slices, total, args.mass, args.hbar, args.mode,
                        args.quad_halfwidth, args.quad_nodes)
 
@@ -262,7 +269,7 @@ def _one_endpoint(args, default: float) -> tuple[float, float]:
 
 
 def _propagate_geometry(args) -> int:
-    cfg = _slice_config(args, args.N)
+    cfg = _slice_config(args)
     if args.geometry == "line":
         x0, x1s = _endpoints(args, [round(-2.0 + 0.5 * k, 10) for k in range(9)])
         method = "quadrature" if cfg.mode == EUCLIDEAN else "recursion"
@@ -285,7 +292,7 @@ def _propagate_geometry(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    cfg = _slice_config(args, args.N)
+    cfg = _slice_config(args)
     sweep = [int(s) for s in args.sweep.split(",")] if args.sweep else None
     if args.geometry == "line":
         sweep = sweep or [1, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -319,7 +326,7 @@ def _add_model(p: argparse.ArgumentParser) -> None:
                                       "pair_x_cyclic:<n>,<k>) or description file")
     p.add_argument("--measure", help="object-weights CSV, optionally "
                                      "OBJ.csv:FIBER.csv")
-    p.add_argument("--lagrangian", default="zero",
+    p.add_argument("--lagrangian",
                    help="'zero', 'energy:line[,spacing]', 'energy:circle[,circumference]', "
                         "or a CSV file")
     p.add_argument("--dfs", help="state-spec YAML (density, hbar, mode, convention)")
@@ -335,8 +342,8 @@ def _add_slicing(p: argparse.ArgumentParser) -> None:
 
 def _add_geometry(p: argparse.ArgumentParser) -> None:
     p.add_argument("--geometry", choices=("line", "circle"))
-    p.add_argument("--N", type=int, default=64, help="slice count")
-    p.add_argument("--T", type=float, default=1.0, help="total time")
+    p.add_argument("--N", type=int, help="slice count")
+    p.add_argument("--T", type=float, help="total time")
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--x1", help="comma-separated endpoint list")
     p.add_argument("--quad-halfwidth", dest="quad_halfwidth", type=float, default=8.0)
@@ -354,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the groupoid axioms")
     p.add_argument("--groupoid", required=True)
     _add_output(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("state-check",
                        help="normalization, symmetry, positivity certificate")
@@ -362,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the random vectors of the identity check")
-    p.set_defaults(func=cmd_state_check)
 
     p = sub.add_parser("propagate", help="endpoint amplitude table")
     _add_model(p)
@@ -375,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=int, help="interior slice for --check reproducing")
     p.add_argument("--oracle", choices=("transfer-matrix",))
     p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("converge", help="error-vs-dt sweep against a reference kernel")
     _add_slicing(p)
@@ -384,15 +388,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", help="comma-separated slice counts")
     p.add_argument("--burnin", type=int, default=8)
     p.add_argument("--floor", type=float, default=1e-9)
-    p.set_defaults(func=cmd_converge)
     return ap
 
 
+_parser = None  # built by the first main call, then reused
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up at each call, so that a rebound cmd_* of this module runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         _check_out(args.out)
-        return args.func(args)
+        return command(args)
     except BrokenPipeError:
         return EXIT_OK
     except (ValueError, OSError, OverflowError) as exc:

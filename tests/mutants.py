@@ -98,6 +98,28 @@ MUTANTS = (
            "if (k, x) in cells:",
            "if False:",
            ("tests/test_cli.py", "-k", "malformed_state_spec")),
+    Mutant("cli-dispatch-bound-at-build", "src/sumhist/cli.py",
+           '        _parser = build_parser()\n'
+           '    args = _parser.parse_args(argv)\n'
+           '    # looked up at each call, so that a rebound cmd_* of this module runs\n'
+           '    command = globals()["cmd_" + args.command.replace("-", "_")]\n',
+           '        _parser = build_parser()\n'
+           '        _parser.bound = dict(globals())\n'
+           '    args = _parser.parse_args(argv)\n'
+           '    command = _parser.bound["cmd_" + args.command.replace("-", "_")]\n',
+           ("tests/test_cli.py", "-k", "rebound")),
+    Mutant("yaml-message-from-fast-loader", "src/sumhist/groupoid.py",
+           "        except yaml.YAMLError:\n            pass\n",
+           "        except yaml.YAMLError:\n            raise\n",
+           ("tests/test_groupoid.py", "-k", "yaml_errors")),
+    Mutant("yaml-fast-loader-takes-any-text", "src/sumhist/groupoid.py",
+           "if FAST_TEXT.fullmatch(text):",
+           "if True:",
+           ("tests/test_groupoid.py", "-k", "parse_yaml")),
+    Mutant("slicing-conflict-unchecked", "src/sumhist/cli.py",
+           "if given:",
+           "if False:",
+           ("tests/test_cli.py", "-k", "grid_is_not_given")),
 )
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sumhist as sh
+from sumhist import cli
 from sumhist.cli import main
 
 
@@ -148,6 +149,8 @@ def test_propagate_tol_gates_exit_3_on_a_deviation_above_tol(capsys, monkeypatch
 @pytest.mark.parametrize("flags, unread", [
     (("--groupoid", "pair:3"), "--groupoid"),
     (("--measure", "ow.csv"), "--measure"),
+    (("--lagrangian", "/nonexistent.csv"), "--lagrangian"),
+    (("--lagrangian", "zero"), "--lagrangian"),
     (("--dfs", "spec.yaml"), "--dfs"),
     (("--oracle", "transfer-matrix"), "--oracle"),
     (("--check", "reproducing"), "--check"),
@@ -161,6 +164,26 @@ def test_propagate_geometry_refuses_finite_model_flags(capsys, flags, unread):
     code, out, err = run(capsys, "propagate", "--geometry", "line", "--N", "4", *flags)
     assert (code, out) == (2, "")
     assert _one_line_error(err) == f"error: propagate --geometry does not read {unread}"
+
+
+@pytest.mark.parametrize("command, flags, given", [
+    ("propagate", ("--N", "4"), "--N"),
+    ("propagate", ("--T", "1"), "--T"),
+    ("converge", ("--N", "64", "--T", "1"), "--N or --T"),
+])
+def test_grid_is_not_given_with_N_or_T(capsys, command, flags, given):
+    # the grid fixes both, so an explicit --N or --T would be overridden unseen
+    code, out, err = run(capsys, command, "--geometry", "line", "--mode", "euclidean",
+                         "--grid", "0,1,4", *flags)
+    assert (code, out) == (2, "")
+    assert _one_line_error(err) == ("error: --grid fixes the slice count and total time; "
+                                    f"it is not given with {given}")
+
+
+def test_grid_alone_slices_as_N_and_T_do(capsys):
+    argv = ("propagate", "--geometry", "line", "--mode", "euclidean", "--x1", "0.5")
+    assert run(capsys, *argv, "--grid", "0,0.5,4") == run(capsys, *argv, "--N", "4", "--T", "0.5")
+    assert run(capsys, *argv) == run(capsys, *argv, "--N", "64", "--T", "1")
 
 
 def test_propagate_requires_interior_slice(capsys, tmp_path):
@@ -820,3 +843,56 @@ def test_out_is_neither_created_nor_truncated_by_a_failing_run(capsys, tmp_path)
         assert code == 2 and "no-such.csv" in _one_line_error(err)
     assert kept.read_text() == "earlier output\n"
     assert not (tmp_path / "new.csv").exists()
+
+
+# main builds one parser per process and looks the command function up per call
+
+
+PAIR2_TABLE = ("propagate", "--groupoid", "pair:2", "--grid", "0,1,2")
+
+
+def test_a_command_rebound_after_the_first_call_is_the_one_that_runs(capsys, monkeypatch):
+    assert run(capsys, "validate", "--groupoid", "pair:2")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.groupoid) or 7)
+    assert run(capsys, "validate", "--groupoid", "pair:3") == (7, "", "")
+    assert seen == ["pair:3"]
+
+
+def test_flags_of_one_call_fall_back_to_their_defaults_in_the_next(capsys, tmp_path,
+                                                                   monkeypatch):
+    before = run(capsys, *PAIR2_TABLE)
+    out = tmp_path / "t.json"
+    assert run(capsys, *PAIR2_TABLE, "--format", "json", "--out", str(out))[:2] == (0, "")
+    assert json.loads(out.read_text())
+    assert run(capsys, *PAIR2_TABLE) == before
+    seen = []
+    monkeypatch.setattr(cli, "cmd_propagate", lambda args: seen.append(vars(args)) or 0)
+    main(["propagate", "--geometry", "line", "--N", "4", "--T", "2", "--lagrangian", "zero",
+          "--format", "json", "--out", str(out)])
+    main(["propagate"])
+    assert {k: seen[1][k] for k in ("geometry", "N", "T", "lagrangian", "format", "out")} == {
+        "geometry": None, "N": None, "T": None, "lagrangian": None, "format": "csv",
+        "out": None}
+
+
+def test_an_argparse_error_leaves_the_next_call_unchanged(capsys):
+    before = run(capsys, *PAIR2_TABLE)
+    with pytest.raises(SystemExit) as exc:
+        main(["propagate", "--groupoid", "pair:3", "--out", "x.csv", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert run(capsys, *PAIR2_TABLE) == before
+
+
+def test_the_parser_is_built_once_across_calls(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    run(capsys, "validate", "--groupoid", "pair:2")
+    run(capsys, *PAIR2_TABLE)
+    run(capsys, "converge", "--geometry", "line", "--mode", "euclidean", "--sweep", "1,2")
+    with pytest.raises(SystemExit):
+        main(["state-check", "--bogus"])
+    assert built == [1]

@@ -1,12 +1,17 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sumhist as sh
 from sumhist import groupoid as groupoid_module
-from sumhist.groupoid import UNDEFINED
+from sumhist.groupoid import UNDEFINED, FastLoader
+from sumhist.io import save_state_spec
 
 from conftest import hom_sets_by_scan, mutated_copy, small_groupoids, stray_ends_groupoid
 
@@ -461,3 +466,142 @@ def test_yaml_errors_are_one_line(tmp_path):
         sh.load_groupoid_file(path)
     assert str(exc.value) == (f"groupoid file {path}, line 2: not valid YAML: "
                               "expected the node content, but found '}'")
+
+
+# parse_yaml against yaml.safe_load: FastLoader (libyaml's parser) reads the
+# files the writers produce as safe_load does, and parse_yaml gives safe_load's
+# data or error on any text.
+
+
+def _outcome(load, text):
+    """('data', repr) or the error that load(text) ends in; repr tells 1 from
+    1.0 and True, and matches nan with nan."""
+    try:
+        return "data", repr(load(text))
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _fast_load(text):
+    return yaml.load(text, Loader=FastLoader)
+
+
+def test_written_documents_take_the_fast_loader_and_read_as_safe_load(tmp_path):
+    path = tmp_path / "doc.yaml"
+    written = []
+    for name in ("pair:1", "pair:3", "cyclic:1", "cyclic:4", "pair_x_cyclic:2,3"):
+        sh.save_groupoid_file(sh.resolve_groupoid(name), path)
+        written.append(path.read_text())
+    densities = (np.full((1, 3), 1 / 3), np.array([[1.0, 0.0]]),
+                 np.array([[0.25, 0.75], [1e-300, 1 - 1e-300], [0.5, 0.5]]))
+    for density, hbar, mode, convention in itertools.product(
+            densities, (1.0, 0.1, 1e-12), ("real", "euclidean"), ("incremental", "anchored")):
+        save_state_spec(sh.StateSpec(density, hbar, mode, convention), path)
+        written.append(path.read_text())
+    for text in written:
+        assert groupoid_module.FAST_TEXT.fullmatch(text)
+        assert _fast_load(text) == yaml.safe_load(text)
+
+
+def _float_text(x):
+    return yaml.safe_dump(x).split("\n")[0]
+
+
+WORD = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
+PLAIN_SCALAR = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(_float_text),
+    st.floats(allow_nan=False).map(repr),
+    st.sampled_from(("0", "-0", "+1", "0o17", "017", "0x1f", "1_000", ".5", "1.",
+                     "-.inf", ".NaN", "1e3", "1.0e-3", "null", "true", "no")),
+    WORD)
+QUOTABLE = st.text(st.one_of(st.characters(min_codepoint=0x20, max_codepoint=0x7e),
+                             st.sampled_from("é∘ψ\t")), max_size=6)
+SCALAR = st.one_of(PLAIN_SCALAR, st.just("~"),
+                   QUOTABLE.map(lambda s: "'" + s.replace("'", "''") + "'"),
+                   QUOTABLE.map(json.dumps))
+SEPARATOR = st.sampled_from((", ", ",", " , ", ",  "))
+PLAIN_CHARS = " abz09_.,:+-[]{}#"   # a sample of FAST_TEXT's characters, newline aside
+
+
+def _comment(chars):
+    return st.one_of(st.just(""), st.text(chars, max_size=8).map(lambda s: " # " + s))
+
+
+@st.composite
+def _flow(draw, scalar, depth=2):
+    """A flow scalar, list or mapping of the description-file row shapes."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return draw(scalar)
+    if draw(st.booleans()):
+        items = draw(st.lists(_flow(scalar, depth - 1), max_size=4))
+        return "[" + draw(SEPARATOR).join(items) + "]"
+    keys = draw(st.lists(WORD, max_size=3, unique=True))
+    sep = draw(SEPARATOR)
+    return "{" + sep.join(f"{k}: {draw(_flow(scalar, depth - 1))}" for k in keys) + "}"
+
+
+@st.composite
+def _format_document(draw, plain=False):
+    """A mapping of the description-file and state-spec keys, each value a flow
+    node or a block list of flow nodes or block mappings, with comments; plain
+    documents hold FAST_TEXT's characters only."""
+    scalar = PLAIN_SCALAR if plain else SCALAR
+    comment = _comment(PLAIN_CHARS if plain else st.characters(min_codepoint=0x20,
+                                                               max_codepoint=0x7e))
+    lines = []
+    keys = ("objects", "morphisms", "units", "inverse", "compose",
+            "hbar", "mode", "convention", "density")
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True)):
+        style = draw(st.sampled_from(("flow", "block", "mapping")))
+        if style == "flow":
+            lines.append(f"{key}: {draw(_flow(scalar))}{draw(comment)}")
+            continue
+        lines.append(f"{key}:{draw(comment)}")
+        indent = draw(st.sampled_from(("", "  ", "    ")))
+        for _ in range(draw(st.integers(1, 3))):
+            lines.append(draw(comment).strip())
+            if style == "block":
+                lines.append(f"{indent}- {draw(_flow(scalar))}{draw(comment)}")
+            else:
+                names = draw(st.lists(st.sampled_from(("id", "src", "tgt")), min_size=1,
+                                      unique=True))
+                lines.append(f"{indent}- {names[0]}: {draw(scalar)}")
+                lines += [f"{indent}  {n}: {draw(scalar)}" for n in names[1:]]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _perturbed(draw, doc, chars):
+    """doc with one to six characters inserted, deleted or replaced."""
+    text = draw(doc)
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from(chars))
+        how = draw(st.sampled_from(("insert", "delete", "replace")))
+        text = text[:i] + ("" if how == "delete" else c) + text[i + (how != "insert"):]
+    return text
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.one_of(_format_document(), _format_document(plain=True)))
+def test_fast_loader_reads_generated_documents_as_safe_load(text):
+    fast = _outcome(_fast_load, text)
+    assert fast[0] == "data" and fast == _outcome(yaml.safe_load, text)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(
+    _perturbed(_format_document(plain=True), PLAIN_CHARS + "\n\n  -"),
+    _perturbed(_format_document(plain=True), PLAIN_CHARS + "\n\t?'\"\\&*!|>%@`\x85\ufeff"),
+    _perturbed(_format_document(), ":,[]{}#-'\"\t ?&*!|>%@`\\\n\x85\ufeff")))
+def test_parse_yaml_gives_safe_loads_data_or_error(text):
+    assert _outcome(groupoid_module.parse_yaml, text) == _outcome(yaml.safe_load, text)
+
+
+def test_deep_nesting_raises_recursion_error_as_safe_load_does(tmp_path):
+    # a C-stack composer would crash here instead (yaml.CSafeLoader does)
+    path = tmp_path / "deep.yaml"
+    path.write_text("[" * 50000 + "]" * 50000)
+    with pytest.raises(RecursionError):
+        groupoid_module.read_yaml(path, "groupoid file")
