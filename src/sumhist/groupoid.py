@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 UNDEFINED = -1
-ASSOC_CHUNK = 1 << 18   # most triples validate_axioms gathers at once
+ASSOC_CHUNK = 1 << 18   # most triples an associativity check gathers at once
 
 
 class CompositionError(ValueError):
@@ -224,6 +224,79 @@ def _hom_index(src: np.ndarray, tgt: np.ndarray, n: int) -> tuple[np.ndarray, np
 
 
 # ---------------------------------------------------------------------------
+# associativity: the composable triples of a table and Light's test
+
+
+def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.nonzero of a 2-D mask, (rows, cols) in row-major order, from one
+    flat scan (several times faster than np.nonzero on a large mask)."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _unassociative_triples(C: np.ndarray, pa: np.ndarray, pb: np.ndarray, middle=None):
+    """The triples (a, b, c) with (a∘b)∘c != a∘(b∘c) of a table whose
+    composable pairs are (pa, pb), in row-major order.  Every pair (a, b),
+    then every c with (b, c) composable, is gathered in (a, b, c) order, at
+    most ASSOC_CHUNK triples at a time, and each chunk is yielded as three
+    index arrays cut to its failing triples.  With a boolean mask middle,
+    only the pairs with middle[b] are gathered.
+
+    C[x, y] is gathered as flat[x*M + y] with intp indices, since M² can
+    exceed the int32 range of the entries."""
+    M = C.shape[0]
+    flat = C.ravel()
+    # row b's composable c are cols[start[b]:start[b] + count[b]], ascending
+    cols = pb
+    count = np.bincount(pa, minlength=M)
+    start = np.cumsum(count) - count
+    if middle is not None:
+        keep = middle[pb]
+        pa, pb = pa[keep], pb[keep]
+    step = max(1, ASSOC_CHUNK // max(int(count.max(initial=0)), 1))
+    for p0 in range(0, len(pa), step):
+        reps = count[pb[p0:p0 + step]]
+        a = np.repeat(pa[p0:p0 + step], reps)
+        b = np.repeat(pb[p0:p0 + step], reps)
+        c = cols[start[b] + np.arange(len(b)) - np.repeat(np.cumsum(reps) - reps, reps)]
+        aM = a * M
+        ab = flat[aM + b].astype(np.intp)
+        bad = flat[ab * M + c] != flat[aM + flat[b * M + c]]
+        yield a[bad], b[bad], c[bad]
+
+
+def _generators(src: np.ndarray, tgt: np.ndarray, pa: np.ndarray, pb: np.ndarray,
+                res: np.ndarray) -> np.ndarray:
+    """Mask of a set that generates every morphism under composition: the
+    morphisms that are not res = a∘b of a composable pair (a, b) of (pa, pb)
+    ordered before them by (target, source, id).  Every other morphism is
+    such an a∘b, so by induction along that order each morphism is a
+    composite of the set."""
+    M = len(src)
+    rank = np.empty(M, dtype=np.intp)
+    rank[np.lexsort((src, tgt))] = np.arange(M)
+    generator = np.ones(M, dtype=bool)
+    generator[res[np.maximum(rank[pa], rank[pb]) < rank[res]]] = False
+    return generator
+
+
+def _light_associative(C: np.ndarray, src: np.ndarray, tgt: np.ndarray,
+                       pa: np.ndarray, pb: np.ndarray, res: np.ndarray) -> bool:
+    """Light's associativity test (A. H. Clifford and G. B. Preston, The
+    Algebraic Theory of Semigroups I, 1961, §1.2) on a table whose
+    composable pairs (pa, pb), in row-major order, compose to res =
+    C[pa, pb], each a morphism src[pb] -> tgt[pa], and whose other pairs are
+    undefined.  True proves (a∘b)∘c == a∘(b∘c) on every composable triple;
+    False means some triple fails.
+
+    Call b middle-associative when the law holds for every a and c
+    composable with it.  Given those endpoints, a composite of two
+    middle-associative morphisms is middle-associative, so it suffices to
+    check the triples whose middle lies in a generating set (_generators)."""
+    generator = _generators(src, tgt, pa, pb, res)
+    return not any(len(a) for a, _, _ in _unassociative_triples(C, pa, pb, generator))
+
+
+# ---------------------------------------------------------------------------
 # constructors
 
 
@@ -236,31 +309,34 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
 
 
 def _check_group_table(cayley: np.ndarray) -> tuple[int, np.ndarray]:
-    """Validate a multiplication table; return (identity, inverses)."""
+    """Validate a multiplication table; return (identity, inverses).
+
+    Associativity is Light's test (_light_associative), as for a groupoid
+    table with one object.  A table that fails it is scanned triple by
+    triple, and the first (a, b, c) that fails names the error."""
     k = cayley.shape[0]
     if cayley.shape != (k, k) or k == 0:
         raise InvalidGroupError("multiplication table must be a nonempty square matrix")
     if cayley.min() < 0 or cayley.max() >= k:
         raise InvalidGroupError("table entries out of range: not closed")
     idx = np.arange(k)
-    ident = [e for e in range(k)
-             if np.array_equal(cayley[e], idx) and np.array_equal(cayley[:, e], idx)]
+    ident = np.flatnonzero((cayley == idx).all(axis=1) & (cayley == idx[:, None]).all(axis=0))
     if len(ident) != 1:
         raise InvalidGroupError("table has no (or no unique) identity element")
-    e = ident[0]
-    # associativity, full triple scan
-    lhs = cayley[cayley, :]            # lhs[a,b,c] = (ab)c
-    rhs = cayley[:, cayley]            # rhs[a,b,c] = a(bc)
-    if not np.array_equal(lhs, rhs):
-        a, b, c = map(int, np.argwhere(lhs != rhs)[0])
+    e = int(ident[0])
+    # every pair composes, in row-major order
+    pa, pb = np.divmod(np.arange(k * k), k)
+    ends = np.zeros(k, dtype=np.intp)
+    if not _light_associative(cayley, ends, ends, pa, pb, cayley.ravel()):
+        a, b, c = next((a[0], b[0], c[0])
+                       for a, b, c in _unassociative_triples(cayley, pa, pb) if len(a))
         raise InvalidGroupError(f"table is not associative at ({a},{b},{c})")
-    inverses = np.full(k, -1, dtype=np.int64)
-    for a in range(k):
-        cand = np.flatnonzero((cayley[a] == e) & (cayley[:, a] == e))
-        if len(cand) != 1:
-            raise InvalidGroupError(f"element {a} has no unique two-sided inverse")
-        inverses[a] = cand[0]
-    return e, inverses
+    # both[a, x]: x is a two-sided inverse of a
+    both = (cayley == e) & (cayley.T == e)
+    bad = np.flatnonzero(np.count_nonzero(both, axis=1) != 1)
+    if len(bad):
+        raise InvalidGroupError(f"element {bad[0]} has no unique two-sided inverse")
+    return e, np.argmax(both, axis=1).astype(np.int64)
 
 
 def group_groupoid(cayley, inverses=None, identity=None, name=None) -> FiniteGroupoid:
@@ -332,29 +408,13 @@ def _product_table(n: int, cayley: np.ndarray) -> np.ndarray:
 
 
 def _associativity_violations(C: np.ndarray, defined: np.ndarray):
-    """Violations of (a∘b)∘c == a∘(b∘c) on the triples the table composes:
+    """Violations of (a∘b)∘c == a∘(b∘c) on every triple the table composes:
     every (a, b) with table[a, b] defined, then every c with table[b, c]
-    defined, in (a, b, c) order, gathered at most ASSOC_CHUNK triples at a
-    time.  defined[a, b] says whether C[a, b] names a morphism.
-
-    C[x, y] is gathered as flat[x*M + y] with intp indices, since M² can
-    exceed the int32 range of the entries."""
-    M = C.shape[0]
-    flat = C.ravel()
-    # np.nonzero is row-major, so row b's defined columns are
-    # pb[start[b]:start[b] + count[b]], ascending
-    pa, pb = np.nonzero(defined)
-    count = np.count_nonzero(defined, axis=1)
-    start = np.cumsum(count) - count
-    step = max(1, ASSOC_CHUNK // max(int(count.max(initial=0)), 1))
-    for p0 in range(0, len(pa), step):
-        reps = count[pb[p0:p0 + step]]
-        a = np.repeat(pa[p0:p0 + step], reps)
-        b = np.repeat(pb[p0:p0 + step], reps)
-        c = pb[start[b] + np.arange(len(b)) - np.repeat(np.cumsum(reps) - reps, reps)]
-        aM = a * M
-        ab = flat[aM + b].astype(np.intp)
-        for i in np.flatnonzero(flat[ab * M + c] != flat[aM + flat[b * M + c]]):
+    defined, in (a, b, c) order.  defined[a, b] says whether C[a, b] names a
+    morphism."""
+    pa, pb = _cells(defined)
+    for a, b, c in _unassociative_triples(C, pa, pb):
+        for i in range(len(a)):
             yield Violation("associativity",
                             f"({a[i]}∘{b[i]})∘{c[i]} != {a[i]}∘({b[i]}∘{c[i]})")
 
@@ -364,6 +424,7 @@ def _violations(g: FiniteGroupoid):
     domain, units, unit and inverse laws, associativity."""
     M, n = g.n_morphisms, g.n_objects
     src, tgt, unit, inv, C = g.src, g.tgt, g.unit_of, g.inverse_of, g.table
+    ends_ok = (src >= 0) & (src < n) & (tgt >= 0) & (tgt < n)
     for name, ends in (("src", src), ("tgt", tgt)):
         for x in np.flatnonzero((ends < 0) | (ends >= n)):
             yield Violation("range", f"{name}[{x}] out of range")
@@ -373,19 +434,22 @@ def _violations(g: FiniteGroupoid):
         yield Violation("unit", f"unit_of[{x}] = {int(unit[x])} is not a morphism")
     for m in np.flatnonzero(~inv_ok):
         yield Violation("inverse", f"inverse_of[{m}] = {int(inv[m])} is not a morphism")
-    for a, b in np.argwhere((C < UNDEFINED) | (C >= M)):
+    stray = _cells((C < UNDEFINED) | (C >= M))
+    for a, b in zip(*stray):
         yield Violation("range", f"table[{a},{b}] = {int(C[a, b])} out of range")
 
     defined = (C >= 0) & (C < M)
     need = src[:, None] == tgt[None, :]
     # composability domain: defined exactly where src[a] == tgt[b]
-    for a, b in np.argwhere(need != (C != UNDEFINED)):
+    gaps = _cells(need != (C != UNDEFINED))
+    for a, b in zip(*gaps):
         word = "missing" if need[a, b] else "spurious"
         yield Violation("domain", f"table[{a},{b}] {word}: defined iff src(a)=tgt(b)")
     # endpoints of defined compositions: s(a∘b)=s(b), t(a∘b)=t(a)
-    da, db = np.nonzero(need & defined)
+    da, db = _cells(need & defined)
     res = C[da, db]
-    for i in np.flatnonzero((src[res] != src[db]) | (tgt[res] != tgt[da])):
+    wrong = np.flatnonzero((src[res] != src[db]) | (tgt[res] != tgt[da]))
+    for i in wrong:
         yield Violation("domain", f"table[{da[i]},{db[i]}] = {res[i]} has wrong endpoints")
 
     for x in np.flatnonzero(unit_ok):
@@ -393,7 +457,6 @@ def _violations(g: FiniteGroupoid):
         if src[u] != x or tgt[u] != x:
             yield Violation("unit", f"unit_of[{x}] = {u} is not an endomorphism of {x}")
     # the unit and inverse laws read unit_of at src and tgt
-    ends_ok = (src >= 0) & (src < n) & (tgt >= 0) & (tgt < n)
     if unit_ok.all() and ends_ok.all():
         ids = np.arange(M)
         for m in np.flatnonzero(C[ids, unit[src]] != ids):
@@ -404,14 +467,22 @@ def _violations(g: FiniteGroupoid):
         i = inv[ms]
         for m in ms[(C[i, ms] != unit[src[ms]]) | (C[ms, i] != unit[tgt[ms]])]:
             yield Violation("inverse", f"inverse law fails for morphism {m}")
+    # with no range or domain violation, (da, db) are all the composable pairs
+    premise = ends_ok.all() and not (len(stray[0]) or len(gaps[0]) or len(wrong))
+    if premise and _light_associative(C, src, tgt, da, db, res):
+        return
     yield from _associativity_violations(C, defined)
 
 
 def validate_axioms(g: FiniteGroupoid, limit: int | None = None) -> ValidationReport:
-    """Exhaustive axiom scan: ranges, composability domain, units, inverses,
-    associativity on every triple the table composes.  Violations are report
-    entries, never exceptions; limit, if given, caps the report at its first
-    limit entries and must be at least 1, since an empty report reads as ok."""
+    """Exhaustive axiom check: ranges, composability domain, units, inverses,
+    associativity on every triple the table composes.  Associativity is
+    proved by Light's test, which compares only the triples whose middle lies
+    in a generating set; every triple is scanned, and each failing one
+    reported in (a, b, c) order, when that test fails or a range or domain
+    violation came first.  Violations are report entries, never exceptions;
+    limit, if given, caps the report at its first limit entries and must be
+    at least 1, since an empty report reads as ok."""
     if limit is not None and limit < 1:
         raise ValueError(f"validate_axioms limit must be at least 1, not {limit}")
     return ValidationReport(tuple(itertools.islice(_violations(g), limit)))
@@ -480,8 +551,9 @@ def parse_yaml(text: str):
 
 
 def read_yaml(path, what: str, error: type[ValueError] = ValueError):
-    """Parsed YAML of a description file.  Invalid YAML raises ``error`` with a
-    one-line message naming what is read, the file, the line and the problem."""
+    """Parsed YAML of a description file.  Invalid YAML, and YAML nested too
+    deeply for the parser's recursion, raise ``error`` with a one-line message
+    naming what is read, the file, the line if known and the problem."""
     try:
         return parse_yaml(Path(path).read_text())
     except yaml.YAMLError as exc:
@@ -489,6 +561,8 @@ def read_yaml(path, what: str, error: type[ValueError] = ValueError):
         where = f", line {mark.line + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
         raise error(f"{what} {path}{where}: not valid YAML: {problem}") from None
+    except RecursionError:
+        raise error(f"{what} {path}: not valid YAML: nested too deeply") from None
 
 
 def is_int(v) -> bool:

@@ -120,6 +120,22 @@ MUTANTS = (
            "if given:",
            "if False:",
            ("tests/test_cli.py", "-k", "grid_is_not_given")),
+    Mutant("light-generators-not-closed", "src/sumhist/groupoid.py",
+           "generator[res[np.maximum(rank[pa], rank[pb]) < rank[res]]] = False",
+           "generator[res] = False",
+           ("tests/test_groupoid.py", "-k", "light_test_reports")),
+    Mutant("light-ignores-domain-violations", "src/sumhist/groupoid.py",
+           "if premise and _light_associative(C, src, tgt, da, db, res):",
+           "if _light_associative(C, src, tgt, da, db, res):",
+           ("tests/test_groupoid.py", "-k", "light_test_reports")),
+    Mutant("state-check-symmetry-row-always-passes", "src/sumhist/cli.py",
+           'f"violations at {bad_pairs[:5]}", "fail"',
+           'f"violations at {bad_pairs[:5]}", "pass"',
+           ("tests/test_cli.py", "-k", "state_check")),
+    Mutant("state-check-density-row-always-passes", "src/sumhist/cli.py",
+           '("density_normalization", str(exc), "fail")',
+           '("density_normalization", str(exc), "pass")',
+           ("tests/test_cli.py", "-k", "state_check")),
 )
 
 

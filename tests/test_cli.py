@@ -101,6 +101,24 @@ def test_state_check_unnormalized_density(capsys, tmp_path):
     assert "normalization" in err
 
 
+def test_state_check_failures_read_fail_in_their_rows(capsys, tmp_path):
+    from sumhist.io import lagrangian_csv, save_state_spec
+    vals = np.zeros(4)
+    vals[1 * 2 + 0] = 1.0
+    lagrangian_csv(vals, tmp_path / "lag.csv")
+    save_state_spec(sh.StateSpec(np.full((1, 2), 0.4)), tmp_path / "state.yaml")
+    base = ("state-check", "--groupoid", "pair:2", "--grid", "0,1,2")
+    for flags, failing, passing in (
+            (("--lagrangian", str(tmp_path / "lag.csv")),
+             "lagrangian_symmetry", "density_normalization"),
+            (("--lagrangian", "zero", "--dfs", str(tmp_path / "state.yaml")),
+             "density_normalization", "lagrangian_symmetry")):
+        code, out, _ = run(capsys, *base, *flags)
+        rows = {r["check"]: r["status"] for r in csv.DictReader(io.StringIO(out))}
+        assert code == 3
+        assert rows == {failing: "fail", passing: "pass"}
+
+
 def test_propagate_finite_with_oracle(capsys, tmp_path):
     out_file = tmp_path / "table.csv"
     code, out, _ = run(capsys, "propagate", "--groupoid", "pair:3",
@@ -470,6 +488,18 @@ def _one_line_error(err):
     lines = err.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("error: ")
     return lines[0]
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("validate", "--groupoid"), "groupoid file"),
+    (("state-check", "--groupoid", "pair:2", "--grid", "0,1,2", "--dfs"), "state spec"),
+])
+def test_deeply_nested_yaml_exits_2_with_one_line(capsys, tmp_path, argv, what):
+    path = tmp_path / "deep.yaml"
+    path.write_text("[" * 600 + "]" * 600)
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert _one_line_error(err) == f"error: {what} {path}: not valid YAML: nested too deeply"
 
 
 def test_measure_id_out_of_range_is_an_input_error(capsys, tmp_path):

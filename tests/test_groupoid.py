@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from sumhist import groupoid as groupoid_module
 from sumhist.groupoid import UNDEFINED, FastLoader
 from sumhist.io import save_state_spec
 
-from conftest import hom_sets_by_scan, mutated_copy, small_groupoids, stray_ends_groupoid
+from conftest import (hom_sets_by_scan, mutated_copy, small_groupoids, stray_ends_groupoid,
+                      units_only_groupoid)
 
 
 def test_pair_groupoid_counts():
@@ -199,6 +201,154 @@ def test_flat_gather_scan_reports_as_the_per_triple_scan(monkeypatch):
     want = [sh.validate_axioms(g, limit).violations for g in bad for limit in limits]
     assert got == want
     assert sum(v.kind == "associativity" for r in want for v in r) > 300
+
+
+# Light's test: validate_axioms proves associativity from the triples whose
+# middle lies in a generating set, and scans every triple only when that test
+# fails or when a range or domain violation came first.
+
+
+def same_hom_set_swaps(g, rng, count):
+    """count copies of g, each with one to three composites a∘b replaced by
+    another morphism of the same hom set src(b) -> tgt(a): the domain and
+    every endpoint stay exact, while associativity and the unit laws may
+    fail."""
+    sizes, homs = g.hom_arrays
+    table = np.asarray(g.table)
+    pa, pb = np.nonzero(table != UNDEFINED)
+    keys = g.src[pb] * g.n_objects + g.tgt[pa]
+    swappable = np.flatnonzero(sizes[keys] > 1)
+    copies = []
+    for _ in range(count):
+        t = table.copy()
+        for i in rng.choice(swappable, size=int(rng.integers(1, 4)), replace=False):
+            hom = homs[keys[i], :sizes[keys[i]]]
+            t[pa[i], pb[i]] = rng.choice(hom[hom != t[pa[i], pb[i]]])
+        copies.append(dataclasses.replace(g, table=t))
+    return copies
+
+
+def hom_set_renamings(g, rng, count):
+    """count copies of g whose table renames two morphisms of one hom set
+    throughout: an isomorphic, so associative, table, read with the units
+    and inverses of g, whose laws may then fail."""
+    sizes, homs = g.hom_arrays
+    table = np.asarray(g.table)
+    copies = []
+    for key in rng.choice(np.flatnonzero(sizes > 1), size=count):
+        x, y = rng.choice(homs[key, :sizes[key]], size=2, replace=False)
+        rename = np.arange(g.n_morphisms)
+        rename[[x, y]] = y, x
+        t = table[rename][:, rename]
+        copies.append(dataclasses.replace(g, table=np.where(t == UNDEFINED, t, rename[t])))
+    return copies
+
+
+def full_scan_reports(monkeypatch, corpus, limits, reference):
+    """validate_axioms reports with Light's test switched off, so that the
+    reference scan decides associativity on every table."""
+    monkeypatch.setattr(groupoid_module, "_light_associative", lambda *args: False)
+    monkeypatch.setattr(groupoid_module, "_associativity_violations", reference)
+    return [sh.validate_axioms(g, limit).violations for g in corpus for limit in limits]
+
+
+def test_light_test_reports_as_the_full_scan(monkeypatch):
+    rng = np.random.default_rng(21)
+    names = ("pair_x_cyclic:2,2", "pair_x_cyclic:3,2", "pair_x_cyclic:2,3",
+             "pair_x_cyclic:3,3", "cyclic:4", "cyclic:5")
+    corpus = []
+    for name in names:
+        g = sh.resolve_groupoid(name)
+        corpus += same_hom_set_swaps(g, rng, 120) + hom_set_renamings(g, rng, 40)
+    # one corrupted compose, inverse or unit entry: among these, range and
+    # domain violations, after which the full scan must decide
+    targets = [sh.resolve_groupoid(name) for name in ("pair:3", "pair_x_cyclic:2,2", "cyclic:4")]
+    corpus += [mutated_copy(targets[i % len(targets)], rng) for i in range(300)]
+    limits = (None, 2)
+    verdicts = []
+    light = groupoid_module._light_associative
+    monkeypatch.setattr(groupoid_module, "_light_associative",
+                        lambda *args: verdicts.append(light(*args)) or verdicts[-1])
+    got = [sh.validate_axioms(g, limit).violations for g in corpus for limit in limits]
+    want = full_scan_reports(monkeypatch, corpus, limits, dense_associativity_violations)
+    assert got == want
+    # the corpus holds tables that the test proves and tables that it refutes
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 500
+    assert sum(v.kind == "associativity" for r in want for v in r) > 5000
+
+
+# the smallest loop that is not a group: a Latin square with identity 0 in
+# which every element is its own two-sided inverse
+LOOP5 = np.array([[0, 1, 2, 3, 4],
+                  [1, 0, 3, 4, 2],
+                  [2, 4, 0, 1, 3],
+                  [3, 2, 4, 0, 1],
+                  [4, 3, 1, 2, 0]])
+
+
+def test_light_test_refutes_a_loop_with_identity_and_inverses(monkeypatch):
+    lhs, rhs = LOOP5[LOOP5, :], LOOP5[:, LOOP5]      # (ab)c and a(bc) over (a, b, c)
+    a, b, c = np.argwhere(lhs != rhs)[0]
+    with pytest.raises(sh.InvalidGroupError) as exc:
+        sh.group_groupoid(LOOP5)
+    assert str(exc.value) == f"table is not associative at ({a},{b},{c})"
+    ends = np.zeros(5, dtype=np.int64)
+    loop = sh.FiniteGroupoid(1, ends, ends.copy(), np.array([0]), np.arange(5),
+                             LOOP5.astype(np.int32), name="loop5")
+    report = sh.validate_axioms(loop)
+    assert report.kinds() == {"associativity"}
+    assert report.violations == full_scan_reports(monkeypatch, [loop], (None,),
+                                                  triple_associativity_violations)[0]
+
+
+def disjoint_union(parts):
+    """The groupoid with the parts side by side, objects and morphisms
+    numbered part after part; no morphism joins two parts."""
+    M = sum(p.n_morphisms for p in parts)
+    table = np.full((M, M), UNDEFINED, dtype=np.int32)
+    fields = [], [], [], []
+    m0 = x0 = 0
+    for p in parts:
+        k = p.n_morphisms
+        table[m0:m0 + k, m0:m0 + k] = np.where(p.table == UNDEFINED, UNDEFINED, p.table + m0)
+        for out, arr in zip(fields, (p.src + x0, p.tgt + x0, p.unit_of + m0, p.inverse_of + m0)):
+            out.append(arr)
+        m0, x0 = m0 + k, x0 + p.n_objects
+    return sh.FiniteGroupoid(x0, *map(np.concatenate, fields), table, name="union")
+
+
+def test_light_test_on_a_disconnected_description_file(tmp_path, monkeypatch):
+    # cyclic:3 on object 0, pair:2 on objects 1 and 2, a lone unit on object 3
+    path = tmp_path / "union.yaml"
+    sh.save_groupoid_file(disjoint_union([sh.cyclic_groupoid(3), sh.pair_groupoid(2),
+                                          sh.pair_groupoid(1)]), path)
+    g = sh.load_groupoid_file(path)
+    pa, pb = np.nonzero(g.table != UNDEFINED)
+    generators = groupoid_module._generators(g.src, g.tgt, pa, pb, g.table[pa, pb])
+    # a generator of Z3 with its unit, the unit and both arrows of pair:2, the lone unit
+    assert np.flatnonzero(generators).tolist() == [0, 1, 3, 4, 5, 7]
+    assert sh.validate_axioms(g).ok
+    units = units_only_groupoid()
+    pa, pb = np.nonzero(units.table != UNDEFINED)
+    assert groupoid_module._generators(units.src, units.tgt, pa, pb,
+                                       units.table[pa, pb]).all()
+    assert sh.validate_axioms(units).ok
+    corpus = same_hom_set_swaps(g, np.random.default_rng(5), 40)
+    got = [sh.validate_axioms(h).violations for h in corpus]
+    assert got == full_scan_reports(monkeypatch, corpus, (None,),
+                                    triple_associativity_violations)
+    assert sum(1 for r in got for v in r if v.kind == "associativity") > 40
+
+
+def test_group_check_needs_no_cube_of_the_order():
+    # the dense (ab)c against a(bc) comparison held two k^3 arrays: 1 GiB here
+    tracemalloc.start()
+    try:
+        g = sh.cyclic_groupoid(400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n_morphisms == 400 and peak < 64 * 2**20
 
 
 def dense_table(g):
@@ -599,9 +749,16 @@ def test_parse_yaml_gives_safe_loads_data_or_error(text):
     assert _outcome(groupoid_module.parse_yaml, text) == _outcome(yaml.safe_load, text)
 
 
-def test_deep_nesting_raises_recursion_error_as_safe_load_does(tmp_path):
+def test_deep_nesting_raises_recursion_error_as_safe_load_does():
     # a C-stack composer would crash here instead (yaml.CSafeLoader does)
-    path = tmp_path / "deep.yaml"
-    path.write_text("[" * 50000 + "]" * 50000)
     with pytest.raises(RecursionError):
-        groupoid_module.read_yaml(path, "groupoid file")
+        groupoid_module.parse_yaml("[" * 50000 + "]" * 50000)
+
+
+@pytest.mark.parametrize("depth", [600, 50000])
+def test_deep_nesting_is_a_one_line_yaml_error(tmp_path, depth):
+    path = tmp_path / "deep.yaml"
+    path.write_text("[" * depth + "]" * depth)
+    with pytest.raises(sh.GroupoidFormatError) as exc:
+        sh.load_groupoid_file(path)
+    assert str(exc.value) == f"groupoid file {path}: not valid YAML: nested too deeply"
