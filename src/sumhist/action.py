@@ -405,7 +405,7 @@ def full_interval_family(g: FiniteGroupoid, grid: TimeGrid) -> HistoryFamily:
     if grid.n_intervals < 1:
         raise ValueError("need at least one interval")
     blocks = [links for x0 in range(g.n_objects) for x1 in range(g.n_objects)
-              for links, _ in _walk_blocks(g, x0, x1, grid.n_intervals)]
+              for links in _walk_blocks(g, x0, x1, grid.n_intervals)]
     return HistoryFamily(g, grid, np.concatenate(blocks))
 
 

@@ -25,6 +25,7 @@ import yaml
 
 UNDEFINED = -1
 ASSOC_CHUNK = 1 << 18   # most triples an associativity check gathers at once
+BUILTIN_CAP = 1 << 22   # most morphisms, and group-table entries, of a builtin name
 
 
 class CompositionError(ValueError):
@@ -492,17 +493,34 @@ def validate_axioms(g: FiniteGroupoid, limit: int | None = None) -> ValidationRe
 # description files and builtin names
 
 
+def _check_builtin_size(n: int, k: int) -> None:
+    """Refuse pair:n × a group of order k before anything is allocated if
+    its n²k morphisms or its k² group-table entries exceed BUILTIN_CAP.
+    Counts below one object or element are left to the constructors."""
+    if n < 1 or k < 1:
+        return
+    for count, what in ((n * n * k, "morphisms"), (k * k, "group-table entries")):
+        if count > BUILTIN_CAP:
+            raise ValueError(f"{count} {what}, above the cap of {BUILTIN_CAP}")
+
+
 def builtin_groupoid(name: str) -> FiniteGroupoid:
-    """Builtin constructors by name: pair:<n>, cyclic:<k>, pair_x_cyclic:<n>,<k>."""
+    """Builtin constructors by name: pair:<n>, cyclic:<k>, pair_x_cyclic:<n>,<k>.
+    Sizes above BUILTIN_CAP are refused (_check_builtin_size)."""
     kind, _, arg = name.partition(":")
     try:
         if kind == "pair":
-            return pair_groupoid(int(arg))
+            n = int(arg)
+            _check_builtin_size(n, 1)
+            return pair_groupoid(n)
         if kind == "cyclic":
-            return cyclic_groupoid(int(arg))
+            k = int(arg)
+            _check_builtin_size(1, k)
+            return cyclic_groupoid(k)
         if kind == "pair_x_cyclic":
-            ns, ks = arg.split(",")
-            return product_with_group(int(ns), cyclic_groupoid(int(ks)))
+            n, k = map(int, arg.split(","))
+            _check_builtin_size(n, k)
+            return product_with_group(n, cyclic_groupoid(k))
     except InvalidGroupError:
         raise
     except ValueError as exc:

@@ -263,59 +263,66 @@ def interior_blocks(n_objects: int, n_mids: int):
 
 
 def _walk_blocks(g: FiniteGroupoid, x0: int, x1: int, n_steps: int):
-    """The link_walks stream as (links, mids) arrays of at most BLOCK rows.
+    """The link_walks stream as link arrays of at most BLOCK rows, one row
+    of n_steps morphism ids per history.
 
-    Each block of interior-object tuples gets its chains' hom sizes; a
-    history is then a row of that block and a mixed-radix index into the
-    row's hom sets, the last step varying fastest."""
+    Each block of interior-object tuples gets its chains' hom sets.  When no
+    hom set holds two morphisms, a tuple is one history if every hom set on
+    its chain is nonempty, and the links are one gather.  Otherwise a
+    history is a row of the block and a mixed-radix index into the row's hom
+    sets, the last step varying fastest."""
     sizes, homs = g.hom_arrays
+    single = homs.shape[1] == 1         # no hom set holds two morphisms
     for mids in interior_blocks(g.n_objects, n_steps - 1):
         chain = np.empty((len(mids), n_steps + 1), dtype=np.intp)
         chain[:, 0] = x0
         chain[:, 1:-1] = mids
         chain[:, -1] = x1
         pairs = chain[:, :-1] * g.n_objects + chain[:, 1:]
-        counts = sizes[pairs].prod(axis=1)
-        ends = counts.cumsum()
-        starts = ends - counts
-        total = int(ends[-1])
+        if single:
+            pairs = pairs[sizes[pairs].all(axis=1)]
+            total = len(pairs)
+        else:
+            counts = sizes[pairs].prod(axis=1)
+            ends = counts.cumsum()
+            starts = ends - counts
+            total = int(ends[-1])
         for start in range(0, total, BLOCK):
-            idx = np.arange(start, min(start + BLOCK, total))
-            row = ends.searchsorted(idx, side="right")
-            steps = pairs[row]
-            if homs.shape[1] == 1:      # no hom set holds two morphisms
-                digits = 0
+            if single:
+                yield homs[pairs[start:start + BLOCK], 0]
             else:
+                idx = np.arange(start, min(start + BLOCK, total))
+                row = ends.searchsorted(idx, side="right")
+                steps = pairs[row]
                 radix = sizes[steps]
                 places = radix[:, ::-1].cumprod(axis=1)[:, ::-1]
-                digits = (idx - starts[row])[:, None] % places // (places // radix)
-            yield homs[steps, digits], mids[row]
+                yield homs[steps, (idx - starts[row])[:, None] % places // (places // radix)]
 
 
 def link_walks(g: FiniteGroupoid, x0: int, x1: int, n_steps: int):
     """Deterministic stream of consistent link tuples from x0 to x1: one
-    (links, mids) pair of int tuples per history, mids being its interior
-    slice objects.
+    tuple of n_steps int morphism ids per history.  The interior slice
+    objects of a history are the targets of all its links but the last.
 
     Lexicographic first in the interior object tuple, then in the per-step
     morphism indices.  This fixed order is the canonical summation order for
     every path sum downstream.  The histories are enumerated in arrays over
-    the groupoid's hom tables and handed out one tuple pair each, so that
-    every history is counted where it is yielded.
+    the groupoid's hom tables (_walk_blocks) and handed out one link tuple
+    each, so that every history is counted where it is yielded.
     """
     if n_steps < 1:
         raise ValueError("need at least one interval")
     if not (0 <= x0 < g.n_objects and 0 <= x1 < g.n_objects):
         raise IndexError(f"object pair ({x0}, {x1}) out of range for {g.n_objects} objects")
-    for links, mids in _walk_blocks(g, x0, x1, n_steps):
-        mid_tuples = zip(*mids.T.tolist()) if n_steps > 1 else itertools.repeat(())
-        yield from zip(zip(*links.T.tolist()), mid_tuples)
+    for links in _walk_blocks(g, x0, x1, n_steps):
+        yield from zip(*links.T.tolist())
 
 
 def enumerate_histories(g: FiniteGroupoid, grid: TimeGrid, x0: int, x1: int):
     """Every future history on the grid from (x0, t_0) to (x1, t_N), each
-    exactly once, in the canonical lexicographic order."""
-    for links, _ in link_walks(g, x0, x1, grid.n_intervals):
+    exactly once, in the canonical lexicographic order: from_links of each
+    link tuple of link_walks."""
+    for links in link_walks(g, x0, x1, grid.n_intervals):
         yield from_links(g, grid, links)
 
 

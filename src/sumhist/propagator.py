@@ -17,7 +17,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -67,7 +66,9 @@ def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
                    measure: GroupoidMeasure | None = None):
     """Blocks (mids, terms) of at most BLOCK histories in canonical order:
     mids[r] holds the interior slice objects of a history w and terms[r] is
-    weight(w) * phase(action(w)).
+    weight(w) * phase(action(w)).  The link tuples of link_walks are read
+    BLOCK at a time into one (rows, n) array, and mids is the targets of
+    every link but the last.
 
     weight(w) is the cylindrical factor: the fiber weight of every link times
     the object weight of every interior slice object, multiplied in that
@@ -79,9 +80,8 @@ def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     walks = link_walks(g, x0, x1, n)
     rows = BLOCK
     while rows == BLOCK:        # a short block ends the stream
-        links = np.fromiter(itertools.chain.from_iterable(
-            map(itemgetter(0), itertools.islice(walks, BLOCK))), dtype=np.intp)
-        links = links.reshape(-1, n)
+        links = np.fromiter(itertools.chain.from_iterable(itertools.islice(walks, BLOCK)),
+                            dtype=np.intp).reshape(-1, n)
         rows = len(links)
         if not rows:
             return
@@ -248,8 +248,11 @@ def velocity_form_propagator(geometry, grid: TimeGrid, spec: StateSpec,
     action mass*v^2*dt/2; the change of summation variables is a bijection with
     unit Jacobian, so this equals the position-form sum exactly.
 
-    Site sequences are taken in blocks; each interval's kinetic value is
-    added left to right from 0.0, as along a single path."""
+    Site sequences are taken in blocks.  The kinetic value of every (site,
+    next site) step is computed once per call into an n_sites x n_sites
+    table, by the same elementwise expression as for one step, and each
+    interval's value is read from it and added left to right from 0.0, as
+    along a single path."""
     if not grid.is_uniform:
         raise ValueError("the velocity form needs a uniform grid")
     n = grid.n_intervals
@@ -259,13 +262,13 @@ def velocity_form_propagator(geometry, grid: TimeGrid, spec: StateSpec,
     h = geometry.spacing
     sites = range(geometry.n_sites)
     steps = np.array([[geometry.displacement_steps(i, j) for j in sites] for i in sites])
+    kinetic = kinetic_lagrangian_value(mass, steps * h / dt, dt)    # site -> next site
     blocks = []
     for mids in interior_blocks(geometry.n_sites, n - 1):
         chain = [np.full(len(mids), x0), *mids.T, np.full(len(mids), x1)]
         s = np.zeros(len(mids))
         for site, nxt in zip(chain, chain[1:]):
-            v = steps[site, nxt] * h / dt
-            s = s + kinetic_lagrangian_value(mass, v, dt)
+            s = s + kinetic[site, nxt]
         blocks.append(phase_factors(s, spec.hbar, spec.mode))
     return amp * fsum_complex(np.concatenate(blocks))
 

@@ -90,6 +90,22 @@ def units_only_groupoid():
         table=np.array([[0, -1], [-1, 1]], dtype=np.int32))
 
 
+def disjoint_union(parts):
+    """The groupoid with the parts side by side, objects and morphisms
+    numbered part after part; no morphism joins two parts."""
+    M = sum(p.n_morphisms for p in parts)
+    table = np.full((M, M), sh.UNDEFINED, dtype=np.int32)
+    fields = [], [], [], []
+    m0 = x0 = 0
+    for p in parts:
+        k = p.n_morphisms
+        table[m0:m0 + k, m0:m0 + k] = np.where(p.table == sh.UNDEFINED, sh.UNDEFINED, p.table + m0)
+        for out, arr in zip(fields, (p.src + x0, p.tgt + x0, p.unit_of + m0, p.inverse_of + m0)):
+            out.append(arr)
+        m0, x0 = m0 + k, x0 + p.n_objects
+    return sh.FiniteGroupoid(x0, *map(np.concatenate, fields), table, name="union")
+
+
 def stray_ends_groupoid():
     """pair:3 with some src/tgt entries outside 0..2, which no hom set or
     fiber may list."""

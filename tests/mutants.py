@@ -86,6 +86,18 @@ MUTANTS = (
            "order = np.argsort(keys)",
            ("tests/test_groupoid.py", "tests/test_histories.py",
             "-k", "per_morphism_scan or hom_arrays")),
+    Mutant("single-lane-keeps-empty-hom-sets", "src/sumhist/histories.py",
+           "pairs = pairs[sizes[pairs].all(axis=1)]",
+           "pairs = pairs",
+           ("tests/test_histories.py", "-k", "link_walks_order")),
+    Mutant("single-lane-drops-a-row-per-block", "src/sumhist/histories.py",
+           "yield homs[pairs[start:start + BLOCK], 0]",
+           "yield homs[pairs[start:start + BLOCK - 1], 0]",
+           ("tests/test_histories.py", "-k", "link_walks_order")),
+    Mutant("builtin-size-unchecked", "src/sumhist/groupoid.py",
+           "if count > BUILTIN_CAP:",
+           "if False:",
+           ("tests/test_groupoid.py", "-k", "size_cap")),
     Mutant("description-file-takes-repeated-rows", "src/sumhist/groupoid.py",
            "if out[tuple(at)] != UNDEFINED:",
            "if False:",

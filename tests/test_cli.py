@@ -42,6 +42,15 @@ def test_validate_unknown_source(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("name, count", [("pair:1000000", 10 ** 12),
+                                         ("cyclic:100000000", 10 ** 8)])
+def test_validate_huge_builtin_exits_2_before_allocating(capsys, name, count):
+    code, out, err = run(capsys, "validate", "--groupoid", name)
+    assert code == 2 and out == ""
+    assert err == (f"error: bad builtin groupoid spec {name!r}: {count} morphisms, "
+                   f"above the cap of {sh.groupoid.BUILTIN_CAP}\n")
+
+
 def test_validate_corrupted_file(capsys, tmp_path):
     g = sh.pair_groupoid(2)
     path = tmp_path / "g.yaml"

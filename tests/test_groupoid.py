@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,8 @@ from sumhist import groupoid as groupoid_module
 from sumhist.groupoid import UNDEFINED, FastLoader
 from sumhist.io import save_state_spec
 
-from conftest import (hom_sets_by_scan, mutated_copy, small_groupoids, stray_ends_groupoid,
-                      units_only_groupoid)
+from conftest import (disjoint_union, hom_sets_by_scan, mutated_copy, small_groupoids,
+                      stray_ends_groupoid, units_only_groupoid)
 
 
 def test_pair_groupoid_counts():
@@ -301,22 +302,6 @@ def test_light_test_refutes_a_loop_with_identity_and_inverses(monkeypatch):
                                                   triple_associativity_violations)[0]
 
 
-def disjoint_union(parts):
-    """The groupoid with the parts side by side, objects and morphisms
-    numbered part after part; no morphism joins two parts."""
-    M = sum(p.n_morphisms for p in parts)
-    table = np.full((M, M), UNDEFINED, dtype=np.int32)
-    fields = [], [], [], []
-    m0 = x0 = 0
-    for p in parts:
-        k = p.n_morphisms
-        table[m0:m0 + k, m0:m0 + k] = np.where(p.table == UNDEFINED, UNDEFINED, p.table + m0)
-        for out, arr in zip(fields, (p.src + x0, p.tgt + x0, p.unit_of + m0, p.inverse_of + m0)):
-            out.append(arr)
-        m0, x0 = m0 + k, x0 + p.n_objects
-    return sh.FiniteGroupoid(x0, *map(np.concatenate, fields), table, name="union")
-
-
 def test_light_test_on_a_disconnected_description_file(tmp_path, monkeypatch):
     # cyclic:3 on object 0, pair:2 on objects 1 and 2, a lone unit on object 3
     path = tmp_path / "union.yaml"
@@ -570,6 +555,28 @@ def test_builtin_names():
     assert sh.builtin_groupoid("pair_x_cyclic:2,3").n_morphisms == 12
     with pytest.raises(sh.GroupoidFormatError):
         sh.builtin_groupoid("moebius:7")
+
+
+@pytest.mark.parametrize("name, count, what", [
+    ("pair:5", 25, "morphisms"),
+    ("cyclic:5", 25, "group-table entries"),
+    ("pair_x_cyclic:3,2", 18, "morphisms"),
+    ("pair_x_cyclic:1,5", 25, "group-table entries"),
+])
+def test_builtin_above_the_size_cap_is_refused_before_it_is_built(monkeypatch, name, count,
+                                                                   what):
+    monkeypatch.setattr(groupoid_module, "BUILTIN_CAP", 16)
+    for at_cap in ("pair:4", "cyclic:4", "pair_x_cyclic:2,4"):    # 16 morphisms or entries
+        sh.builtin_groupoid(at_cap)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a builtin above the cap was built")
+
+    monkeypatch.setattr(groupoid_module, "product_with_group", unbuilt)
+    monkeypatch.setattr(groupoid_module, "cyclic_groupoid", unbuilt)
+    message = f"{name!r}: {count} {what}, above the cap of 16"
+    with pytest.raises(sh.GroupoidFormatError, match=re.escape(message) + "$"):
+        sh.builtin_groupoid(name)
 
 
 ONE_MORPHISM = "objects: 1\nmorphisms:\n  - {id: 0, src: 0, tgt: 0}\n"
