@@ -148,6 +148,18 @@ MUTANTS = (
            '("density_normalization", str(exc), "fail")',
            '("density_normalization", str(exc), "pass")',
            ("tests/test_cli.py", "-k", "state_check")),
+    Mutant("exact-sum-drops-low-half", "src/sumhist/propagator.py",
+           "self.bins[1] += np.bincount(e, m, 2 * _BINADES)",
+           "self.bins[1] += 0.0",
+           ("tests/test_propagator.py", "-k", "exact_sum or fsums_outcome")),
+    Mutant("exact-sum-without-overflow-guard", "src/sumhist/propagator.py",
+           "if not self.magnitude < _GUARD:",
+           "if False:",
+           ("tests/test_propagator.py", "-k", "exact_sum or fsums_outcome or overflowing")),
+    Mutant("validate-table-bytes-unchecked", "src/sumhist/cli.py",
+           "if table_bytes > VALIDATE_TABLE_CAP:",
+           "if False:",
+           ("tests/test_cli.py", "-k", "table_bytes")),
 )
 
 

@@ -51,6 +51,24 @@ def test_validate_huge_builtin_exits_2_before_allocating(capsys, name, count):
                    f"above the cap of {sh.groupoid.BUILTIN_CAP}\n")
 
 
+@pytest.mark.parametrize("name, morphisms", [("pair:5", 25), ("pair_x_cyclic:3,4", 36)])
+def test_validate_refuses_table_bytes_above_the_cap_before_building(capsys, monkeypatch,
+                                                                     name, morphisms):
+    table_bytes = 4 * morphisms ** 2
+    monkeypatch.setattr(cli, "VALIDATE_TABLE_CAP", table_bytes)
+    assert run(capsys, "validate", "--groupoid", name)[0] == 0       # at the cap
+
+    def build(*args):
+        raise AssertionError("the composition table was built")
+
+    monkeypatch.setattr(sh.groupoid, "_product_table", build)
+    monkeypatch.setattr(cli, "VALIDATE_TABLE_CAP", table_bytes - 1)
+    code, out, err = run(capsys, "validate", "--groupoid", name)
+    assert code == 2 and out == ""
+    assert err == (f"error: {name}: its composition table takes {table_bytes} bytes, "
+                   f"above the cap of {table_bytes - 1}\n")
+
+
 def test_validate_corrupted_file(capsys, tmp_path):
     g = sh.pair_groupoid(2)
     path = tmp_path / "g.yaml"

@@ -8,12 +8,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sumhist as sh
+from sumhist import propagator
 from sumhist.action import (ANCHORED, CMATH_EXP_LARGE, EUCLIDEAN, INCREMENTAL, REAL_PHASE,
                             ROW_FSUM_CASCADE, phase_factor, phase_factors, row_fsums)
 from sumhist.histories import BLOCK
-from sumhist.propagator import kinetic_lagrangian_value, path_sum_terms
+from sumhist.propagator import (EXACT_SUM_BINS, exact_sum, kinetic_lagrangian_value,
+                                path_sum_terms)
 
 from conftest import product_walks, symmetric_lagrangian
 
@@ -587,19 +591,22 @@ def test_anchored_terms_raise_on_a_missing_composition():
 
 
 def test_finite_propagator_memory_is_bounded_by_blocks():
-    g = sh.pair_groupoid(6)
+    # pair:3 over 12 intervals has 177147 histories a pair: keeping its terms
+    # for math.fsum peaked at 11.4 MB, and one block's evaluation takes 1 MB
     rng = np.random.default_rng(93)
-    lag = symmetric_lagrangian(g, rng)
-    spec, m = uniform_setup(g)
-    grid = sh.TimeGrid.uniform(0.0, 1.0, 6)
-    sh.finite_propagator(g, grid, lag, spec, 0, 1, m)     # fill the groupoid's caches
-    tracemalloc.start()
-    try:
-        sh.finite_propagator(g, grid, lag, spec, 2, 5, m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    for n_objects, n, bound in ((6, 6, 1 << 20), (3, 12, 2 << 20)):
+        g = sh.pair_groupoid(n_objects)
+        lag = symmetric_lagrangian(g, rng)
+        spec, m = uniform_setup(g)
+        grid = sh.TimeGrid.uniform(0.0, 1.0, n)
+        sh.finite_propagator(g, grid, lag, spec, 0, 1, m)     # fill the groupoid's caches
+        tracemalloc.start()
+        try:
+            sh.finite_propagator(g, grid, lag, spec, 2, n_objects - 1, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (n_objects, n)
 
 
 def _loop_velocity_form(geometry, grid, spec, mass, x0, x1):
@@ -710,3 +717,137 @@ def test_row_fsums_passes_non_finite_sums_through_fsum():
             warnings.simplefilter("error")
             got = row_fsums(np.array(rows))
         assert got.tobytes() == _fsum_rows(rows).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# exact_sum: math.fsum of each part, bit for bit, streamed a block at a time
+
+def _fsum_outcome(re, im):
+    try:
+        return _bits(complex(math.fsum(re), math.fsum(im)))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _sum_outcome(fn):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _bits(fn())
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _complex(re, im):
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _sum_cases(rng):
+    """Seeded parts of every kind that can round differently: random signs
+    and magnitudes, subnormals, cancellation, half-ulp ties, signed zeros and
+    exact zero sums (+0.0 from math.fsum), at lengths on both sides of
+    EXACT_SUM_BINS."""
+    for n in (1, 5, EXACT_SUM_BINS - 1, EXACT_SUM_BINS, 3 * BLOCK + 17):
+        m = 2 * n
+        sign = rng.choice([-1.0, 1.0], m)
+        pairs = rng.standard_normal(n // 2) * 10.0 ** rng.uniform(-20, 20, n // 2)
+        cancel = np.concatenate([pairs, -pairs, [TINY] * (m - 2 * (n // 2))])
+        rng.shuffle(cancel)
+        zero = np.concatenate([pairs, -pairs, [0.0] * (n % 2)])     # sums to exactly 0
+        for v in (rng.standard_normal(m),
+                  sign * 10.0 ** rng.uniform(-320, 300, m),
+                  sign * TINY * rng.integers(0, 1 << 30, m),
+                  cancel,
+                  sign * np.where(rng.random(m) < 0.5, 1.0, 2.0 ** -53),
+                  sign * np.where(rng.random(m) < 0.9, 2.0 ** -1074, 1.0),
+                  rng.choice([0.0, -0.0], m),
+                  np.full(m, -0.0),
+                  np.concatenate([zero, rng.permutation(zero)])):
+            yield v[:n], v[n:]
+
+
+def test_exact_sum_is_bit_identical_to_fsum(monkeypatch):
+    rng = np.random.default_rng(97)
+    checked = 0
+    for fold in (propagator._FOLD, 3000):        # 3000 values: a fold every block
+        monkeypatch.setattr(propagator, "_FOLD", fold)
+        for re, im in _sum_cases(rng):
+            z = _complex(re, im)
+            want = _fsum_outcome(re.tolist(), im.tolist())
+            assert _sum_outcome(lambda: sh.fsum_complex(z)) == want
+            assert _sum_outcome(lambda: sh.fsum_complex(z.tolist())) == want
+            for step in (1, 7, 300, BLOCK):
+                def blocks():
+                    return (z[s:s + step] for s in range(0, len(z), step))
+                assert _sum_outcome(lambda: exact_sum(blocks)) == want, (len(z), step)
+            checked += len(z) >= EXACT_SUM_BINS
+    assert checked == 36
+
+
+@pytest.mark.parametrize("row, error", [
+    ([1.7e308, 1.7e308, -1.7e308], OverflowError),
+    ([math.inf, -math.inf, 1.0], ValueError),
+])
+def test_exact_sum_raises_as_fsum_does(row, error):
+    rng = np.random.default_rng(98)
+    filler = rng.uniform(-2.0, 2.0, EXACT_SUM_BINS + 5).tolist()
+    for values in (row, filler[:7] + row + filler[7:]):
+        with pytest.raises(error) as expected:
+            math.fsum(values)
+        zeros = [0.0] * len(values)
+        for re, im in ((values, zeros), (zeros, values)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error) as got:
+                    sh.fsum_complex(_complex(re, im))
+            assert str(got.value) == str(expected.value)
+
+
+def test_finite_propagator_raises_as_fsum_does_on_overflowing_terms():
+    # euclidean terms of 1e305 each: 2187 histories a pair sum past the float range
+    g = sh.pair_groupoid(3)
+    grid = sh.TimeGrid.uniform(0.0, 1.0, 8)
+    lag = sh.Lagrangian(g, np.full(g.n_morphisms, -math.log(1e305) / 8))
+    spec = sh.uniform_state_spec(g, mode=EUCLIDEAN)
+    m = sh.counting_measure(g)
+    with pytest.raises(OverflowError) as expected:
+        _loop_propagator(g, grid, lag, spec, 0, 2, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as got:
+            sh.finite_propagator(g, grid, lag, spec, 0, 2, m)
+    assert str(got.value) == str(expected.value) == "intermediate overflow in fsum"
+
+
+def test_finite_propagator_sums_a_late_huge_block_as_fsum_does():
+    # only the last histories (interior objects mostly 2) loop at 2 often enough
+    # to reach the guard: it fires after two blocks are binned, and the pair is
+    # summed again through math.fsum
+    g = sh.pair_groupoid(3)
+    grid = sh.TimeGrid.uniform(0.0, 1.0, 8)
+    vals = np.zeros(g.n_morphisms)
+    vals[(g.src == 2) & (g.tgt == 2)] = -math.log(1.7e308) / 7
+    spec = sh.uniform_state_spec(g, mode=EUCLIDEAN)
+    m = sh.counting_measure(g)
+    lag = sh.Lagrangian(g, vals)
+    blocks = [t for _, t in path_sum_terms(g, grid, lag, spec, 0, 2, m)]
+    assert len(blocks) == 3 and np.abs(blocks[1]).max() < 1e300 < np.abs(blocks[2]).max()
+    got = sh.finite_propagator(g, grid, lag, spec, 0, 2, m)
+    assert _bytes(got) == _bytes(_loop_propagator(g, grid, lag, spec, 0, 2, m))
+    assert got.real > 1e307
+
+
+_PARTS = st.lists(st.floats(width=64), min_size=1, max_size=24)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(re=_PARTS, im=_PARTS, long=st.booleans())
+def test_fsum_complex_has_fsums_outcome(re, im, long):
+    n = min(len(re), len(im))
+    re, im = re[:n], im[:n]
+    if long:        # past EXACT_SUM_BINS, so the bins sum it
+        copies = EXACT_SUM_BINS // n + 1
+        re, im = re * copies, im * copies
+    assert _sum_outcome(lambda: sh.fsum_complex(_complex(re, im))) == _fsum_outcome(re, im)
