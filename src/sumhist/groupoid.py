@@ -26,6 +26,7 @@ import yaml
 UNDEFINED = -1
 ASSOC_CHUNK = 1 << 18   # most triples an associativity check gathers at once
 BUILTIN_CAP = 1 << 22   # most morphisms, and group-table entries, of a builtin name
+TABLE_CAP = 1 << 28     # most bytes of an M×M int32 composition table (256 MiB)
 
 
 class CompositionError(ValueError):
@@ -68,18 +69,31 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _check_table_size(M: int, name) -> None:
+    """Refuse the M×M int32 composition table of the groupoid called name
+    before it is allocated if its 4M² bytes exceed TABLE_CAP."""
+    table_bytes = 4 * M * M
+    if table_bytes > TABLE_CAP:
+        raise ValueError(f"{name}: its composition table takes {table_bytes} bytes, "
+                         f"above the cap of {TABLE_CAP}")
+
+
 class _CompositionTable:
     """The ``table`` field of FiniteGroupoid: the table passed at
     construction, or, for a groupoid that composes by its product rule, the
-    table built from that rule on first read and kept.  Either way it is a
-    read-only int32 array."""
+    table filled from ``fiber_blocks`` (so from ``composite``) on first read
+    and kept.  Either way it is a read-only int32 array."""
 
     def __get__(self, g, owner=None):
         if g is None:
             return None         # the field's default: no stored table
         table = g.__dict__["_table"]
         if table is None:
-            table = _product_table(g.n_objects, g.group_factor)
+            M = g.n_morphisms
+            _check_table_size(M, g.name)
+            table = np.full((M, M), UNDEFINED, dtype=np.int32)
+            for fib, block in g.fiber_blocks:
+                table[g.inverse_of[fib][:, None], fib] = block
             table.setflags(write=False)
             g.__dict__["_table"] = table
         return table
@@ -375,33 +389,14 @@ def product_with_group(n: int, group: FiniteGroupoid,
     if n < 1:
         raise ValueError("pair factor needs at least one object")
     k = group.n_morphisms
-    _, y, g, x = _product_coordinates(n, k)
+    ids = np.arange(n * n * k)
+    y, g, x = ids // (n * k), (ids // n) % k, ids % n
     e = group.unit(0)
     ginv = np.asarray(group.inverse_of)
     unit_of = (np.arange(n) * k + e) * n + np.arange(n)
     inverse_of = (x * k + ginv[g]) * n + y
     return FiniteGroupoid(n, x, y, unit_of, inverse_of, name=name or f"{group.name}-pairs:{n}",
                           group_factor=np.asarray(group.table, dtype=np.intp))
-
-
-def _product_coordinates(n: int, k: int):
-    """(ids, y, g, x) of every morphism (y; g; x) of pair:n × a group of order k."""
-    ids = np.arange(n * n * k)
-    return ids, ids // (n * k), (ids // n) % k, ids % n
-
-
-def _product_table(n: int, cayley: np.ndarray) -> np.ndarray:
-    """The int32 composition table of pair:n × the group with this Cayley
-    table, written from its composable pairs."""
-    k = cayley.shape[0]
-    M = n * n * k
-    ids, y, g, x = _product_coordinates(n, k)
-    # (ya; ga; xa)∘(yb; gb; xb) = (ya; ga·gb; xb) defined iff xa == yb: row a
-    # of the table, read as (yb, gb, xb), is defined only in its block yb = xa
-    table = np.full((M, n, k, n), UNDEFINED, dtype=np.int32)
-    head = (y * k)[:, None] + cayley.astype(np.int32)[g]    # (M, k)
-    table[ids, x] = head[:, :, None] * n + np.arange(n, dtype=np.int32)
-    return table.reshape(M, M)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +634,7 @@ def load_groupoid_file(path) -> FiniteGroupoid:
     if n < 1 or not morphs:
         raise GroupoidFormatError(f"{path}: need at least one object and one morphism")
     M = len(morphs)
+    _check_table_size(M, path)
     if n > M:
         raise GroupoidFormatError(f"{path}: {n} objects need at least {n} morphisms, "
                                   "one unit each")

@@ -156,10 +156,26 @@ MUTANTS = (
            "if not self.magnitude < _GUARD:",
            "if False:",
            ("tests/test_propagator.py", "-k", "exact_sum or fsums_outcome or overflowing")),
-    Mutant("validate-table-bytes-unchecked", "src/sumhist/cli.py",
-           "if table_bytes > VALIDATE_TABLE_CAP:",
+    Mutant("validate-table-bytes-unchecked", "src/sumhist/groupoid.py",
+           "if table_bytes > TABLE_CAP:",
            "if False:",
            ("tests/test_cli.py", "-k", "table_bytes")),
+    Mutant("description-file-table-bytes-unchecked", "src/sumhist/groupoid.py",
+           "    _check_table_size(M, path)\n",
+           "",
+           ("tests/test_cli.py", "-k", "table_cap")),
+    Mutant("composite-drops-group-product", "src/sumhist/groupoid.py",
+           "c = (ya - ya % k + G[ya % k, yb % k]) * n + xb",
+           "c = ya * n + xb",
+           ("tests/test_cli.py", "-k", "validate")),
+    Mutant("propagate-takes-a-nan-tol", "src/sumhist/cli.py",
+           "if not args.tol >= 0:",
+           "if args.tol < 0:",
+           ("tests/test_cli.py", "-k", "input_errors and tol")),
+    Mutant("propagate-ignores-at-without-check", "src/sumhist/cli.py",
+           "if args.at is not None and not args.check:",
+           "if False:",
+           ("tests/test_cli.py", "-k", "input_errors and at-without")),
 )
 
 

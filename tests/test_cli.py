@@ -51,22 +51,61 @@ def test_validate_huge_builtin_exits_2_before_allocating(capsys, name, count):
                    f"above the cap of {sh.groupoid.BUILTIN_CAP}\n")
 
 
-@pytest.mark.parametrize("name, morphisms", [("pair:5", 25), ("pair_x_cyclic:3,4", 36)])
+@pytest.mark.parametrize("name, g_name, morphisms", [
+    ("pair:5", "pair:5", 25), ("pair_x_cyclic:3,4", "cyclic:4-pairs:3", 36)])
 def test_validate_refuses_table_bytes_above_the_cap_before_building(capsys, monkeypatch,
-                                                                     name, morphisms):
+                                                                     name, g_name, morphisms):
     table_bytes = 4 * morphisms ** 2
-    monkeypatch.setattr(cli, "VALIDATE_TABLE_CAP", table_bytes)
+    monkeypatch.setattr(sh.groupoid, "TABLE_CAP", table_bytes)
     assert run(capsys, "validate", "--groupoid", name)[0] == 0       # at the cap
 
-    def build(*args):
+    def build(g):
         raise AssertionError("the composition table was built")
 
-    monkeypatch.setattr(sh.groupoid, "_product_table", build)
-    monkeypatch.setattr(cli, "VALIDATE_TABLE_CAP", table_bytes - 1)
+    monkeypatch.setattr(sh.FiniteGroupoid, "fiber_blocks", property(build))
+    monkeypatch.setattr(sh.groupoid, "TABLE_CAP", table_bytes - 1)
     code, out, err = run(capsys, "validate", "--groupoid", name)
     assert code == 2 and out == ""
-    assert err == (f"error: {name}: its composition table takes {table_bytes} bytes, "
+    assert err == (f"error: {g_name}: its composition table takes {table_bytes} bytes, "
                    f"above the cap of {table_bytes - 1}\n")
+
+
+def test_a_description_file_above_the_table_cap_is_refused_by_every_command(
+        capsys, monkeypatch, tmp_path):
+    # pair:3 without units, inverses or compositions, which the loader infers
+    path = tmp_path / "big.yaml"
+    path.write_text("objects: 3\nmorphisms:\n" + "".join(
+        f"  - {{id: {y * 3 + x}, src: {x}, tgt: {y}}}\n" for y in range(3) for x in range(3)))
+    path = str(path)        # 9 morphisms, 324 table bytes
+    monkeypatch.setattr(sh.groupoid, "TABLE_CAP", 324)
+    code, out, _ = run(capsys, "validate", "--groupoid", path)         # at the cap
+    assert (code, out) == (0, "big: ok: all groupoid axioms hold\n")
+
+    def indexed(*args):
+        raise AssertionError("the loader read past the morphism rows")
+
+    # the endpoint index comes before the M×M table and the M×M comparison
+    monkeypatch.setattr(sh.groupoid, "_hom_index", indexed)
+    monkeypatch.setattr(sh.groupoid, "TABLE_CAP", 323)
+    for argv in (("validate",), ("propagate", "--grid", "0,1,2"),
+                 ("state-check", "--grid", "0,1,2")):
+        code, out, err = run(capsys, *argv, "--groupoid", path)
+        assert (code, out) == (2, "")
+        assert _one_line_error(err) == (f"error: {path}: its composition table takes 324 bytes, "
+                                        "above the cap of 323")
+
+
+def test_validate_checks_the_rule_that_composite_composes_by(capsys, monkeypatch):
+    def drops_group_product(g, a, b):     # (y_a; g_a; x_b) in place of (y_a; g_a·g_b; x_b)
+        n, k = g.n_objects, g.group_factor.shape[0]
+        ya, xa = divmod(a, n)
+        yb, xb = divmod(b, n)
+        return np.where(xa == yb // k, ya * n + xb, sh.UNDEFINED)
+
+    monkeypatch.setattr(sh.FiniteGroupoid, "composite", drops_group_product)
+    assert run(capsys, "validate", "--groupoid", "pair:3")[0] == 0      # one group element
+    code, out, _ = run(capsys, "validate", "--groupoid", "pair_x_cyclic:2,3")
+    assert code == 3 and "violation" in out
 
 
 def test_validate_corrupted_file(capsys, tmp_path):
@@ -695,6 +734,11 @@ MISSING = "{d}/missing/out.txt"
      "positivity is claimed for the real mode only"),
     (("propagate", *PAIR2, "{d}/huge.csv"), "intermediate overflow in fsum"),
     (("state-check", *PAIR2, "{d}/huge.csv"), "intermediate overflow in fsum"),
+    (("propagate", *PAIR2, "zero", "--oracle", "transfer-matrix", "--tol", "nan"),
+     "--tol must be a non-negative number, not nan"),
+    (("propagate", *PAIR2, "zero", "--oracle", "transfer-matrix", "--tol=-1e-12"),
+     "--tol must be a non-negative number, not -1e-12"),
+    (("propagate", *PAIR2, "zero", "--at", "1"), "--at is read only by --check reproducing"),
 ], ids=["out-validate", "out-state-check", "out-propagate", "out-converge",
         "zero-density-junction", "yaml-syntax", "units-scalar", "compose-short-row",
         "hbar-nan", "T-nan", "grid-nan", "x1-nan", "circle-real-propagate",
@@ -705,7 +749,8 @@ MISSING = "{d}/missing/out.txt"
         "euclidean-overflow-propagate", "euclidean-overflow-state-check",
         "state-check-euclidean", "state-check-euclidean-asymmetric",
         "state-check-euclidean-unnormalized",
-        "action-overflow-propagate", "action-overflow-state-check"])
+        "action-overflow-propagate", "action-overflow-state-check",
+        "tol-nan", "tol-negative", "at-without-check"])
 def test_input_errors_exit_2_with_one_line(capsys, recwarn, tmp_path, argv, message):
     for name, text in CONTRACT_FILES.items():
         (tmp_path / name).write_text(text)

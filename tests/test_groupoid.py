@@ -579,6 +579,15 @@ def test_builtin_above_the_size_cap_is_refused_before_it_is_built(monkeypatch, n
         sh.builtin_groupoid(name)
 
 
+def test_saving_a_builtin_above_the_table_cap_is_refused(monkeypatch, tmp_path):
+    monkeypatch.setattr(groupoid_module, "TABLE_CAP", 4 * 18 ** 2 - 1)
+    sh.save_groupoid_file(sh.pair_groupoid(4), tmp_path / "small.yaml")   # 16 morphisms
+    message = "cyclic:2-pairs:3: its composition table takes 1296 bytes, above the cap of 1295"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        sh.save_groupoid_file(sh.builtin_groupoid("pair_x_cyclic:3,2"), tmp_path / "big.yaml")
+    assert not (tmp_path / "big.yaml").exists()
+
+
 ONE_MORPHISM = "objects: 1\nmorphisms:\n  - {id: 0, src: 0, tgt: 0}\n"
 TWO_LOOPS = ("objects: 1\nmorphisms:\n  - {id: 0, src: 0, tgt: 0}\n"
              "  - {id: 1, src: 0, tgt: 0}\n")
