@@ -1,6 +1,7 @@
 """Lattice geometries underlying the free-motion examples: a segment of the
 line and a circle, with integer sites, exact integer displacements, and the
-geodesic distances used by the energy Lagrangian."""
+geodesic distances used by the energy Lagrangian.  On both, the distance
+between sites i and j depends on |i - j| alone (offset_distances)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+
+def gather_by_offset(row: np.ndarray) -> np.ndarray:
+    """The new n×n array whose (i, j) entry is row[|i - j|], for a row of n
+    values."""
+    # row i is the window w[n - 1 - i : 2n - 1 - i] of w = (row reversed, row[1:])
+    w = np.concatenate((row[:0:-1], row))
+    return np.lib.stride_tricks.sliding_window_view(w, len(row))[::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -37,10 +46,13 @@ class LineLattice:
             raise ValueError(f"step leaves the lattice: {i} + {steps}")
         return j
 
+    def offset_distances(self) -> np.ndarray:
+        """distance(i, j) for each offset |i - j| = 0, ..., n_sites - 1."""
+        return np.arange(self.n_sites) * self.spacing
+
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        idx = np.arange(self.n_sites)
-        d = np.abs(idx[:, None] - idx[None, :]) * self.spacing
+        d = gather_by_offset(self.offset_distances())
         d.setflags(write=False)
         return d
 
@@ -75,11 +87,15 @@ class CircleLattice:
     def step(self, i: int, steps: int) -> int:
         return (i + steps) % self.n_sites
 
+    def offset_distances(self) -> np.ndarray:
+        """distance(i, j) for each offset |i - j| = 0, ..., n_sites - 1: the
+        shorter of the two arcs."""
+        k = np.arange(self.n_sites)
+        return np.minimum(k, self.n_sites - k) * self.spacing
+
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        idx = np.arange(self.n_sites)
-        raw = np.abs(idx[:, None] - idx[None, :])
-        d = np.minimum(raw, self.n_sites - raw) * self.spacing
+        d = gather_by_offset(self.offset_distances())
         d.setflags(write=False)
         return d
 

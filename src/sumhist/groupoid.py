@@ -26,7 +26,7 @@ import yaml
 UNDEFINED = -1
 ASSOC_CHUNK = 1 << 18   # most triples an associativity check gathers at once
 BUILTIN_CAP = 1 << 22   # most morphisms, and group-table entries, of a builtin name
-TABLE_CAP = 1 << 28     # most bytes of an M×M int32 composition table (256 MiB)
+TABLE_CAP = 1 << 28     # most bytes of an n×n table or kernel (256 MiB)
 
 
 class CompositionError(ValueError):
@@ -69,13 +69,12 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _check_table_size(M: int, name) -> None:
-    """Refuse the M×M int32 composition table of the groupoid called name
-    before it is allocated if its 4M² bytes exceed TABLE_CAP."""
-    table_bytes = 4 * M * M
+def check_table_size(n: int, itemsize: int, what: str) -> None:
+    """Refuse an n×n array of itemsize-byte entries (what it is, for the
+    message) before it is allocated if its bytes exceed TABLE_CAP."""
+    table_bytes = itemsize * n * n
     if table_bytes > TABLE_CAP:
-        raise ValueError(f"{name}: its composition table takes {table_bytes} bytes, "
-                         f"above the cap of {TABLE_CAP}")
+        raise ValueError(f"{what} takes {table_bytes} bytes, above the cap of {TABLE_CAP}")
 
 
 class _CompositionTable:
@@ -90,7 +89,7 @@ class _CompositionTable:
         table = g.__dict__["_table"]
         if table is None:
             M = g.n_morphisms
-            _check_table_size(M, g.name)
+            check_table_size(M, 4, f"{g.name}: its composition table")
             table = np.full((M, M), UNDEFINED, dtype=np.int32)
             for fib, block in g.fiber_blocks:
                 table[g.inverse_of[fib][:, None], fib] = block
@@ -634,7 +633,7 @@ def load_groupoid_file(path) -> FiniteGroupoid:
     if n < 1 or not morphs:
         raise GroupoidFormatError(f"{path}: need at least one object and one morphism")
     M = len(morphs)
-    _check_table_size(M, path)
+    check_table_size(M, 4, f"{path}: its composition table")
     if n > M:
         raise GroupoidFormatError(f"{path}: {n} objects need at least {n} morphisms, "
                                   "one unit each")

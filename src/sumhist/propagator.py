@@ -24,8 +24,8 @@ import numpy as np
 from .action import (EUCLIDEAN, REAL_PHASE, Lagrangian, StateSpec,
                      history_actions, phase_factors, phase_sigma)
 from .algebra import GroupoidMeasure, counting_measure
-from .geometry import CircleLattice
-from .groupoid import FiniteGroupoid
+from .geometry import CircleLattice, gather_by_offset
+from .groupoid import FiniteGroupoid, check_table_size
 from .histories import (BLOCK, FUTURE, History, TimeGrid, from_links,
                         interior_blocks, link_walks)
 
@@ -420,6 +420,11 @@ class SliceConfig:
         return self.total_time / self.n_slices
 
 
+# np.exp(x) is exactly 0.0 for every x below this: e^x rounds to 0 below
+# -745.14 (half the least subnormal, 2^-1075)
+EXP_ZERO_BELOW = -760.0
+
+
 def line_kernel(mass: float, hbar: float, t: float, dx: float,
                 mode: str = REAL_PHASE) -> complex:
     """Closed-form free kernel on the line, sqrt(-sigma m / (2 pi hbar t)) *
@@ -482,29 +487,43 @@ def _sliced_line(cfg: SliceConfig, x0: float, x1s, method: str) -> list[complex]
     if cfg.mode != EUCLIDEAN:
         raise ValueError("quadrature evaluation is supported in euclidean mode only")
     L, M = cfg.quad_halfwidth, cfg.quad_nodes
+    if cfg.n_slices > 1:        # one slice builds no kernel
+        check_table_size(M, 8, f"a quadrature kernel of {M} nodes")
     sigma_total = math.sqrt(cfg.hbar * cfg.total_time / cfg.mass)
     for x1 in x1s:
         if L < max(abs(x0), abs(x1)) + 6 * sigma_total:
             warnings.warn("quadrature domain may truncate significant mass; "
                           "increase quad_halfwidth", stacklevel=3)
+    if cfg.n_slices == 1:
+        return [complex(k) for k in _euclidean_slice_row(cfg, np.asarray(x1s, float) - x0)]
     u = np.linspace(-L, L, M)
     wts = np.full(M, u[1] - u[0])
     wts[0] *= 0.5
     wts[-1] *= 0.5
-
-    def k1(a, b):
-        return line_kernel(cfg.mass, cfg.hbar, cfg.dt, a - b, EUCLIDEAN).real
-
-    if cfg.n_slices == 1:
-        return [complex(k1(x1, x0)) for x1 in x1s]
-    # the interior chain: every factor but the last, shared by all endpoints
-    K = np.exp(-cfg.mass * (u[:, None] - u[None, :]) ** 2 / (2 * cfg.hbar * cfg.dt))
+    # the interior chain: every factor but the last, shared by all endpoints;
+    # its kernel is built in place, with exact zeros where exp underflows
+    K = u[:, None] - u[None, :]
+    np.square(K, out=K)
+    K *= -cfg.mass
+    K /= 2 * cfg.hbar * cfg.dt
+    live = K >= EXP_ZERO_BELOW
+    np.exp(K, out=K, where=live)
+    K[~live] = 0.0
     K *= math.sqrt(cfg.mass / (2 * math.pi * cfg.hbar * cfg.dt))
-    v = np.array([k1(ui, x0) for ui in u])
+    v = _euclidean_slice_row(cfg, u - x0)
     for _ in range(cfg.n_slices - 2):
         v = K @ (wts * v)
     # one reduction per endpoint keeps the summation order of a single call
-    return [complex(np.sum(wts * np.array([k1(x1, ui) for ui in u]) * v)) for x1 in x1s]
+    return [complex(np.sum(wts * _euclidean_slice_row(cfg, x1 - u) * v)) for x1 in x1s]
+
+
+def _euclidean_slice_row(cfg: SliceConfig, dx: np.ndarray) -> np.ndarray:
+    """line_kernel(cfg.mass, cfg.hbar, cfg.dt, d, EUCLIDEAN).real for each d
+    of dx, bit for bit: its float operations in its order, with libm exp
+    mapped over the row as phase_factors' euclidean route does."""
+    A, _ = gaussian_slice_params(cfg)
+    x = phase_sigma(EUCLIDEAN) * cfg.mass * dx * dx / (2 * cfg.hbar * cfg.dt)
+    return A.real * np.array(list(map(math.exp, x.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +533,16 @@ def _sliced_line(cfg: SliceConfig, x0: float, x1s, method: str) -> list[complex]
 def lattice_transfer(geometry, cfg: SliceConfig) -> np.ndarray:
     """One-slice lattice kernel with the continuum normalization and the
     Riemann measure factor: N(dt) * spacing * phase(m d^2 / (2 dt))."""
+    n = geometry.n_sites
+    check_table_size(n, 16, f"a lattice transfer matrix of {n} sites")
     norm, _ = gaussian_slice_params(cfg)
-    d = geometry.distance_matrix
+    d = geometry.offset_distances()
     expo = phase_sigma(cfg.mode) * cfg.mass * d * d / (2 * cfg.hbar * cfg.dt)
-    return norm * geometry.spacing * np.exp(expo)
+    # one exp per offset |i - j|, gathered into a new n×n array that the scale
+    # then multiplies in the entrywise formula's expression: numpy multiplies
+    # such a temporary of 256 KiB or more in place, as T * scale, and the
+    # complex product, fused under FMA, rounds by operand order
+    return norm * geometry.spacing * gather_by_offset(np.exp(expo))
 
 
 def lattice_line_propagator(geometry, cfg: SliceConfig, site0: int, site1: int) -> complex:

@@ -41,8 +41,8 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("circle-without-wrap", "src/sumhist/geometry.py",
-           "d = np.minimum(raw, self.n_sites - raw) * self.spacing",
-           "d = raw * self.spacing",
+           "return np.minimum(k, self.n_sites - k) * self.spacing",
+           "return k * self.spacing",
            ("tests/test_continuum.py",)),
     Mutant("assoc-scan-drops-last-c", "src/sumhist/groupoid.py",
            "reps = count[pb[p0:p0 + step]]\n",
@@ -161,7 +161,7 @@ MUTANTS = (
            "if False:",
            ("tests/test_cli.py", "-k", "table_bytes")),
     Mutant("description-file-table-bytes-unchecked", "src/sumhist/groupoid.py",
-           "    _check_table_size(M, path)\n",
+           '    check_table_size(M, 4, f"{path}: its composition table")\n',
            "",
            ("tests/test_cli.py", "-k", "table_cap")),
     Mutant("composite-drops-group-product", "src/sumhist/groupoid.py",
@@ -176,6 +176,26 @@ MUTANTS = (
            "if args.at is not None and not args.check:",
            "if False:",
            ("tests/test_cli.py", "-k", "input_errors and at-without")),
+    Mutant("continuum-kernel-bytes-unchecked", "src/sumhist/propagator.py",
+           "if cfg.n_slices > 1:        # one slice builds no kernel",
+           "if False:",
+           ("tests/test_cli.py", "-k", "kernel_bytes")),
+    Mutant("lattice-transfer-bytes-unchecked", "src/sumhist/propagator.py",
+           '    check_table_size(n, 16, f"a lattice transfer matrix of {n} sites")\n',
+           "",
+           ("tests/test_cli.py", "-k", "kernel_bytes")),
+    Mutant("lattice-transfer-scales-before-gather", "src/sumhist/propagator.py",
+           "return norm * geometry.spacing * gather_by_offset(np.exp(expo))",
+           "return gather_by_offset(norm * geometry.spacing * np.exp(expo))",
+           ("tests/test_continuum.py", "-k", "lattice_transfer_is_bit_identical")),
+    Mutant("quadrature-endpoint-rows-use-numpy-exp", "src/sumhist/propagator.py",
+           "return A.real * np.array(list(map(math.exp, x.tolist())))",
+           "return A.real * np.exp(x)",
+           ("tests/test_continuum.py", "-k", "entrywise")),
+    Mutant("quadrature-kernel-keeps-underflowed-arguments", "src/sumhist/propagator.py",
+           "    K[~live] = 0.0\n",
+           "",
+           ("tests/test_continuum.py", "-k", "entrywise")),
 )
 
 

@@ -95,6 +95,60 @@ def test_a_description_file_above_the_table_cap_is_refused_by_every_command(
                                         "above the cap of 323")
 
 
+def _no_continuum_kernel(monkeypatch):
+    """Make the first step of each continuum kernel raise: the quadrature grid
+    and the lattice's row of offset distances."""
+    def build(*args, **kwargs):
+        raise AssertionError("a continuum kernel was built")
+
+    monkeypatch.setattr(np, "linspace", build)
+    monkeypatch.setattr(sh.CircleLattice, "offset_distances", build)
+
+
+@pytest.mark.parametrize("argv, what, kernel_bytes", [
+    (("propagate", "--geometry", "line", "--N", "4", "--quad-nodes", "20"),
+     "a quadrature kernel of 20 nodes", 8 * 20 ** 2),
+    (("converge", "--geometry", "line", "--sweep", "1,2", "--quad-nodes", "20"),
+     "a quadrature kernel of 20 nodes", 8 * 20 ** 2),
+    (("propagate", "--geometry", "circle", "--N", "1", "--sites", "16"),
+     "a lattice transfer matrix of 16 sites", 16 * 16 ** 2),
+    (("converge", "--geometry", "circle", "--sweep", "1", "--sites", "16"),
+     "a lattice transfer matrix of 16 sites", 16 * 16 ** 2),
+])
+def test_continuum_kernel_bytes_above_the_cap_are_refused_before_building(
+        capsys, monkeypatch, argv, what, kernel_bytes):
+    argv = (*argv, "--mode", "euclidean")
+    monkeypatch.setattr(sh.groupoid, "TABLE_CAP", kernel_bytes)
+    assert run(capsys, *argv)[0] == 0       # at the cap
+    _no_continuum_kernel(monkeypatch)
+    monkeypatch.setattr(sh.groupoid, "TABLE_CAP", kernel_bytes - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert _one_line_error(err) == (f"error: {what} takes {kernel_bytes} bytes, "
+                                    f"above the cap of {kernel_bytes - 1}")
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("propagate", "--geometry", "line", "--N", "4", "--quad-nodes", "5793"),
+     "a quadrature kernel of 5793 nodes takes 268470792 bytes"),
+    (("propagate", "--geometry", "line", "--N", "4", "--quad-nodes", "200000"),
+     "a quadrature kernel of 200000 nodes takes 320000000000 bytes"),
+    (("propagate", "--geometry", "circle", "--N", "4", "--sites", "4097"),
+     "a lattice transfer matrix of 4097 sites takes 268566544 bytes"),
+    (("propagate", "--geometry", "circle", "--N", "4", "--sites", "100000"),
+     "a lattice transfer matrix of 100000 sites takes 160000000000 bytes"),
+    (("converge", "--geometry", "circle", "--sweep", "1,2", "--sites", "60000"),
+     "a lattice transfer matrix of 60000 sites takes 57600000000 bytes"),
+])
+def test_continuum_kernel_bytes_cap_the_node_and_site_counts(capsys, monkeypatch, argv, what):
+    # 8 M² bytes fit the cap up to M = 5792 nodes, 16 n² bytes up to n = 4096 sites
+    assert 8 * 5792 ** 2 <= sh.groupoid.TABLE_CAP < 16 * 4097 ** 2
+    _no_continuum_kernel(monkeypatch)
+    code, out, err = run(capsys, *argv, "--mode", "euclidean")
+    assert (code, out) == (2, "")
+    assert _one_line_error(err) == (f"error: {what}, above the cap of {sh.groupoid.TABLE_CAP}")
+
+
 def test_validate_checks_the_rule_that_composite_composes_by(capsys, monkeypatch):
     def drops_group_product(g, a, b):     # (y_a; g_a; x_b) in place of (y_a; g_a·g_b; x_b)
         n, k = g.n_objects, g.group_factor.shape[0]

@@ -196,14 +196,70 @@ def test_gaussian_slice_params_are_bit_identical_to_branch_formula(mode):
 
 @pytest.mark.parametrize("mode", [REAL_PHASE, EUCLIDEAN])
 def test_lattice_transfer_is_bit_identical_to_branch_formula(mode):
+    # from 128 sites on, the complex n×n array of the branch formula is large
+    # enough (256 KiB) that numpy scales it in place, in another operand order
     rng = np.random.default_rng(82)
-    for k, cfg in enumerate(_seeded_configs(83, 120, mode)):
-        n_sites = int(rng.integers(1, 40))
+    small = _seeded_configs(83, 120, mode)
+    for k, cfg in enumerate(small + _seeded_configs(84, 10, mode)):
+        n_sites = int(rng.integers(1, 40)) if k < len(small) else (128, 512)[k // 2 % 2]
         geom = (CircleLattice(n_sites, float(rng.uniform(0.5, 10.0))) if k % 2
                 else LineLattice(n_sites, float(rng.uniform(0.05, 2.0))))
         got = lattice_transfer(geom, cfg)
         want = _branch_lattice_transfer(geom, cfg)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), cfg
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 7, 40])
+def test_distance_matrix_is_the_pairwise_distance(n_sites):
+    for geom in (LineLattice(n_sites, 0.37, origin=-1.0), CircleLattice(n_sites, 5.3)):
+        want = [[geom.distance(i, j) for j in range(n_sites)] for i in range(n_sites)]
+        d = geom.distance_matrix
+        assert d.tobytes() == np.array(want).tobytes() and not d.flags.writeable
+        assert d[0].tobytes() == geom.offset_distances().tobytes()
+
+
+def _parent_quadrature(cfg, x0, x1s):
+    """The quadrature route as first written: endpoint rows of scalar
+    line_kernel calls and the kernel as one full-matrix np.exp."""
+    L, M = cfg.quad_halfwidth, cfg.quad_nodes
+    u = np.linspace(-L, L, M)
+    wts = np.full(M, u[1] - u[0])
+    wts[0] *= 0.5
+    wts[-1] *= 0.5
+
+    def k1(a, b):
+        return sh.line_kernel(cfg.mass, cfg.hbar, cfg.dt, a - b, EUCLIDEAN).real
+
+    if cfg.n_slices == 1:
+        return [complex(k1(x1, x0)) for x1 in x1s]
+    K = np.exp(-cfg.mass * (u[:, None] - u[None, :]) ** 2 / (2 * cfg.hbar * cfg.dt))
+    K *= math.sqrt(cfg.mass / (2 * math.pi * cfg.hbar * cfg.dt))
+    v = np.array([k1(ui, x0) for ui in u])
+    for _ in range(cfg.n_slices - 2):
+        v = K @ (wts * v)
+    return [complex(np.sum(wts * np.array([k1(x1, ui) for ui in u]) * v)) for x1 in x1s]
+
+
+def test_quadrature_is_bit_identical_to_the_entrywise_formula():
+    rng = np.random.default_rng(91)
+    # a kernel that underflows over most of its entries, then the smallest grids
+    cfgs = [SliceConfig(512, 1.0, mode=EUCLIDEAN, quad_halfwidth=10.0, quad_nodes=800)]
+    cfgs += [SliceConfig(n, 0.7, 1.3, 0.8, EUCLIDEAN, 1.5, m) for n in (1, 2, 3) for m in (2, 3)]
+    for _ in range(24):
+        n, m = int(rng.integers(1, 65)), int(rng.integers(2, 300))
+        total, mass, hbar = (float(x) for x in rng.uniform(0.05, 3.0, 3))
+        cfgs.append(SliceConfig(n, total, mass, hbar, EUCLIDEAN,
+                                float(rng.uniform(1.0, 12.0)), m))
+    big = cfgs[0]
+    assert (-big.mass * (2 * big.quad_halfwidth) ** 2 / (2 * big.hbar * big.dt)
+            < sh.propagator.EXP_ZERO_BELOW)
+    for cfg in cfgs:
+        x0 = float(rng.uniform(-2.0, 2.0))
+        xs = [float(x) for x in rng.uniform(-3.0, 3.0, 4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # the truncating domains
+            got = sh.sliced_line_propagators(cfg, x0, xs, "quadrature")
+        assert _zbytes(got) == _zbytes(_parent_quadrature(cfg, x0, xs)), cfg
 
 
 def test_slice_config_refuses_unknown_mode():
