@@ -34,10 +34,9 @@ from .propagator import (ConvergenceRow, PropagatorTable, SliceConfig,
                          sliced_line_propagators, transfer_matrix,
                          transfer_oracle_table, transfer_power,
                          velocity_form_propagator, velocity_path_to_history)
-from .states import (GnsRepresentation, PhaseState, PositivityCertificate,
-                     certify_positive_type, gns_apply,
-                     gns_matrix, gns_norm_sq, gns_vector, is_normalized,
-                     positivity_form, state_value)
+from .states import (FactorizedForm, PhaseState, PositivityCertificate,
+                     certify_positive_type, gns_matrix, gns_norm_sq,
+                     gns_vector, is_normalized, positivity_form, state_value)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .algebra import GroupoidMeasure, counting_measure
 from .groupoid import UNDEFINED, FiniteGroupoid
 from .histories import (FUTURE, History, HistoryWord, TimeGrid, _walk_blocks,
                         from_links, invert_history, links_of, reduce_word)
-from .states import PositivityCertificate
+from .states import FactorizedForm, PositivityCertificate
 
 INCREMENTAL = "incremental"
 ANCHORED = "anchored"
@@ -424,29 +424,18 @@ def family_targets(state: HistoryState, family: HistoryFamily) -> np.ndarray:
     return k * state.groupoid.n_objects + family.groupoid.tgt[family.links[:, -1]]
 
 
-def family_blocks(state: HistoryState, family: HistoryFamily) -> list:
-    """The target blocks of the family: (member indices, psi) per target
-    point, in ascending target order, every member in exactly one block."""
-    tgts = family_targets(state, family)
-    order = np.argsort(tgts, kind="stable")
-    cuts = np.flatnonzero(np.diff(tgts[order])) + 1
-    psi = family_psi(state, family)
-    return [(idx, psi[idx]) for idx in np.split(order, cuts)]
+def family_form(state: HistoryState, family: HistoryFamily) -> FactorizedForm:
+    """The state's form over the family: family_psi at family_targets, unit weights."""
+    return FactorizedForm(family_psi(state, family), family_targets(state, family),
+                          state.n_points)
 
 
-def family_form_matrix(state: HistoryState, family, via: str = "factorized") -> np.ndarray:
+def family_form_matrix(state: HistoryState, family) -> np.ndarray:
     """Positivity form matrix of the state over functions supported on the
-    family.  'factorized' assembles conj(psi_u) psi_v on matching targets;
-    'words' evaluates the state on every reduced pair word v then u^-1 (slow,
-    used as an independent cross-check)."""
+    family, the state evaluated on every reduced pair word v then u^-1: slow,
+    and independent of the factorization psi, so a cross-check of it."""
     n = len(family)
     Q = np.zeros((n, n), dtype=complex)
-    if via == "factorized":
-        for idx, psi in family_blocks(state, family):
-            Q[np.ix_(idx, idx)] = np.conj(psi)[:, None] * psi[None, :]
-        return Q
-    if via != "words":
-        raise ValueError(f"unknown assembly route {via!r}")
     tgts = family_targets(state, family)
     members = list(family)
     for i, u in enumerate(members):
@@ -458,23 +447,14 @@ def family_form_matrix(state: HistoryState, family, via: str = "factorized") -> 
 
 def family_certificate(state: HistoryState, family,
                        tol: float = 1e-10) -> PositivityCertificate:
-    """Closed-form positivity certificate of the state over the family.  The
-    form is block diagonal by target point, the block of target b is the
-    rank-one conj(psi_b) psi_b^T with eigenvalues 0 (two members or more) and
-    |psi_b|^2, and it is exactly Hermitian in IEEE arithmetic."""
-    lam_min = min((0.0 if len(idx) > 1 else float(np.vdot(psi, psi).real)
-                   for idx, psi in family_blocks(state, family)), default=0.0)
-    verdict = "positive" if lam_min >= -tol else "indefinite"
-    return PositivityCertificate(lam_min, len(family), verdict)
+    """Closed-form positivity certificate of the state over the family."""
+    return family_form(state, family).certificate(tol)
 
 
 def family_gns_vector(state: HistoryState, family, f_values) -> np.ndarray:
     """Vector over (object, slice) points: at each target point, the sum of
-    f(w) psi(w) over family members ending there (unit fiber weights)."""
-    f = np.asarray(f_values, dtype=complex)
-    out = np.zeros(state.n_points, dtype=complex)
-    np.add.at(out, family_targets(state, family), f * family_psi(state, family))
-    return out
+    f(w) psi(w) over family members ending there (unit weights)."""
+    return family_form(state, family).vector(f_values)
 
 
 def family_form_value(state: HistoryState, family, f_values,
@@ -482,7 +462,9 @@ def family_form_value(state: HistoryState, family, f_values,
     """Quadratic form of the state at f supported on the family: the sum over
     target blocks of |psi_b^T f_b|^2 ('factorized', linear cost), or
     conj(f)^T Q f with the dense 'words' form matrix."""
-    f = np.asarray(f_values, dtype=complex)
     if via == "factorized":
-        return complex(sum(abs(psi @ f[idx]) ** 2 for idx, psi in family_blocks(state, family)))
-    return complex(np.conj(f) @ family_form_matrix(state, family, via=via) @ f)
+        return family_form(state, family).value(f_values)
+    if via != "words":
+        raise ValueError(f"unknown assembly route {via!r}")
+    f = np.asarray(f_values, dtype=complex)
+    return complex(np.conj(f) @ family_form_matrix(state, family) @ f)

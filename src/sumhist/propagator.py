@@ -171,11 +171,9 @@ def transfer_power(T: np.ndarray, n_steps: int,
 def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
                    spec: StateSpec, x0: int, x1: int,
                    measure: GroupoidMeasure | None = None):
-    """Blocks (mids, terms) of at most BLOCK histories in canonical order:
-    mids[r] holds the interior slice objects of a history w and terms[r] is
-    weight(w) * phase(action(w)).  The link tuples of link_walks are read
-    BLOCK at a time into one (rows, n) array, and mids is the targets of
-    every link but the last.
+    """Blocks of at most BLOCK terms in canonical history order: the term of
+    a history w is weight(w) * phase(action(w)).  The link tuples of
+    link_walks are read BLOCK at a time into one (rows, n) array.
 
     weight(w) is the cylindrical factor: the fiber weight of every link times
     the object weight of every interior slice object, multiplied in that
@@ -192,14 +190,13 @@ def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
         rows = len(links)
         if not rows:
             return
-        mids = g.tgt[links[:, :-1]]
         w = fw[links[:, 0]]
         for k in range(1, n):
             w *= fw[links[:, k]]
         for k in range(n - 1):
-            w *= ow[mids[:, k]]
+            w *= ow[g.tgt[links[:, k]]]
         s = history_actions(g, grid, lag, spec.convention, links)
-        yield mids, w * phase_factors(s, spec.hbar, spec.mode)
+        yield w * phase_factors(s, spec.hbar, spec.mode)
 
 
 def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
@@ -215,8 +212,7 @@ def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     math.fsum over the full term list."""
     p = spec.slices(grid)
     amp = math.sqrt(p[grid.n_intervals, x1] * p[0, x0])
-    return amp * exact_sum(
-        lambda: (t for _, t in path_sum_terms(g, grid, lag, spec, x0, x1, measure)))
+    return amp * exact_sum(lambda: path_sum_terms(g, grid, lag, spec, x0, x1, measure))
 
 
 @dataclass(frozen=True)
@@ -538,11 +534,8 @@ def lattice_transfer(geometry, cfg: SliceConfig) -> np.ndarray:
     norm, _ = gaussian_slice_params(cfg)
     d = geometry.offset_distances()
     expo = phase_sigma(cfg.mode) * cfg.mass * d * d / (2 * cfg.hbar * cfg.dt)
-    # one exp per offset |i - j|, gathered into a new n×n array that the scale
-    # then multiplies in the entrywise formula's expression: numpy multiplies
-    # such a temporary of 256 KiB or more in place, as T * scale, and the
-    # complex product, fused under FMA, rounds by operand order
-    return norm * geometry.spacing * gather_by_offset(np.exp(expo))
+    # T first: the complex product, fused under FMA, rounds by operand order
+    return gather_by_offset(np.exp(expo)) * (norm * geometry.spacing)
 
 
 def lattice_line_propagator(geometry, cfg: SliceConfig, site0: int, site1: int) -> complex:

@@ -9,6 +9,10 @@ Factorized candidates phi(m) = sqrt(p(src m) p(tgt m)) * exp(i S(m) / hbar),
 with p a density on objects and S additive under composition, carry a GNS
 representation on functions on the object space with cyclic vector the image
 of the algebra unit.
+
+FactorizedForm is the one core of both GNS constructions: gns_vector takes
+the morphisms of a groupoid as its carrier, and the family_* functions of the
+action module take a family of grid histories.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import GroupoidMeasure, convolve
+from .algebra import GroupoidMeasure
 from .groupoid import FiniteGroupoid
 
 
@@ -132,14 +136,57 @@ class PhaseState:
         return np.sqrt(self.density[self.groupoid.src]) * self.phase
 
 
+@dataclass(frozen=True, eq=False)
+class FactorizedForm:
+    """The positivity form of a factorized state over a carrier set: its
+    entry on a pair (u, v) of elements with a common target is
+    weight(u) weight(v) conj(psi_u) psi_v, and zero on any other pair."""
+
+    psi: np.ndarray                     # Gram factor per element
+    targets: np.ndarray                 # index of each element's target point
+    n_points: int
+    weights: np.ndarray | None = None   # per element; None means unit
+
+    @cached_property
+    def blocks(self) -> list[np.ndarray]:
+        """Element indices per target point, ascending by target, each in
+        ascending order: one stable sort."""
+        order = np.argsort(self.targets, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(self.targets[order])) + 1)
+
+    def _weighted(self, f) -> np.ndarray:
+        f = np.asarray(f, dtype=complex)
+        return f if self.weights is None else self.weights * f
+
+    def vector(self, f) -> np.ndarray:
+        """GNS vector over the points: at b, the sum of weight * f * psi over
+        the elements with target b."""
+        out = np.zeros(self.n_points, dtype=complex)
+        np.add.at(out, self.targets, self._weighted(f) * self.psi)
+        return out
+
+    def value(self, f) -> complex:
+        """The form at f: the sum over target blocks of |psi_b^T (weight f)_b|^2,
+        at linear cost."""
+        f = self._weighted(f)
+        return complex(sum(abs(self.psi[idx] @ f[idx]) ** 2 for idx in self.blocks))
+
+    def certificate(self, tol: float = 1e-10) -> PositivityCertificate:
+        """Closed-form positivity certificate: the block of target b is the
+        rank-one conj(a_b) a_b^T, a = weight * psi, exactly Hermitian, with
+        eigenvalues 0 (two elements or more) and |a_b|^2."""
+        a = self.psi if self.weights is None else self.weights * self.psi
+        lam_min = min((0.0 if len(idx) > 1 else float(np.vdot(a[idx], a[idx]).real)
+                       for idx in self.blocks), default=0.0)
+        verdict = "positive" if lam_min >= -tol else "indefinite"
+        return PositivityCertificate(lam_min, len(self.psi), verdict)
+
+
 def gns_vector(state: PhaseState, f: np.ndarray, m: GroupoidMeasure) -> np.ndarray:
     """Vector over objects: at a, the fiber sum of nu_fiber(w) f(w) psi(w) for
     w with target a."""
     g = state.groupoid
-    terms = m.fiber_weights * np.asarray(f, dtype=complex) * state.psi
-    out = np.zeros(g.n_objects, dtype=complex)
-    np.add.at(out, g.tgt, terms)
-    return out
+    return FactorizedForm(state.psi, g.tgt, g.n_objects, m.fiber_weights).vector(f)
 
 
 def gns_norm_sq(vec: np.ndarray, m: GroupoidMeasure) -> float:
@@ -156,33 +203,3 @@ def gns_matrix(state: PhaseState, algebra_element: np.ndarray,
     out = np.zeros((g.n_objects, g.n_objects), dtype=complex)
     np.add.at(out, (g.tgt, g.src), terms)
     return out
-
-
-def gns_apply(state: PhaseState, algebra_element: np.ndarray, f: np.ndarray,
-              m: GroupoidMeasure) -> np.ndarray:
-    """The vector of the convolution product: image of g ⋆ f under gns_vector."""
-    return gns_vector(state, convolve(algebra_element, f, m), m)
-
-
-@dataclass(frozen=True, eq=False)
-class GnsRepresentation:
-    """Carrier of the representation induced by a factorized state: functions on
-    objects, with cyclic vector the image of the algebra unit."""
-
-    state: PhaseState
-    measure: GroupoidMeasure
-
-    @property
-    def dim(self) -> int:
-        return self.state.groupoid.n_objects
-
-    @cached_property
-    def cyclic_vector(self) -> np.ndarray:
-        from .algebra import unit_element
-        return gns_vector(self.state, unit_element(self.state.groupoid), self.measure)
-
-    def vector(self, f: np.ndarray) -> np.ndarray:
-        return gns_vector(self.state, f, self.measure)
-
-    def matrix(self, algebra_element: np.ndarray) -> np.ndarray:
-        return gns_matrix(self.state, algebra_element, self.measure)

@@ -48,10 +48,14 @@ MUTANTS = (
            "reps = count[pb[p0:p0 + step]]\n",
            "reps = count[pb[p0:p0 + step]] - 1\n",
            ("tests/test_groupoid.py",)),
-    Mutant("gns-vector-conjugates-psi", "src/sumhist/action.py",
-           "f * family_psi(state, family))",
-           "f * np.conj(family_psi(state, family)))",
+    Mutant("gns-vector-conjugates-psi", "src/sumhist/states.py",
+           "self._weighted(f) * self.psi)",
+           "self._weighted(f) * np.conj(self.psi))",
            ("tests/test_action.py", "-k", "gns_vector")),
+    Mutant("factorized-form-drops-weight", "src/sumhist/states.py",
+           "return f if self.weights is None else self.weights * f",
+           "return f",
+           ("tests/test_states.py", "-k", "seeded_measure")),
     Mutant("propagate-oracle-gate", "src/sumhist/cli.py",
            "if worst > args.tol:",
            "if worst > 1.0:",
@@ -185,8 +189,12 @@ MUTANTS = (
            "",
            ("tests/test_cli.py", "-k", "kernel_bytes")),
     Mutant("lattice-transfer-scales-before-gather", "src/sumhist/propagator.py",
-           "return norm * geometry.spacing * gather_by_offset(np.exp(expo))",
+           "return gather_by_offset(np.exp(expo)) * (norm * geometry.spacing)",
            "return gather_by_offset(norm * geometry.spacing * np.exp(expo))",
+           ("tests/test_continuum.py", "-k", "lattice_transfer_is_bit_identical")),
+    Mutant("lattice-transfer-scale-times-table", "src/sumhist/propagator.py",
+           "return gather_by_offset(np.exp(expo)) * (norm * geometry.spacing)",
+           "return norm * geometry.spacing * gather_by_offset(np.exp(expo))",
            ("tests/test_continuum.py", "-k", "lattice_transfer_is_bit_identical")),
     Mutant("quadrature-endpoint-rows-use-numpy-exp", "src/sumhist/propagator.py",
            "return A.real * np.array(list(map(math.exp, x.tolist())))",

@@ -144,7 +144,7 @@ def test_criterion_03_state_properties():
     grid3 = sh.TimeGrid.uniform(0.0, 3.0, 3)
     state3 = _random_state(g3, grid3, rng)
     fam3 = sh.full_interval_family(g3, grid3)
-    Q = sh.family_form_matrix(state3, fam3, via="words")
+    Q = sh.family_form_matrix(state3, fam3)
     for _ in range(100):
         f = rng.standard_normal(len(fam3)) + 1j * rng.standard_normal(len(fam3))
         lhs = complex(np.conj(f) @ Q @ f)
@@ -170,10 +170,10 @@ def test_criterion_04_gns():
             lhs = sh.gns_matrix(state, convolve_naive(a, b, m), m) @ v
             rhs = sh.gns_matrix(state, a, m) @ (sh.gns_matrix(state, b, m) @ v)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
-            applied = sh.gns_apply(state, a, f, m)
+            applied = sh.gns_vector(state, sh.convolve(a, f, m), m)
             assert np.max(np.abs(applied - sh.gns_matrix(state, a, m) @ v)) <= 1e-12
-        rep = sh.GnsRepresentation(state, m)
-        cols = np.column_stack([rep.matrix(sh.delta_element(g, mm)) @ rep.cyclic_vector
+        cyclic = sh.gns_vector(state, sh.unit_element(g), m)
+        cols = np.column_stack([sh.gns_matrix(state, sh.delta_element(g, mm), m) @ cyclic
                                 for mm in range(g.n_morphisms)])
         assert np.linalg.matrix_rank(cols, tol=1e-10) == g.n_objects
 

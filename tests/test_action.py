@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sumhist as sh
-from sumhist.action import (ANCHORED, EUCLIDEAN, INCREMENTAL, family_blocks, family_psi,
+from sumhist.action import (ANCHORED, EUCLIDEAN, INCREMENTAL, family_form, family_psi,
                             family_targets)
 from sumhist.propagator import path_sum_terms
 
@@ -224,16 +224,6 @@ def test_classical_restriction(rng):
     assert np.allclose(sh.classical_restriction(uniform), 0.25)
 
 
-def test_family_form_matrix_words_equals_factorized(rng):
-    g = sh.pair_groupoid(3)
-    grid = sh.TimeGrid.uniform(0.0, 2.0, 2)
-    state = make_state(g, grid, rng)
-    family = sh.full_interval_family(g, grid)
-    q_fast = sh.family_form_matrix(state, family, via="factorized")
-    q_slow = sh.family_form_matrix(state, family, via="words")
-    assert np.max(np.abs(q_fast - q_slow)) <= 1e-12
-
-
 @pytest.mark.parametrize("mode", ["real", EUCLIDEAN])
 def test_family_psi_is_bit_identical_to_psi(rng, mode):
     # two routes to the Gram factors and target points: the link-array
@@ -279,7 +269,7 @@ def test_path_sum_is_the_gns_vector_of_the_dfs_state(rng, name, n, mode, hbar):
             z = sh.finite_propagator(g, grid, lag, spec, x0, x1)
             via_gns = math.sqrt(p[n, x1]) * vec[n * g.n_objects + x1]
             scale = math.sqrt(p[n, x1] * p[0, x0]) * sum(
-                float(np.abs(t).sum()) for _, t in path_sum_terms(g, grid, lag, spec, x0, x1))
+                float(np.abs(t).sum()) for t in path_sum_terms(g, grid, lag, spec, x0, x1))
             assert abs(z - via_gns) <= 1e-13 * scale
 
 
@@ -308,7 +298,7 @@ def test_family_certificate_is_the_spectrum_of_the_words_form(rng, name, n, hbar
     state = dataclasses.replace(state, spec=dataclasses.replace(state.spec, hbar=hbar))
     family = sh.full_interval_family(g, grid)
     cert = sh.family_certificate(state, family)
-    lam = np.linalg.eigvalsh(sh.family_form_matrix(state, family, via="words"))[0]
+    lam = np.linalg.eigvalsh(sh.family_form_matrix(state, family))[0]
     assert abs(cert.min_eigenvalue - lam) <= 1e-12
     assert cert.is_positive and cert.hermiticity_defect == 0.0
     assert cert.form_matrix_dim == len(family)
@@ -336,14 +326,16 @@ def test_family_blocks_partition_the_family_by_target(rng, name, n):
     state = make_state(g, grid, rng)
     family = sh.full_interval_family(g, grid)
     tgts, psi = family_targets(state, family), family_psi(state, family)
-    blocks = family_blocks(state, family)
-    firsts = [int(tgts[idx[0]]) for idx, _ in blocks]
+    form = family_form(state, family)
+    assert form.psi.tobytes() == psi.tobytes() and form.targets.tobytes() == tgts.tobytes()
+    assert form.n_points == state.n_points and form.weights is None
+    blocks = form.blocks
+    firsts = [int(tgts[idx[0]]) for idx in blocks]
     assert firsts == sorted(set(tgts.tolist()))
-    members = np.concatenate([idx for idx, _ in blocks])
+    members = np.concatenate(blocks)
     assert np.array_equal(np.sort(members), np.arange(len(family)))
-    for idx, block_psi in blocks:
+    for idx in blocks:
         assert (tgts[idx] == tgts[idx[0]]).all() and (np.diff(idx) > 0).all()
-        assert block_psi.tobytes() == psi[idx].tobytes()
 
 
 def test_family_identity_form_equals_norm(rng):

@@ -171,7 +171,7 @@ def _branch_lattice_transfer(geometry, cfg):
                                   * (1j if cfg.mode == REAL_PHASE else 1.0)))
     d = geometry.distance_matrix
     expo = sigma * cfg.mass * d * d / (2 * cfg.hbar * cfg.dt)
-    return norm * geometry.spacing * np.exp(expo)
+    return np.exp(expo) * (norm * geometry.spacing)
 
 
 def _bits(*zs):
@@ -196,8 +196,8 @@ def test_gaussian_slice_params_are_bit_identical_to_branch_formula(mode):
 
 @pytest.mark.parametrize("mode", [REAL_PHASE, EUCLIDEAN])
 def test_lattice_transfer_is_bit_identical_to_branch_formula(mode):
-    # from 128 sites on, the complex n×n array of the branch formula is large
-    # enough (256 KiB) that numpy scales it in place, in another operand order
+    # the table is the first operand of the scale at every size, below 128
+    # sites (a complex n×n array under 256 KiB) as well as above
     rng = np.random.default_rng(82)
     small = _seeded_configs(83, 120, mode)
     for k, cfg in enumerate(small + _seeded_configs(84, 10, mode)):

@@ -486,8 +486,8 @@ def _loop_fsum_complex(terms):
 
 
 def _loop_terms(g, grid, lag, spec, x0, x1, m):
-    """Reference: one (mids, term) per history, as the scalar term loop
-    computed them."""
+    """Reference: one term per history, in canonical order, as the scalar
+    term loop computed them."""
     vals, fw, ow = lag.values, m.fiber_weights, m.object_weights
     for links, mids in product_walks(g, x0, x1, grid.n_intervals):
         if spec.convention == INCREMENTAL:
@@ -499,21 +499,19 @@ def _loop_terms(g, grid, lag, spec, x0, x1, m):
             w *= fw[l]
         for c in mids:
             w *= ow[c]
-        yield mids, w * phase_factor(s, spec.hbar, spec.mode)
+        yield w * phase_factor(s, spec.hbar, spec.mode)
 
 
 def _loop_propagator(g, grid, lag, spec, x0, x1, m):
     p = spec.slices(grid)
     amp = math.sqrt(p[grid.n_intervals, x1] * p[0, x0])
-    return amp * _loop_fsum_complex(t for _, t in _loop_terms(g, grid, lag, spec, x0, x1, m))
+    return amp * _loop_fsum_complex(_loop_terms(g, grid, lag, spec, x0, x1, m))
 
 
 def _block_terms(g, grid, lag, spec, x0, x1, m):
     blocks = list(path_sum_terms(g, grid, lag, spec, x0, x1, m))
-    assert all(len(t) <= BLOCK for _, t in blocks)
-    mids = np.concatenate([b for b, _ in blocks]) if blocks else np.zeros((0, 0), int)
-    terms = np.concatenate([t for _, t in blocks]) if blocks else np.zeros(0, complex)
-    return mids, terms
+    assert all(len(t) <= BLOCK for t in blocks)
+    return np.concatenate(blocks) if blocks else np.zeros(0, complex)
 
 
 def _instance(name, n, rng):
@@ -546,9 +544,8 @@ def test_block_terms_are_bit_identical_to_the_term_loop(name):
             spec = sh.StateSpec(p[None, :], hbar=hbar, mode=mode, convention=convention)
             for x0, x1 in itertools.product(range(g.n_objects), repeat=2):
                 ref = list(_loop_terms(g, grid, lag, spec, x0, x1, m))
-                mids, terms = _block_terms(g, grid, lag, spec, x0, x1, m)
-                assert terms.tobytes() == np.array([t for _, t in ref], complex).tobytes()
-                assert [tuple(r) for r in mids.tolist()] == [c for c, _ in ref]
+                terms = _block_terms(g, grid, lag, spec, x0, x1, m)
+                assert terms.tobytes() == np.array(ref, complex).tobytes()
                 assert _bytes(sh.finite_propagator(g, grid, lag, spec, x0, x1, m)) \
                     == _bytes(_loop_propagator(g, grid, lag, spec, x0, x1, m))
                 checked += len(ref)
@@ -565,8 +562,8 @@ def test_block_terms_across_block_boundaries(name, n, pairs):
     for convention in (INCREMENTAL, ANCHORED):
         spec = sh.StateSpec(p[None, :], hbar=0.37, mode=EUCLIDEAN, convention=convention)
         for x0, x1 in pairs:
-            ref = [t for _, t in _loop_terms(g, grid, lag, spec, x0, x1, m)]
-            _, terms = _block_terms(g, grid, lag, spec, x0, x1, m)
+            ref = list(_loop_terms(g, grid, lag, spec, x0, x1, m))
+            terms = _block_terms(g, grid, lag, spec, x0, x1, m)
             assert len(terms) > BLOCK
             assert terms.tobytes() == np.array(ref, complex).tobytes()
             assert _bytes(sh.finite_propagator(g, grid, lag, spec, x0, x1, m)) \
@@ -832,7 +829,7 @@ def test_finite_propagator_sums_a_late_huge_block_as_fsum_does():
     spec = sh.uniform_state_spec(g, mode=EUCLIDEAN)
     m = sh.counting_measure(g)
     lag = sh.Lagrangian(g, vals)
-    blocks = [t for _, t in path_sum_terms(g, grid, lag, spec, 0, 2, m)]
+    blocks = list(path_sum_terms(g, grid, lag, spec, 0, 2, m))
     assert len(blocks) == 3 and np.abs(blocks[1]).max() < 1e300 < np.abs(blocks[2]).max()
     got = sh.finite_propagator(g, grid, lag, spec, 0, 2, m)
     assert _bytes(got) == _bytes(_loop_propagator(g, grid, lag, spec, 0, 2, m))

@@ -191,7 +191,7 @@ def test_gns_unit_acts_as_identity(rng):
     m = sh.counting_measure(g)
     state = pair_potential_state(g, rng)
     f = random_element(g, rng)
-    lhs = sh.gns_apply(state, sh.unit_element(g), f, m)
+    lhs = sh.gns_vector(state, sh.convolve(sh.unit_element(g), f, m), m)
     assert np.max(np.abs(lhs - sh.gns_vector(state, f, m))) <= TOL
 
 
@@ -205,8 +205,8 @@ def test_gns_homomorphism(rng):
         lhs = sh.gns_matrix(state, convolve_naive(a, b, m), m) @ v
         rhs = sh.gns_matrix(state, a, m) @ (sh.gns_matrix(state, b, m) @ v)
         assert np.max(np.abs(lhs - rhs)) <= TOL
-        # and gns_apply agrees with the matrix route
-        direct = sh.gns_apply(state, a, f, m)
+        # and the vector of the product agrees with the matrix route
+        direct = sh.gns_vector(state, sh.convolve(a, f, m), m)
         assert np.max(np.abs(direct - sh.gns_matrix(state, a, m) @ v)) <= TOL
 
 
@@ -214,16 +214,58 @@ def test_gns_cyclic_vector(rng):
     g = sh.pair_groupoid(3)
     m = sh.counting_measure(g)
     state = pair_potential_state(g, rng)
-    rep = sh.GnsRepresentation(state, m)
+    cyclic = sh.gns_vector(state, sh.unit_element(g), m)
     # acting on the cyclic vector with g recovers the vector of g itself
     for _ in range(10):
         a = random_element(g, rng)
-        lhs = rep.matrix(a) @ rep.cyclic_vector
-        assert np.max(np.abs(lhs - rep.vector(a))) <= TOL
+        lhs = sh.gns_matrix(state, a, m) @ cyclic
+        assert np.max(np.abs(lhs - sh.gns_vector(state, a, m))) <= TOL
     # the orbit of the cyclic vector under delta elements spans the carrier
-    cols = np.column_stack([rep.matrix(sh.delta_element(g, mm)) @ rep.cyclic_vector
+    cols = np.column_stack([sh.gns_matrix(state, sh.delta_element(g, mm), m) @ cyclic
                             for mm in range(g.n_morphisms)])
-    assert np.linalg.matrix_rank(cols, tol=1e-10) == rep.dim
+    assert np.linalg.matrix_rank(cols, tol=1e-10) == g.n_objects
+
+
+def test_gns_vector_is_the_fiber_weighted_sum_under_a_seeded_measure(rng):
+    # fiber weights away from 1, so a vector that drops them, or conjugates
+    # psi, is far from the scalar sum of fw * f * psi over each target fiber
+    for g in (sh.pair_groupoid(3), sh.product_with_group(2, sh.cyclic_groupoid(3))):
+        m = sh.GroupoidMeasure(g, rng.uniform(0.5, 2.0, g.n_objects),
+                               rng.uniform(0.5, 2.0, g.n_morphisms))
+        p = rng.uniform(0.2, 1.0, g.n_objects)
+        state = sh.PhaseState(g, p / p.sum(), rng.uniform(-np.pi, np.pi, g.n_morphisms))
+        psi, fw = state.psi.tolist(), m.fiber_weights.tolist()
+        for _ in range(5):
+            f = random_element(g, rng)
+            want = [0j] * g.n_objects
+            for w, fv in enumerate(f.tolist()):
+                want[g.tgt[w]] += fw[w] * fv * psi[w]
+            assert np.max(np.abs(sh.gns_vector(state, f, m) - want)) <= TOL
+
+
+def test_factorized_form_with_weights_is_its_dense_form(rng):
+    # the core over a seeded carrier with weights: value and certificate
+    # against conj(f)^T Q f and eigvalsh of Q, Q[u, v] = conj(a_u) a_v on a
+    # common target, a = weight * psi; the value is the vector's squared norm
+    targets = np.array([3, 1, 0, 3, 4, 0, 3, 4, 0, 0, 4, 3])   # point 2 empty
+    n = len(targets)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    weights = rng.uniform(0.5, 2.0, n)
+    form = sh.FactorizedForm(psi, targets, 5, weights)
+    assert [idx.tolist() for idx in form.blocks] == [[2, 5, 8, 9], [1], [0, 3, 6, 11],
+                                                      [4, 7, 10]]
+    a = weights * psi
+    Q = np.where(targets[:, None] == targets, np.conj(a)[:, None] * a, 0)
+    for _ in range(5):
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        value = form.value(f)
+        assert abs(value - np.conj(f) @ Q @ f) <= TOL * abs(value)
+        assert abs(value - np.sum(np.abs(form.vector(f)) ** 2)) <= TOL * abs(value)
+    cert = form.certificate()
+    assert cert.is_positive and cert.form_matrix_dim == n
+    assert abs(cert.min_eigenvalue - np.linalg.eigvalsh(Q)[0]) <= TOL
+    single = sh.FactorizedForm(psi[:1], targets[:1], 5, weights[:1])
+    assert single.certificate().min_eigenvalue == pytest.approx(abs(a[0]) ** 2, rel=1e-15)
 
 
 def test_transfer_matrix_is_the_gns_matrix_of_the_phase_state(rng):
