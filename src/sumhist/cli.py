@@ -196,6 +196,8 @@ _FINITE_ONLY = ("groupoid", "measure", "lagrangian", "dfs", "oracle", "check", "
 def cmd_propagate(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, not {args.threads}")
+    if not args.tol >= 0:   # a NaN tol would pass every gate
+        raise ValueError(f"--tol must be a non-negative number, not {args.tol}")
     if args.geometry:
         unread = [f"--{name}" for name in _FINITE_ONLY if getattr(args, name) is not None]
         if unread:
@@ -203,8 +205,6 @@ def cmd_propagate(args) -> int:
         return _propagate_geometry(args)
     if not args.groupoid or not args.grid:
         raise ValueError("propagate needs --geometry, or --groupoid with --grid")
-    if not args.tol >= 0:   # a NaN tol would pass every gate
-        raise ValueError(f"--tol must be a non-negative number, not {args.tol}")
     if args.at is not None and not args.check:
         raise ValueError("--at is read only by --check reproducing")
     g, grid, measure, lag, spec = _load_model(args)
@@ -290,7 +290,9 @@ def _propagate_geometry(args) -> int:
     rows = [(x0, x1, val, abs(val - ref) / max(abs(ref), 1e-300))
             for x1, val, ref in zip(x1s, vals, refs)]
     _emit(sio.kernel_comparison(rows, cfg.total_time, args.format), args.out)
-    worst = max([0.0, *(rel for *_, rel in rows)])
+    rels = [rel for *_, rel in rows]
+    # max() would drop a NaN error, as NaN compares False
+    worst = math.nan if any(map(math.isnan, rels)) else max([0.0, *rels])
     print(f"max relative error against the reference kernel: {worst:.3e}", file=sys.stderr)
     return EXIT_OK
 

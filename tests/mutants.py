@@ -204,6 +204,14 @@ MUTANTS = (
            "    K[~live] = 0.0\n",
            "",
            ("tests/test_continuum.py", "-k", "entrywise")),
+    Mutant("quadrature-cut-drops-normal-entries", "src/sumhist/propagator.py",
+           "live = K >= _normal_exp_cut(norm)",
+           "live = K >= _normal_exp_cut(norm) + 1.0",
+           ("tests/test_continuum.py", "-k", "entrywise")),
+    Mutant("lattice-chain-flushes-normal-parts", "src/sumhist/propagator.py",
+           "dead = _below_normal(row) & (row != 0)",
+           "dead = (np.abs(row) < 2.0 ** -1000) & (row != 0)",
+           ("tests/test_continuum.py", "-k", "lattice_chain_drops_only_subnormal")),
 )
 
 

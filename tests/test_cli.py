@@ -412,6 +412,18 @@ def test_propagate_geometry_json_format(capsys, tmp_path):
                              "rel_error"]
 
 
+def test_propagate_geometry_reports_a_nan_error_as_nan(capsys):
+    # quadrature nodes ten times coarser than the slice width: the chain
+    # overflows to inf * 0, and the summary must not read the NaN as 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "propagate", "--geometry", "line", "--mode", "euclidean",
+                             "--N", "512", "--quad-nodes", "120", "--quad-halfwidth", "5.87",
+                             "--T", "0.968", "--mass", "1.54", "--hbar", "0.074", "--x1", "0.5")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[-1] == "nan"
+    assert err.splitlines()[-1] == "max relative error against the reference kernel: nan"
+
+
 def test_propagate_threads_deterministic(capsys, tmp_path):
     # --threads has no effect on the result: every N gives the canonical sum
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -793,6 +805,9 @@ MISSING = "{d}/missing/out.txt"
     (("propagate", *PAIR2, "zero", "--oracle", "transfer-matrix", "--tol=-1e-12"),
      "--tol must be a non-negative number, not -1e-12"),
     (("propagate", *PAIR2, "zero", "--at", "1"), "--at is read only by --check reproducing"),
+    (("propagate", "--geometry", "line", "--N", "4", "--tol", "nan"),
+     "--tol must be a non-negative number, not nan"),
+    (("propagate", *CIRCLE16, "--tol=-1e-12"), "--tol must be a non-negative number, not -1e-12"),
 ], ids=["out-validate", "out-state-check", "out-propagate", "out-converge",
         "zero-density-junction", "yaml-syntax", "units-scalar", "compose-short-row",
         "hbar-nan", "T-nan", "grid-nan", "x1-nan", "circle-real-propagate",
@@ -804,7 +819,8 @@ MISSING = "{d}/missing/out.txt"
         "state-check-euclidean", "state-check-euclidean-asymmetric",
         "state-check-euclidean-unnormalized",
         "action-overflow-propagate", "action-overflow-state-check",
-        "tol-nan", "tol-negative", "at-without-check"])
+        "tol-nan", "tol-negative", "at-without-check", "tol-nan-geometry",
+        "tol-negative-geometry"])
 def test_input_errors_exit_2_with_one_line(capsys, recwarn, tmp_path, argv, message):
     for name, text in CONTRACT_FILES.items():
         (tmp_path / name).write_text(text)

@@ -209,6 +209,78 @@ def test_lattice_transfer_is_bit_identical_to_branch_formula(mode):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), cfg
 
 
+def _subnormal(x):
+    return (x != 0) & (np.abs(x) < 2.0 ** -1022)
+
+
+def _drops_only_subnormals(got, parent):
+    """got holds no subnormal, and each of its entries is the parent's bytes
+    or a +0.0 where the parent's entry is subnormal; the count of those."""
+    assert got.dtype == parent.dtype == np.float64 and got.shape == parent.shape
+    assert not _subnormal(got).any()
+    moved = got.view(np.int64) != parent.view(np.int64)
+    assert _subnormal(parent[moved]).all() and not got[moved].view(np.int64).any()
+    return int(moved.sum())
+
+
+def _subnormal_lattices(seed, count):
+    """The 512-site circle at N = 256, then seeded euclidean circle and line
+    lattices, alternately, whose transfer holds subnormal entries: the mass
+    puts the exponent at the farthest offset between 700 and 3000."""
+    rng = np.random.default_rng(seed)
+    out = [(CircleLattice(512, 2 * math.pi), SliceConfig(256, 1.0, mode=EUCLIDEAN))]
+    while len(out) < count:
+        n_sites, n_slices = int(rng.integers(16, 300)), int(rng.integers(2, 80))
+        spacing, total, hbar = (float(x) for x in rng.uniform(0.02, 2.0, 3))
+        geom = (CircleLattice(n_sites, n_sites * spacing) if len(out) % 2
+                else LineLattice(n_sites, spacing))
+        reach = float(geom.offset_distances().max())
+        mass = float(rng.uniform(700.0, 3000.0)) * 2 * hbar * total / n_slices / reach ** 2
+        cfg = SliceConfig(n_slices, total, mass, hbar, EUCLIDEAN)
+        if _subnormal(lattice_transfer(geom, cfg).real).any():
+            out.append((geom, cfg))
+    return out
+
+
+def _transfer_chain(geom, cfg, site0, site1s):
+    """The start-column chain over the unmodified lattice_transfer."""
+    T = lattice_transfer(geom, cfg)
+    v = T[:, site0]
+    for _ in range(cfg.n_slices - 1):
+        v = T @ v
+    return [complex(v[s] / geom.spacing) for s in site1s]
+
+
+def test_lattice_chain_drops_only_subnormal_parts_and_keeps_the_amplitudes():
+    rng = np.random.default_rng(93)
+    for geom, cfg in _subnormal_lattices(92, 14):
+        T = lattice_transfer(geom, cfg)
+        chain = sh.propagator._chain_transfer(geom, cfg)
+        assert _drops_only_subnormals(np.ascontiguousarray(chain.real),
+                                      np.ascontiguousarray(T.real)) > 0, (geom, cfg)
+        assert chain.imag.tobytes() == T.imag.tobytes()
+        s0, *s1s = (int(s) for s in rng.integers(0, geom.n_sites, 4))
+        want = _transfer_chain(geom, cfg, s0, s1s)
+        if isinstance(geom, CircleLattice):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # the coarse lattices
+                got = sh.circle_propagators(cfg, geom.circumference, geom.position(s0),
+                                            [geom.position(s) for s in s1s], geom.n_sites)
+        else:
+            got = [sh.lattice_line_propagator(geom, cfg, s0, s) for s in s1s]
+        assert _zbytes(got) == _zbytes(want), (geom, cfg)
+
+
+def test_real_lattice_chain_is_the_lattice_transfer():
+    rng = np.random.default_rng(94)
+    for k, cfg in enumerate(_seeded_configs(95, 30, REAL_PHASE)):
+        n_sites = 512 if k < 2 else int(rng.integers(1, 300))
+        geom = (CircleLattice(n_sites, float(rng.uniform(0.5, 10.0))) if k % 2
+                else LineLattice(n_sites, float(rng.uniform(0.05, 2.0))))
+        chain = sh.propagator._chain_transfer(geom, cfg)
+        assert chain.tobytes() == lattice_transfer(geom, cfg).tobytes(), cfg
+
+
 @pytest.mark.parametrize("n_sites", [1, 2, 7, 40])
 def test_distance_matrix_is_the_pairwise_distance(n_sites):
     for geom in (LineLattice(n_sites, 0.37, origin=-1.0), CircleLattice(n_sites, 5.3)):
@@ -218,11 +290,22 @@ def test_distance_matrix_is_the_pairwise_distance(n_sites):
         assert d[0].tobytes() == geom.offset_distances().tobytes()
 
 
+def _quadrature_nodes(cfg):
+    return np.linspace(-cfg.quad_halfwidth, cfg.quad_halfwidth, cfg.quad_nodes)
+
+
+def _parent_kernel(cfg, u):
+    """The quadrature kernel as one full-matrix np.exp, subnormals kept."""
+    K = np.exp(-cfg.mass * (u[:, None] - u[None, :]) ** 2 / (2 * cfg.hbar * cfg.dt))
+    K *= math.sqrt(cfg.mass / (2 * math.pi * cfg.hbar * cfg.dt))
+    return K
+
+
 def _parent_quadrature(cfg, x0, x1s):
     """The quadrature route as first written: endpoint rows of scalar
     line_kernel calls and the kernel as one full-matrix np.exp."""
-    L, M = cfg.quad_halfwidth, cfg.quad_nodes
-    u = np.linspace(-L, L, M)
+    u = _quadrature_nodes(cfg)
+    M = len(u)
     wts = np.full(M, u[1] - u[0])
     wts[0] *= 0.5
     wts[-1] *= 0.5
@@ -232,16 +315,14 @@ def _parent_quadrature(cfg, x0, x1s):
 
     if cfg.n_slices == 1:
         return [complex(k1(x1, x0)) for x1 in x1s]
-    K = np.exp(-cfg.mass * (u[:, None] - u[None, :]) ** 2 / (2 * cfg.hbar * cfg.dt))
-    K *= math.sqrt(cfg.mass / (2 * math.pi * cfg.hbar * cfg.dt))
+    K = _parent_kernel(cfg, u)
     v = np.array([k1(ui, x0) for ui in u])
     for _ in range(cfg.n_slices - 2):
         v = K @ (wts * v)
     return [complex(np.sum(wts * np.array([k1(x1, ui) for ui in u]) * v)) for x1 in x1s]
 
 
-def test_quadrature_is_bit_identical_to_the_entrywise_formula():
-    rng = np.random.default_rng(91)
+def _quadrature_configs(rng):
     # a kernel that underflows over most of its entries, then the smallest grids
     cfgs = [SliceConfig(512, 1.0, mode=EUCLIDEAN, quad_halfwidth=10.0, quad_nodes=800)]
     cfgs += [SliceConfig(n, 0.7, 1.3, 0.8, EUCLIDEAN, 1.5, m) for n in (1, 2, 3) for m in (2, 3)]
@@ -250,6 +331,23 @@ def test_quadrature_is_bit_identical_to_the_entrywise_formula():
         total, mass, hbar = (float(x) for x in rng.uniform(0.05, 3.0, 3))
         cfgs.append(SliceConfig(n, total, mass, hbar, EUCLIDEAN,
                                 float(rng.uniform(1.0, 12.0)), m))
+    return cfgs
+
+
+def test_quadrature_kernel_keeps_the_entrywise_kernel_but_its_subnormals():
+    # the byte cross-check of the route is the entrywise test below, whose
+    # parent kernel keeps every subnormal entry
+    dropped = []
+    for cfg in _quadrature_configs(np.random.default_rng(91)):
+        u = _quadrature_nodes(cfg)
+        dropped.append(_drops_only_subnormals(sh.propagator._quadrature_kernel(cfg, u),
+                                              _parent_kernel(cfg, u)))
+    assert dropped[0] > 2000 and sum(d > 0 for d in dropped) >= 10, dropped
+
+
+def test_quadrature_is_bit_identical_to_the_entrywise_formula():
+    rng = np.random.default_rng(91)
+    cfgs = _quadrature_configs(rng)
     big = cfgs[0]
     assert (-big.mass * (2 * big.quad_halfwidth) ** 2 / (2 * big.hbar * big.dt)
             < sh.propagator.EXP_ZERO_BELOW)
