@@ -4,7 +4,8 @@ and convergence studies.
 Exit codes: 0 success, 2 input error, 3 check failure.  ``main`` is the one
 place that turns an input error, any ValueError, OSError or OverflowError (an
 action or weight beyond the float range), into exit 2 with a one-line
-``error:`` message.
+``error:`` message, argparse's refusals included.  ``FLAGS`` declares each
+flag once, and ``ROWS`` the flags each command branch reads and requires.
 """
 
 from __future__ import annotations
@@ -61,24 +62,30 @@ def _load_lagrangian(g, arg: str | None, grid: TimeGrid, mass: float) -> Lagrang
     if arg is None or arg == "zero":
         return zero_lagrangian(g)
     if arg.startswith("energy:"):
-        spec = arg.split(":", 1)[1]
-        kind, _, param = spec.partition(",")
-        dt = grid.dt(0)
+        kind, _, param = arg[len("energy:"):].partition(",")
         if kind == "line":
             geom = LineLattice(g.n_objects, float(param) if param else 1.0)
         elif kind == "circle":
             geom = CircleLattice(g.n_objects, float(param) if param else float(g.n_objects))
         else:
             raise ValueError(f"unknown energy geometry {kind!r}")
-        return energy_lagrangian(g, geom, dt, mass)
+        return energy_lagrangian(g, geom, grid.dt(0), mass)
     return Lagrangian(g, sio.load_lagrangian_csv(arg, g.n_morphisms))
 
 
 def _load_spec(g, args, measure) -> StateSpec:
-    if args.dfs:
-        return sio.load_state_spec(args.dfs, g, measure)
-    return uniform_state_spec(g, hbar=args.hbar, mode=args.mode,
-                              convention="incremental", measure=measure)
+    """The --dfs state spec, which fixes hbar and the mode (a given --hbar or
+    --mode must agree with it), or the uniform spec of --hbar and --mode."""
+    if not args.dfs:
+        return uniform_state_spec(g, hbar=args.hbar, mode=args.mode,
+                                  convention="incremental", measure=measure)
+    spec = sio.load_state_spec(args.dfs, g, measure)
+    clash = [k for k in ("hbar", "mode")
+             if k in args.given and getattr(args, k) != getattr(spec, k)]
+    if clash:
+        raise ValueError(f"state spec {args.dfs} has " + "; ".join(
+            f"{k} {getattr(spec, k)}, not --{k} {getattr(args, k)}" for k in clash))
+    return spec
 
 
 def _load_groupoid(source: str):
@@ -131,8 +138,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_state_check(args) -> int:
-    if not args.groupoid or not args.grid:
-        raise ValueError("state-check needs --groupoid and --grid")
     g, grid, measure, lag, spec = _load_model(args)
     if spec.mode == EUCLIDEAN:
         # the euclidean state on the pair word v·u⁻¹ is exp(-(S(v) - S(u))/ħ),
@@ -141,13 +146,11 @@ def cmd_state_check(args) -> int:
                          "state-check does not take --mode euclidean")
 
     entries = []
-    status = EXIT_OK
     bad_pairs = asymmetric_morphisms(lag)
     if bad_pairs:
         entries.append(("lagrangian_symmetry", f"violations at {bad_pairs[:5]}", "fail"))
         print(f"symmetry error: lagrangian differs on morphism pairs {bad_pairs[:5]}",
               file=sys.stderr)
-        status = EXIT_CHECK
     else:
         entries.append(("lagrangian_symmetry", "ok", "pass"))
     try:
@@ -156,9 +159,8 @@ def cmd_state_check(args) -> int:
     except NormalizationError as exc:
         entries.append(("density_normalization", str(exc), "fail"))
         print(f"normalization error: {exc}", file=sys.stderr)
-        status = EXIT_CHECK
 
-    if status == EXIT_OK:
+    if all(verdict == "pass" for *_, verdict in entries):
         state = state_from_lagrangian(lag, spec, g, grid, measure)
         count = total_histories(g, grid.n_intervals)
         if count > 20000:
@@ -166,12 +168,8 @@ def cmd_state_check(args) -> int:
                              "certificate needs <= 20000 (use a coarser grid)")
         family = full_interval_family(g, grid)
         cert = family_certificate(state, family)
-
-    if status == EXIT_OK:
         entries.append(("positivity_min_eigenvalue", repr(cert.min_eigenvalue),
                         "pass" if cert.is_positive else "fail"))
-        if not cert.is_positive:
-            status = EXIT_CHECK
         rng = np.random.default_rng(args.seed)
         worst = 0.0
         for _ in range(5):
@@ -181,32 +179,18 @@ def cmd_state_check(args) -> int:
             worst = max(worst, abs(lhs - rhs))
         entries.append(("positivity_identity_residual", repr(worst),
                         "pass" if worst <= 1e-10 else "fail"))
-        if worst > 1e-10:
-            status = EXIT_CHECK
 
-    text = sio.report_csv(entries)
-    _emit(text, args.out)
-    return status
-
-
-# propagate flags that only a finite groupoid model reads
-_FINITE_ONLY = ("groupoid", "measure", "lagrangian", "dfs", "oracle", "check", "at")
+    _emit(sio.report_csv(entries), args.out)
+    return EXIT_OK if all(verdict == "pass" for *_, verdict in entries) else EXIT_CHECK
 
 
 def cmd_propagate(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, not {args.threads}")
     if not args.tol >= 0:   # a NaN tol would pass every gate
         raise ValueError(f"--tol must be a non-negative number, not {args.tol}")
     if args.geometry:
-        unread = [f"--{name}" for name in _FINITE_ONLY if getattr(args, name) is not None]
-        if unread:
-            raise ValueError(f"propagate --geometry does not read {', '.join(unread)}")
         return _propagate_geometry(args)
-    if not args.groupoid or not args.grid:
-        raise ValueError("propagate needs --geometry, or --groupoid with --grid")
-    if args.at is not None and not args.check:
-        raise ValueError("--at is read only by --check reproducing")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, not {args.threads}")
     g, grid, measure, lag, spec = _load_model(args)
     if args.check and (args.at is None or not 0 < args.at < grid.n_intervals):
         raise ValueError("--check reproducing needs an interior --at slice")
@@ -215,15 +199,10 @@ def cmd_propagate(args) -> int:
     table = propagator_table(g, grid, lag, spec, measure)
     status = EXIT_OK
     extra = None
-    extra_name = ""
     if args.oracle == "transfer-matrix":
-        oracle = transfer_oracle_table(g, grid, lag, spec, measure)
-        extra = {}
-        for key, z in table.amplitudes.items():
-            ref = oracle.amplitudes[key]
-            scale = max(abs(ref), 1e-300)
-            extra[key] = abs(z - ref) / scale
-        extra_name = "oracle_rel_dev"
+        refs = transfer_oracle_table(g, grid, lag, spec, measure).amplitudes
+        extra = {key: abs(z - refs[key]) / max(abs(refs[key]), 1e-300)
+                 for key, z in table.amplitudes.items()}
         worst = max(extra.values())
         print(f"transfer-matrix oracle: max relative deviation {worst:.3e}", file=sys.stderr)
         if worst > args.tol:
@@ -235,25 +214,19 @@ def cmd_propagate(args) -> int:
             status = EXIT_CHECK
 
     writer = sio.propagator_table_json if args.format == "json" else sio.propagator_table_csv
-    _emit(writer(table, extra=extra, extra_name=extra_name), args.out)
+    _emit(writer(table, extra=extra, extra_name="oracle_rel_dev"), args.out)
     return status
 
 
 def _slice_config(args) -> SliceConfig:
-    """The slicing of --grid, or of --N and --T (64 slices over time 1.0 by
-    default); a grid fixes both, so it is not given with either."""
+    """The slicing of --grid, or of --N and --T; the quadrature flags where
+    the branch reads them (the line), SliceConfig's defaults elsewhere."""
+    n_slices, total = args.N, args.T
     if args.grid:
-        given = [f"--{name}" for name in ("N", "T") if getattr(args, name) is not None]
-        if given:
-            raise ValueError(f"--grid fixes the slice count and total time; "
-                             f"it is not given with {' or '.join(given)}")
         grid = _parse_grid(args.grid)
         n_slices, total = grid.n_intervals, grid.times[-1] - grid.times[0]
-    else:
-        n_slices = 64 if args.N is None else args.N
-        total = 1.0 if args.T is None else args.T
-    return SliceConfig(n_slices, total, args.mass, args.hbar, args.mode,
-                       args.quad_halfwidth, args.quad_nodes)
+    quad = {k: getattr(args, k) for k in ("quad_halfwidth", "quad_nodes") if k in args}
+    return SliceConfig(n_slices, total, args.mass, args.hbar, args.mode, **quad)
 
 
 def _endpoints(args, default: list[float]) -> tuple[float, list[float]]:
@@ -262,14 +235,6 @@ def _endpoints(args, default: list[float]) -> tuple[float, list[float]]:
     if not all(map(math.isfinite, (args.x0, *x1s))):
         raise ValueError(f"endpoints must be finite: --x0 {args.x0!r}, --x1 {args.x1!r}")
     return args.x0, x1s or default
-
-
-def _one_endpoint(args, default: float) -> tuple[float, float]:
-    """--x0 and the one --x1 of a convergence sweep (default when absent)."""
-    x0, x1s = _endpoints(args, [default])
-    if len(x1s) > 1:
-        raise ValueError(f"converge takes one --x1 endpoint, not {len(x1s)}")
-    return x0, x1s[0]
 
 
 def _propagate_geometry(args) -> int:
@@ -300,17 +265,15 @@ def _propagate_geometry(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _slice_config(args)
     sweep = [int(s) for s in args.sweep.split(",")] if args.sweep else None
-    if args.geometry == "line":
-        sweep = sweep or [1, 2, 4, 8, 16, 32, 64, 128, 256]
-        x0, x1 = _one_endpoint(args, 1.0)
-        rows = line_convergence(cfg, x0, x1, sweep)
-    elif args.geometry == "circle":
-        sweep = sweep or [1, 2, 4, 8, 16, 32, 64]
-        th0, th1 = _one_endpoint(args, args.circumference / 2)
-        rows = circle_convergence(cfg, args.circumference, th0, th1, sweep,
-                                  args.sites, args.winding_max)
+    line = args.geometry == "line"
+    x0, x1s = _endpoints(args, [1.0 if line else args.circumference / 2])
+    if len(x1s) > 1:
+        raise ValueError(f"converge takes one --x1 endpoint, not {len(x1s)}")
+    if line:
+        rows = line_convergence(cfg, x0, x1s[0], sweep or [1, 2, 4, 8, 16, 32, 64, 128, 256])
     else:
-        raise ValueError("converge needs --geometry line|circle")
+        rows = circle_convergence(cfg, args.circumference, x0, x1s[0],
+                                  sweep or [1, 2, 4, 8, 16, 32, 64], args.sites, args.winding_max)
     writer = sio.convergence_json if args.format == "json" else sio.convergence_csv
     _emit(writer(rows), args.out)
     ok = errors_decrease(rows, burn_in=args.burnin, floor=args.floor)
@@ -321,80 +284,115 @@ def cmd_converge(args) -> int:
     return EXIT_OK
 
 
-def _add_output(p: argparse.ArgumentParser, formats: bool = False) -> None:
-    p.add_argument("--out", help="output file (default: stdout)")
-    if formats:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+# Every flag once: its add_argument keywords and the default that main fills in.
+FLAGS = {
+    "groupoid": {"help": "builtin name (pair:<n>, cyclic:<k>, "
+                         "pair_x_cyclic:<n>,<k>) or description file"},
+    "measure": {"help": "object-weights CSV, optionally OBJ.csv:FIBER.csv"},
+    "lagrangian": {"help": "'zero', 'energy:line[,spacing]', "
+                           "'energy:circle[,circumference]', or a CSV file"},
+    "dfs": {"help": "state-spec YAML (density, hbar, mode, convention)"},
+    "grid": {"help": "uniform grid spec t0,t1,N"},
+    "mass": {"type": float, "default": 1.0},
+    "hbar": {"type": float, "default": 1.0},
+    "mode": {"choices": ("real", "euclidean"), "default": "real"},
+    "geometry": {"choices": ("line", "circle")},
+    "N": {"type": int, "default": 64, "help": "slice count"},
+    "T": {"type": float, "default": 1.0, "help": "total time"},
+    "x0": {"type": float, "default": 0.0},
+    "x1": {"help": "comma-separated endpoint list"},
+    "quad_halfwidth": {"type": float, "default": SliceConfig.quad_halfwidth},
+    "quad_nodes": {"type": int, "default": SliceConfig.quad_nodes},
+    "circumference": {"type": float, "default": 2 * math.pi},
+    "sites": {"type": int, "default": 256},
+    "winding_max": {"type": int, "default": 10},
+    "out": {"help": "output file (default: stdout)"},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+    "threads": {"type": int, "default": 1, "metavar": "N",
+                "help": "accepted for compatibility; it has no effect on the "
+                        "result and starts no threads"},
+    "check": {"choices": ("reproducing",)},
+    "at": {"type": int, "help": "interior slice for --check reproducing"},
+    "oracle": {"choices": ("transfer-matrix",)},
+    "tol": {"type": float, "default": 1e-12},
+    "seed": {"type": int, "default": 0,
+             "help": "seed of the random vectors of the identity check"},
+    "sweep": {"help": "comma-separated slice counts"},
+    "burnin": {"type": int, "default": 8},
+    "floor": {"type": float, "default": 1e-9},
+}
+
+_MODEL = ("groupoid", "measure", "lagrangian", "dfs", "grid", "mass", "hbar", "mode", "out")
+_SLICED = ("geometry", "grid", "mass", "hbar", "mode", "N", "T", "x0", "x1", "out", "format")
+_LINE = ("quad_halfwidth", "quad_nodes")
+_CIRCLE = ("circumference", "sites", "winding_max")
+_SWEEP = ("sweep", "burnin", "floor")
+
+# One row per (command, --geometry) branch: the flags it reads, and the flags
+# it requires.  converge without --geometry computes nothing.
+ROWS = {
+    ("validate", None): (("groupoid", "out"), ("groupoid",)),
+    ("state-check", None): ((*_MODEL, "seed"), ("groupoid", "grid")),
+    ("propagate", None): ((*_MODEL, "geometry", "format", "threads",
+                           "check", "at", "oracle", "tol"), ("groupoid", "grid")),
+    ("propagate", "line"): ((*_SLICED, *_LINE, "tol"), ()),
+    ("propagate", "circle"): ((*_SLICED, *_CIRCLE, "tol"), ()),
+    ("converge", None): ((*_SLICED, *_SWEEP), ("geometry",)),
+    ("converge", "line"): ((*_SLICED, *_LINE, *_SWEEP), ()),
+    ("converge", "circle"): ((*_SLICED, *_CIRCLE, *_SWEEP), ()),
+}
+
+# (flag, rule, other): a given flag needs, or excludes, another one its branch reads
+PAIR_RULES = (("at", "needs", "check"), ("grid", "excludes", "N"), ("grid", "excludes", "T"))
+
+COMMANDS = {"validate": "check the groupoid axioms",
+            "state-check": "normalization, symmetry, positivity certificate",
+            "propagate": "endpoint amplitude table",
+            "converge": "error-vs-dt sweep against a reference kernel"}
 
 
-def _add_model(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--groupoid", help="builtin name (pair:<n>, cyclic:<k>, "
-                                      "pair_x_cyclic:<n>,<k>) or description file")
-    p.add_argument("--measure", help="object-weights CSV, optionally "
-                                     "OBJ.csv:FIBER.csv")
-    p.add_argument("--lagrangian",
-                   help="'zero', 'energy:line[,spacing]', 'energy:circle[,circumference]', "
-                        "or a CSV file")
-    p.add_argument("--dfs", help="state-spec YAML (density, hbar, mode, convention)")
-    _add_slicing(p)
-
-
-def _add_slicing(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", help="uniform grid spec t0,t1,N")
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--mode", choices=("real", "euclidean"), default="real")
-
-
-def _add_geometry(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--geometry", choices=("line", "circle"))
-    p.add_argument("--N", type=int, help="slice count")
-    p.add_argument("--T", type=float, help="total time")
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--x1", help="comma-separated endpoint list")
-    p.add_argument("--quad-halfwidth", dest="quad_halfwidth", type=float, default=8.0)
-    p.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=400)
-    p.add_argument("--circumference", type=float, default=2 * math.pi)
-    p.add_argument("--sites", type=int, default=256)
-    p.add_argument("--winding-max", dest="winding_max", type=int, default=10)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)   # main makes it exit 2 with one line
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="sumhist",
-                                 description="finite-groupoid path-sum propagators")
+    ap = _Parser(prog="sumhist", description="finite-groupoid path-sum propagators")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check the groupoid axioms")
-    p.add_argument("--groupoid", required=True)
-    _add_output(p)
-
-    p = sub.add_parser("state-check",
-                       help="normalization, symmetry, positivity certificate")
-    _add_model(p)
-    _add_output(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the random vectors of the identity check")
-
-    p = sub.add_parser("propagate", help="endpoint amplitude table")
-    _add_model(p)
-    _add_geometry(p)
-    _add_output(p, formats=True)
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="accepted for compatibility; it has no effect on the "
-                        "result and starts no threads")
-    p.add_argument("--check", choices=("reproducing",))
-    p.add_argument("--at", type=int, help="interior slice for --check reproducing")
-    p.add_argument("--oracle", choices=("transfer-matrix",))
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = sub.add_parser("converge", help="error-vs-dt sweep against a reference kernel")
-    _add_slicing(p)
-    _add_geometry(p)
-    _add_output(p, formats=True)
-    p.add_argument("--sweep", help="comma-separated slice counts")
-    p.add_argument("--burnin", type=int, default=8)
-    p.add_argument("--floor", type=float, default=1e-9)
+    for command, text in COMMANDS.items():
+        p = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
+        reads = {name for (c, _), (names, _) in ROWS.items() if c == command for name in names}
+        for name in filter(reads.__contains__, FLAGS):
+            p.add_argument(_opts([name]), **{k: v for k, v in FLAGS[name].items()
+                                             if k != "default"})
     return ap
+
+
+def _opts(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
+
+
+def _check_flags(args) -> None:
+    """Refuse, in one line naming the branch, every given flag outside its row,
+    every missing required flag and every broken pair rule; then fill in the
+    row's defaults.  args.given keeps the names of the flags given."""
+    given = vars(args).keys() - {"command"}
+    geometry = getattr(args, "geometry", None)
+    reads, requires = ROWS[args.command, geometry]
+    unread = [name for name in FLAGS if name in given and name not in reads]
+    missing = [name for name in requires if name not in given]
+    problems = [f"{verb} {_opts(names)}" for verb, names in
+                (("does not read", unread), ("needs", missing)) if names]
+    problems += [f"--{flag} {rule} --{other}" for flag, rule, other in PAIR_RULES
+                 if flag in given and other in reads and (other in given) == (rule == "excludes")]
+    if problems:
+        branch = (f" --geometry {geometry}" if geometry
+                  else " without --geometry" if "geometry" in reads else "")
+        raise ValueError(f"{args.command}{branch}: {'; '.join(problems)}")
+    for name in reads:
+        if name not in given:
+            setattr(args, name, FLAGS[name].get("default"))
+    args.given = given
 
 
 _parser = None  # built by the first main call, then reused
@@ -404,10 +402,11 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
-    # looked up at each call, so that a rebound cmd_* of this module runs
-    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        args = _parser.parse_args(argv)
+        _check_flags(args)
+        # looked up at each call, so that a rebound cmd_* of this module runs
+        command = globals()["cmd_" + args.command.replace("-", "_")]
         _check_out(args.out)
         return command(args)
     except BrokenPipeError:

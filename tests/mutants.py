@@ -61,9 +61,13 @@ MUTANTS = (
            "if worst > 1.0:",
            ("tests/test_cli.py", "-k", "tol_gates")),
     Mutant("propagate-geometry-reads-finite-flags", "src/sumhist/cli.py",
-           "if unread:",
-           "if False:",
+           "unread = [name for name in FLAGS if name in given and name not in reads]",
+           "unread = []",
            ("tests/test_cli.py", "-k", "geometry_refuses")),
+    Mutant("flag-row-reads-an-unread-flag", "src/sumhist/cli.py",
+           '"check", "at", "oracle", "tol")',
+           '"check", "at", "oracle", "tol", "sites")',
+           ("tests/test_cli.py", "-k", "every_flag_it_does_not_read")),
     Mutant("propagate-residual-gate", "src/sumhist/cli.py",
            "if res > args.tol:",
            "if res > 1.0:",
@@ -116,13 +120,17 @@ MUTANTS = (
            ("tests/test_cli.py", "-k", "malformed_state_spec")),
     Mutant("cli-dispatch-bound-at-build", "src/sumhist/cli.py",
            '        _parser = build_parser()\n'
-           '    args = _parser.parse_args(argv)\n'
-           '    # looked up at each call, so that a rebound cmd_* of this module runs\n'
-           '    command = globals()["cmd_" + args.command.replace("-", "_")]\n',
+           '    try:\n'
+           '        args = _parser.parse_args(argv)\n'
+           '        _check_flags(args)\n'
+           '        # looked up at each call, so that a rebound cmd_* of this module runs\n'
+           '        command = globals()["cmd_" + args.command.replace("-", "_")]\n',
            '        _parser = build_parser()\n'
            '        _parser.bound = dict(globals())\n'
-           '    args = _parser.parse_args(argv)\n'
-           '    command = _parser.bound["cmd_" + args.command.replace("-", "_")]\n',
+           '    try:\n'
+           '        args = _parser.parse_args(argv)\n'
+           '        _check_flags(args)\n'
+           '        command = _parser.bound["cmd_" + args.command.replace("-", "_")]\n',
            ("tests/test_cli.py", "-k", "rebound")),
     Mutant("yaml-message-from-fast-loader", "src/sumhist/groupoid.py",
            "        except yaml.YAMLError:\n            pass\n",
@@ -133,8 +141,8 @@ MUTANTS = (
            "if True:",
            ("tests/test_groupoid.py", "-k", "parse_yaml")),
     Mutant("slicing-conflict-unchecked", "src/sumhist/cli.py",
-           "if given:",
-           "if False:",
+           ', ("grid", "excludes", "N"), ("grid", "excludes", "T"))',
+           ")",
            ("tests/test_cli.py", "-k", "grid_is_not_given")),
     Mutant("light-generators-not-closed", "src/sumhist/groupoid.py",
            "generator[res[np.maximum(rank[pa], rank[pb]) < rank[res]]] = False",
@@ -177,9 +185,13 @@ MUTANTS = (
            "if args.tol < 0:",
            ("tests/test_cli.py", "-k", "input_errors and tol")),
     Mutant("propagate-ignores-at-without-check", "src/sumhist/cli.py",
-           "if args.at is not None and not args.check:",
-           "if False:",
+           '("at", "needs", "check"), ',
+           "",
            ("tests/test_cli.py", "-k", "input_errors and at-without")),
+    Mutant("dfs-override-unchecked", "src/sumhist/cli.py",
+           "if clash:",
+           "if False:",
+           ("tests/test_cli.py", "-k", "dfs_spec")),
     Mutant("continuum-kernel-bytes-unchecked", "src/sumhist/propagator.py",
            "if cfg.n_slices > 1:        # one slice builds no kernel",
            "if False:",

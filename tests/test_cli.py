@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -294,14 +296,14 @@ def test_propagate_tol_gates_exit_3_on_a_deviation_above_tol(capsys, monkeypatch
     (("--check", "reproducing"), "--check"),
     (("--at", "2"), "--at"),
     (("--oracle", "transfer-matrix", "--check", "reproducing", "--at", "2",
-      "--tol", "1e-30", "--groupoid", "pair:3"), "--groupoid, --oracle, --check, --at"),
+      "--tol", "1e-30", "--groupoid", "pair:3"), "--groupoid, --check, --at, --oracle"),
 ])
 def test_propagate_geometry_refuses_finite_model_flags(capsys, flags, unread):
     # the geometry route reads no groupoid and runs no finite check, so a
     # request for either must not pass silently
     code, out, err = run(capsys, "propagate", "--geometry", "line", "--N", "4", *flags)
     assert (code, out) == (2, "")
-    assert _one_line_error(err) == f"error: propagate --geometry does not read {unread}"
+    assert _one_line_error(err) == f"error: propagate --geometry line: does not read {unread}"
 
 
 @pytest.mark.parametrize("command, flags, given", [
@@ -314,8 +316,8 @@ def test_grid_is_not_given_with_N_or_T(capsys, command, flags, given):
     code, out, err = run(capsys, command, "--geometry", "line", "--mode", "euclidean",
                          "--grid", "0,1,4", *flags)
     assert (code, out) == (2, "")
-    assert _one_line_error(err) == ("error: --grid fixes the slice count and total time; "
-                                    f"it is not given with {given}")
+    excluded = "; ".join(f"--grid excludes {flag}" for flag in given.split(" or "))
+    assert _one_line_error(err) == f"error: {command} --geometry line: {excluded}"
 
 
 def test_grid_alone_slices_as_N_and_T_do(capsys):
@@ -610,10 +612,9 @@ def test_validate_out_writes_the_summary(capsys, tmp_path):
     ("converge", "--geometry", "line", "--groupoid", "pair:2"),
 ])
 def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert _one_line_error(err) == f"error: unrecognized arguments: {' '.join(argv[-2:])}"
 
 
 def _one_line_error(err):
@@ -804,7 +805,8 @@ MISSING = "{d}/missing/out.txt"
      "--tol must be a non-negative number, not nan"),
     (("propagate", *PAIR2, "zero", "--oracle", "transfer-matrix", "--tol=-1e-12"),
      "--tol must be a non-negative number, not -1e-12"),
-    (("propagate", *PAIR2, "zero", "--at", "1"), "--at is read only by --check reproducing"),
+    (("propagate", *PAIR2, "zero", "--at", "1"),
+     "error: propagate without --geometry: --at needs --check"),
     (("propagate", "--geometry", "line", "--N", "4", "--tol", "nan"),
      "--tol must be a non-negative number, not nan"),
     (("propagate", *CIRCLE16, "--tol=-1e-12"), "--tol must be a non-negative number, not -1e-12"),
@@ -1040,20 +1042,23 @@ def test_flags_of_one_call_fall_back_to_their_defaults_in_the_next(capsys, tmp_p
     assert run(capsys, *PAIR2_TABLE) == before
     seen = []
     monkeypatch.setattr(cli, "cmd_propagate", lambda args: seen.append(vars(args)) or 0)
-    main(["propagate", "--geometry", "line", "--N", "4", "--T", "2", "--lagrangian", "zero",
-          "--format", "json", "--out", str(out)])
-    main(["propagate"])
-    assert {k: seen[1][k] for k in ("geometry", "N", "T", "lagrangian", "format", "out")} == {
-        "geometry": None, "N": None, "T": None, "lagrangian": None, "format": "csv",
-        "out": None}
+    main(["propagate", "--geometry", "line", "--N", "4", "--T", "2", "--format", "json",
+          "--out", str(out)])
+    main(["propagate", "--geometry", "line"])
+    main([*PAIR2_TABLE])
+    assert {k: seen[1][k] for k in ("geometry", "N", "T", "format", "out")} == {
+        "geometry": "line", "N": 64, "T": 1.0, "format": "csv", "out": None}
+    assert {k: seen[2][k] for k in ("geometry", "lagrangian", "format", "out")} == {
+        "geometry": None, "lagrangian": None, "format": "csv", "out": None}
+    assert "N" not in seen[2] and "T" not in seen[2]    # the finite branch reads neither
 
 
 def test_an_argparse_error_leaves_the_next_call_unchanged(capsys):
     before = run(capsys, *PAIR2_TABLE)
-    with pytest.raises(SystemExit) as exc:
-        main(["propagate", "--groupoid", "pair:3", "--out", "x.csv", "--format", "xml"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    code, out, err = run(capsys, "propagate", "--groupoid", "pair:3", "--out", "x.csv",
+                         "--format", "xml")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'xml'" in _one_line_error(err)
     assert run(capsys, *PAIR2_TABLE) == before
 
 
@@ -1065,6 +1070,179 @@ def test_the_parser_is_built_once_across_calls(capsys, monkeypatch):
     run(capsys, "validate", "--groupoid", "pair:2")
     run(capsys, *PAIR2_TABLE)
     run(capsys, "converge", "--geometry", "line", "--mode", "euclidean", "--sweep", "1,2")
-    with pytest.raises(SystemExit):
-        main(["state-check", "--bogus"])
+    code, out, err = run(capsys, "state-check", "--bogus")
+    assert (code, out) == (2, "")
+    assert _one_line_error(err) == "error: unrecognized arguments: --bogus"
     assert built == [1]
+
+
+# ---------------------------------------------------------------------------
+# the flag table: each branch refuses every flag it does not read.  The reads
+# below are written out here, independently of cli.ROWS, as the parent code
+# read them, so that a row that takes an unread flag fails a test.
+
+
+FLAG_VALUES = {
+    "--groupoid": "pair:2", "--measure": "w.csv", "--lagrangian": "zero", "--dfs": "s.yaml",
+    "--grid": "0,1,2", "--mass": "1", "--hbar": "1", "--mode": "real", "--geometry": "line",
+    "--N": "4", "--T": "1", "--x0": "0", "--x1": "1", "--quad-halfwidth": "8",
+    "--quad-nodes": "40", "--circumference": "6", "--sites": "9", "--winding-max": "3",
+    "--out": "o.csv", "--format": "csv", "--threads": "1", "--check": "reproducing",
+    "--at": "1", "--oracle": "transfer-matrix", "--tol": "1", "--seed": "1",
+    "--sweep": "1,2", "--burnin": "1", "--floor": "1",
+}
+MODEL_READS = ("--groupoid", "--measure", "--lagrangian", "--dfs", "--grid", "--mass",
+               "--hbar", "--mode", "--out")
+SLICED_READS = ("--geometry", "--grid", "--mass", "--hbar", "--mode", "--N", "--T", "--x0",
+                "--x1", "--out", "--format")
+LINE_READS = ("--quad-halfwidth", "--quad-nodes")
+CIRCLE_READS = ("--circumference", "--sites", "--winding-max")
+SWEEP_READS = ("--sweep", "--burnin", "--floor")
+# branch label -> (a valid argv of the branch, the flags it reads)
+BRANCH_READS = {
+    "validate": (("validate", "--groupoid", "pair:2"), ("--groupoid", "--out")),
+    "state-check": (("state-check", "--groupoid", "pair:2", "--grid", "0,1,2"),
+                    (*MODEL_READS, "--seed")),
+    "propagate without --geometry": (
+        ("propagate", "--groupoid", "pair:2", "--grid", "0,1,2"),
+        (*MODEL_READS, "--geometry", "--format", "--threads", "--check", "--at", "--oracle",
+         "--tol")),
+    "propagate --geometry line": (("propagate", "--geometry", "line"),
+                                  (*SLICED_READS, *LINE_READS, "--tol")),
+    "propagate --geometry circle": (("propagate", "--geometry", "circle"),
+                                    (*SLICED_READS, *CIRCLE_READS, "--tol")),
+    "converge --geometry line": (("converge", "--geometry", "line"),
+                                 (*SLICED_READS, *LINE_READS, *SWEEP_READS)),
+    "converge --geometry circle": (("converge", "--geometry", "circle"),
+                                   (*SLICED_READS, *CIRCLE_READS, *SWEEP_READS)),
+}
+COMMAND_FLAGS = {command: {flag for label, (_, reads) in BRANCH_READS.items()
+                           if label.split()[0] == command for flag in reads}
+                 for command in ("validate", "state-check", "propagate", "converge")}
+UNREAD_CASES = [(label, flag) for label, (_, reads) in BRANCH_READS.items()
+                for flag in FLAG_VALUES if flag not in reads]
+
+
+@pytest.mark.parametrize("branch, flag", UNREAD_CASES,
+                         ids=[f"{label}-{flag}" for label, flag in UNREAD_CASES])
+def test_each_branch_refuses_every_flag_it_does_not_read(capsys, monkeypatch, branch, flag):
+    # the command must not run: a refused flag is refused before any work
+    for name in ("validate", "state_check", "propagate", "converge"):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: 0)
+    argv, _ = BRANCH_READS[branch]
+    code, out, err = run(capsys, *argv, flag, FLAG_VALUES[flag])
+    assert (code, out) == (2, "")
+    if flag in COMMAND_FLAGS[argv[0]]:     # the table refuses it
+        want = f"error: {branch}: does not read {flag}"
+    else:                                  # the subcommand's parser has no such flag
+        want = f"error: unrecognized arguments: {flag} {FLAG_VALUES[flag]}"
+    assert _one_line_error(err) == want
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (("validate",), "validate: needs --groupoid"),
+    (("validate", "--out", "o.txt"), "validate: needs --groupoid"),
+    (("state-check",), "state-check: needs --groupoid, --grid"),
+    (("state-check", "--grid", "0,1,2"), "state-check: needs --groupoid"),
+    (("state-check", "--groupoid", "pair:2"), "state-check: needs --grid"),
+    (("propagate",), "propagate without --geometry: needs --groupoid, --grid"),
+    (("propagate", "--grid", "0,1,2"), "propagate without --geometry: needs --groupoid"),
+    (("propagate", "--groupoid", "pair:2"), "propagate without --geometry: needs --grid"),
+    (("converge",), "converge without --geometry: needs --geometry"),
+    (("converge", "--sweep", "1,2"), "converge without --geometry: needs --geometry"),
+    (("converge", "--sites", "9"),
+     "converge without --geometry: does not read --sites; needs --geometry"),
+    (("propagate", "--sites", "9", "--at", "1"), "propagate without --geometry: does not "
+     "read --sites; needs --groupoid, --grid; --at needs --check"),
+])
+def test_a_missing_required_flag_is_refused_in_one_line(capsys, monkeypatch, argv, needs):
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: 0)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert _one_line_error(err) == f"error: {needs}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "the following arguments are required: command"),
+    (("bogus",), "argument command: invalid choice: 'bogus'"),
+    (("propagate", "--groupoid", "pair:2", "--grid", "0,1,2", "--N", "x"),
+     "argument --N: invalid int value: 'x'"),
+    (("converge", "--geometry", "line", "--tol", "1"), "unrecognized arguments: --tol 1"),
+    (("propagate", "--geometry", "sphere"), "argument --geometry: invalid choice: 'sphere'"),
+])
+def test_argparse_refusals_are_one_line_and_returned(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in _one_line_error(err)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_exits_0_and_lists_the_flags_of_every_branch(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M))
+    assert listed == COMMAND_FLAGS[command]
+
+
+REAL_SPEC = "hbar: 1.0\nmode: real\nconvention: incremental\ndensity: uniform\n"
+EUCLIDEAN_SPEC = "hbar: 0.5\nmode: euclidean\nconvention: anchored\ndensity: uniform\n"
+
+
+@pytest.mark.parametrize("command", ["propagate", "state-check"])
+def test_dfs_spec_fixes_hbar_and_mode_a_given_flag_must_agree(capsys, tmp_path, command):
+    (tmp_path / "real.yaml").write_text(REAL_SPEC)
+    argv = (command, "--groupoid", "pair:2", "--grid", "0,1,2", "--lagrangian",
+            "energy:line,0.5", "--dfs", str(tmp_path / "real.yaml"))
+    code, alone, _ = run(capsys, *argv)
+    assert code == 0 and alone
+    for agree in (("--hbar", "1"), ("--mode", "real"), ("--hbar", "1.0", "--mode", "real")):
+        assert run(capsys, *argv, *agree)[:2] == (0, alone)
+    spec = tmp_path / "real.yaml"
+    for clash, message in [
+            (("--hbar", "5"), f"state spec {spec} has hbar 1.0, not --hbar 5.0"),
+            (("--mode", "euclidean"), f"state spec {spec} has mode real, not --mode euclidean"),
+            (("--hbar", "5", "--mode", "euclidean"),
+             f"state spec {spec} has hbar 1.0, not --hbar 5.0; mode real, not --mode euclidean")]:
+        code, out, err = run(capsys, *argv, *clash)
+        assert (code, out) == (2, "")
+        assert _one_line_error(err) == f"error: {message}"
+
+
+def test_dfs_spec_accepts_the_mode_and_hbar_it_holds(capsys, tmp_path):
+    # the euclidean anchored requests of the benchmark pass --mode euclidean
+    # beside a euclidean spec
+    (tmp_path / "e.yaml").write_text(EUCLIDEAN_SPEC)
+    argv = ("propagate", "--groupoid", "pair:3", "--grid", "0,1,3", "--lagrangian",
+            "energy:line,0.5", "--dfs", str(tmp_path / "e.yaml"))
+    code, alone, _ = run(capsys, *argv)
+    assert code == 0 and alone
+    assert run(capsys, *argv, "--mode", "euclidean", "--hbar", "0.5")[:2] == (0, alone)
+    assert run(capsys, *argv, "--mode", "real")[0] == 2
+
+
+def _readme_argvs():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return [tuple(shlex.split(line)[1:]) for line in lines if line.startswith("sumhist ")]
+
+
+def _benchmark_argvs(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    return [req.argv for name in workloads.WORKLOADS
+            for req in workloads.build(name, 201, tmp_path / name) if req.kind == "cli"]
+
+
+def test_the_flag_check_refuses_no_benchmark_or_readme_call(capsys, tmp_path, monkeypatch):
+    readme = _readme_argvs()
+    calls = [*_benchmark_argvs(tmp_path, monkeypatch), *readme]
+    assert len(readme) >= 9 and len(calls) > 150
+    assert {argv[0] for argv in readme} == {"validate", "state-check", "propagate", "converge"}
+    ran = []
+    for name in ("validate", "state_check", "propagate", "converge"):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: ran.append(args.command) or 0)
+    monkeypatch.chdir(tmp_path)
+    for argv in calls:
+        assert run(capsys, *argv) == (0, "", ""), argv
+    assert ran == [argv[0] for argv in calls]
