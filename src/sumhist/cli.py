@@ -62,14 +62,16 @@ def _load_lagrangian(g, arg: str | None, grid: TimeGrid, mass: float) -> Lagrang
     if arg is None or arg == "zero":
         return zero_lagrangian(g)
     if arg.startswith("energy:"):
-        kind, _, param = arg[len("energy:"):].partition(",")
+        spec = arg.split(":", 1)[1]
+        kind, _, param = spec.partition(",")
+        dt = grid.dt(0)
         if kind == "line":
             geom = LineLattice(g.n_objects, float(param) if param else 1.0)
         elif kind == "circle":
             geom = CircleLattice(g.n_objects, float(param) if param else float(g.n_objects))
         else:
             raise ValueError(f"unknown energy geometry {kind!r}")
-        return energy_lagrangian(g, geom, grid.dt(0), mass)
+        return energy_lagrangian(g, geom, dt, mass)
     return Lagrangian(g, sio.load_lagrangian_csv(arg, g.n_morphisms))
 
 
@@ -146,11 +148,13 @@ def cmd_state_check(args) -> int:
                          "state-check does not take --mode euclidean")
 
     entries = []
+    status = EXIT_OK
     bad_pairs = asymmetric_morphisms(lag)
     if bad_pairs:
         entries.append(("lagrangian_symmetry", f"violations at {bad_pairs[:5]}", "fail"))
         print(f"symmetry error: lagrangian differs on morphism pairs {bad_pairs[:5]}",
               file=sys.stderr)
+        status = EXIT_CHECK
     else:
         entries.append(("lagrangian_symmetry", "ok", "pass"))
     try:
@@ -159,8 +163,9 @@ def cmd_state_check(args) -> int:
     except NormalizationError as exc:
         entries.append(("density_normalization", str(exc), "fail"))
         print(f"normalization error: {exc}", file=sys.stderr)
+        status = EXIT_CHECK
 
-    if all(verdict == "pass" for *_, verdict in entries):
+    if status == EXIT_OK:
         state = state_from_lagrangian(lag, spec, g, grid, measure)
         count = total_histories(g, grid.n_intervals)
         if count > 20000:
@@ -168,8 +173,12 @@ def cmd_state_check(args) -> int:
                              "certificate needs <= 20000 (use a coarser grid)")
         family = full_interval_family(g, grid)
         cert = family_certificate(state, family)
+
+    if status == EXIT_OK:
         entries.append(("positivity_min_eigenvalue", repr(cert.min_eigenvalue),
                         "pass" if cert.is_positive else "fail"))
+        if not cert.is_positive:
+            status = EXIT_CHECK
         rng = np.random.default_rng(args.seed)
         worst = 0.0
         for _ in range(5):
@@ -179,9 +188,12 @@ def cmd_state_check(args) -> int:
             worst = max(worst, abs(lhs - rhs))
         entries.append(("positivity_identity_residual", repr(worst),
                         "pass" if worst <= 1e-10 else "fail"))
+        if worst > 1e-10:
+            status = EXIT_CHECK
 
-    _emit(sio.report_csv(entries), args.out)
-    return EXIT_OK if all(verdict == "pass" for *_, verdict in entries) else EXIT_CHECK
+    text = sio.report_csv(entries)
+    _emit(text, args.out)
+    return status
 
 
 def cmd_propagate(args) -> int:
@@ -199,10 +211,15 @@ def cmd_propagate(args) -> int:
     table = propagator_table(g, grid, lag, spec, measure)
     status = EXIT_OK
     extra = None
+    extra_name = ""
     if args.oracle == "transfer-matrix":
-        refs = transfer_oracle_table(g, grid, lag, spec, measure).amplitudes
-        extra = {key: abs(z - refs[key]) / max(abs(refs[key]), 1e-300)
-                 for key, z in table.amplitudes.items()}
+        oracle = transfer_oracle_table(g, grid, lag, spec, measure)
+        extra = {}
+        for key, z in table.amplitudes.items():
+            ref = oracle.amplitudes[key]
+            scale = max(abs(ref), 1e-300)
+            extra[key] = abs(z - ref) / scale
+        extra_name = "oracle_rel_dev"
         worst = max(extra.values())
         print(f"transfer-matrix oracle: max relative deviation {worst:.3e}", file=sys.stderr)
         if worst > args.tol:
@@ -214,7 +231,7 @@ def cmd_propagate(args) -> int:
             status = EXIT_CHECK
 
     writer = sio.propagator_table_json if args.format == "json" else sio.propagator_table_csv
-    _emit(writer(table, extra=extra, extra_name="oracle_rel_dev"), args.out)
+    _emit(writer(table, extra=extra, extra_name=extra_name), args.out)
     return status
 
 
@@ -235,6 +252,14 @@ def _endpoints(args, default: list[float]) -> tuple[float, list[float]]:
     if not all(map(math.isfinite, (args.x0, *x1s))):
         raise ValueError(f"endpoints must be finite: --x0 {args.x0!r}, --x1 {args.x1!r}")
     return args.x0, x1s or default
+
+
+def _one_endpoint(args, default: float) -> tuple[float, float]:
+    """--x0 and the one --x1 of a convergence sweep (default when absent)."""
+    x0, x1s = _endpoints(args, [default])
+    if len(x1s) > 1:
+        raise ValueError(f"converge takes one --x1 endpoint, not {len(x1s)}")
+    return x0, x1s[0]
 
 
 def _propagate_geometry(args) -> int:
@@ -265,15 +290,15 @@ def _propagate_geometry(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _slice_config(args)
     sweep = [int(s) for s in args.sweep.split(",")] if args.sweep else None
-    line = args.geometry == "line"
-    x0, x1s = _endpoints(args, [1.0 if line else args.circumference / 2])
-    if len(x1s) > 1:
-        raise ValueError(f"converge takes one --x1 endpoint, not {len(x1s)}")
-    if line:
-        rows = line_convergence(cfg, x0, x1s[0], sweep or [1, 2, 4, 8, 16, 32, 64, 128, 256])
+    if args.geometry == "line":
+        sweep = sweep or [1, 2, 4, 8, 16, 32, 64, 128, 256]
+        x0, x1 = _one_endpoint(args, 1.0)
+        rows = line_convergence(cfg, x0, x1, sweep)
     else:
-        rows = circle_convergence(cfg, args.circumference, x0, x1s[0],
-                                  sweep or [1, 2, 4, 8, 16, 32, 64], args.sites, args.winding_max)
+        sweep = sweep or [1, 2, 4, 8, 16, 32, 64]
+        th0, th1 = _one_endpoint(args, args.circumference / 2)
+        rows = circle_convergence(cfg, args.circumference, th0, th1, sweep,
+                                  args.sites, args.winding_max)
     writer = sio.convergence_json if args.format == "json" else sio.convergence_csv
     _emit(writer(rows), args.out)
     ok = errors_decrease(rows, burn_in=args.burnin, floor=args.floor)

@@ -1045,12 +1045,14 @@ def test_flags_of_one_call_fall_back_to_their_defaults_in_the_next(capsys, tmp_p
     main(["propagate", "--geometry", "line", "--N", "4", "--T", "2", "--format", "json",
           "--out", str(out)])
     main(["propagate", "--geometry", "line"])
+    main([*PAIR2_TABLE, "--lagrangian", "zero", "--format", "json", "--out", str(out)])
     main([*PAIR2_TABLE])
     assert {k: seen[1][k] for k in ("geometry", "N", "T", "format", "out")} == {
         "geometry": "line", "N": 64, "T": 1.0, "format": "csv", "out": None}
-    assert {k: seen[2][k] for k in ("geometry", "lagrangian", "format", "out")} == {
+    assert seen[2]["lagrangian"] == "zero"
+    assert {k: seen[3][k] for k in ("geometry", "lagrangian", "format", "out")} == {
         "geometry": None, "lagrangian": None, "format": "csv", "out": None}
-    assert "N" not in seen[2] and "T" not in seen[2]    # the finite branch reads neither
+    assert "N" not in seen[3] and "T" not in seen[3]    # the finite branch reads neither
 
 
 def test_an_argparse_error_leaves_the_next_call_unchanged(capsys):
