@@ -12,18 +12,12 @@ from functools import cached_property
 import numpy as np
 
 
-def offset_view(row: np.ndarray) -> np.ndarray:
-    """A read-only n×n view whose (i, j) entry is row[|i - j|], for a row of n
-    values; it holds 2n - 1 values, not n²."""
-    # row i is the window w[n - 1 - i : 2n - 1 - i] of w = (row reversed, row[1:])
-    w = np.concatenate((row[:0:-1], row))
-    return np.lib.stride_tricks.sliding_window_view(w, len(row))[::-1]
-
-
 def gather_by_offset(row: np.ndarray) -> np.ndarray:
     """The new n×n array whose (i, j) entry is row[|i - j|], for a row of n
     values."""
-    return offset_view(row).copy()
+    # row i is the window w[n - 1 - i : 2n - 1 - i] of w = (row reversed, row[1:])
+    w = np.concatenate((row[:0:-1], row))
+    return np.lib.stride_tricks.sliding_window_view(w, len(row))[::-1].copy()
 
 
 @dataclass(frozen=True)

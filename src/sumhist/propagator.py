@@ -24,7 +24,7 @@ import numpy as np
 from .action import (EUCLIDEAN, REAL_PHASE, Lagrangian, StateSpec,
                      history_actions, phase_factors, phase_sigma)
 from .algebra import GroupoidMeasure, counting_measure
-from .geometry import CircleLattice, gather_by_offset, offset_view
+from .geometry import CircleLattice, LineLattice, gather_by_offset
 from .groupoid import FiniteGroupoid, check_table_size
 from .histories import (BLOCK, FUTURE, History, TimeGrid, from_links,
                         interior_blocks, link_walks)
@@ -416,43 +416,15 @@ class SliceConfig:
         return self.total_time / self.n_slices
 
 
-# np.exp(x) is exactly 0.0 for every x below this: e^x rounds to 0 below
-# -745.14 (half the least subnormal, 2^-1075).  The quadrature kernel's cut
-# (_normal_exp_cut) lies above it, where exp(x) times the slice normalization
-# reaches the normal range.
-EXP_ZERO_BELOW = -760.0
-
-# The smallest normal double.  The matrices of the mat-vec chains (the
-# quadrature kernel and the lattice transfer) hold no nonzero entry below it:
-# on x86 every product with a subnormal operand takes a microcode assist, and
-# each such entry enters every mat-vec of a chain.  Zeroing the
-# 5120 subnormal entries of a 512-site euclidean circle transfer cut its
-# 255 mat-vecs from about 40 to 24 ms (2-core Xeon, numpy 2.4 with OpenBLAS).
-# A dropped entry weighs below 2^-1022 against entries of order one, so the
-# amplitudes keep their bytes in every configuration checked, which is a
-# measurement, not a proof.
+# The smallest normal double.  The matrices of the mat-vec chains
+# (_chain_matrix) hold no nonzero part below it: on x86 every product with a
+# subnormal operand takes a microcode assist, in every mat-vec of a chain.
+# Zeroing the 5120 subnormal entries of a 512-site euclidean circle transfer
+# cut its 255 mat-vecs from about 40 to 24 ms (2-core Xeon, numpy 2.4 with
+# OpenBLAS).  A dropped part weighs below 2^-1022 against entries of order
+# one: the amplitudes kept their bytes in every configuration checked, which
+# is a measurement, not a proof.
 NORMAL_MIN = 2.0 ** -1022
-
-
-def _below_normal(x):
-    """Where |x| is below the smallest normal double: zero or subnormal."""
-    return np.abs(x) < NORMAL_MIN
-
-
-def _normal_exp_cut(scale: float) -> float:
-    """The least x of [EXP_ZERO_BELOW, 0] at which np.exp(x) * scale is at
-    least NORMAL_MIN (inf if even scale is below it), found by bisection over
-    the doubles; np.exp is monotone, so every exponent below the cut gives a
-    zero or subnormal product."""
-    if _below_normal(scale):
-        return math.inf
-    lo, hi = EXP_ZERO_BELOW, 0.0
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if _below_normal(np.exp(mid) * scale):
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 def line_kernel(mass: float, hbar: float, t: float, dx: float,
@@ -488,6 +460,35 @@ def gaussian_recursion(cfg: SliceConfig) -> tuple[complex, complex]:
     return A, B
 
 
+def _slice_row(cfg: SliceConfig, d: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The one-slice kernel phase(l) (A scale) at each distance of d: A from
+    gaussian_slice_params and the energy q-Lagrangian l = m d^2 / (2 dt),
+    written as energy_lagrangian_from_metric writes it, through
+    phase_factors.  The phases come first: a complex product under FMA rounds
+    by operand order, and numpy may compute it in place on its first operand."""
+    A, _ = gaussian_slice_params(cfg)
+    return phase_factors(cfg.mass * d * d / (2.0 * cfg.dt), cfg.hbar, cfg.mode) * (A * scale)
+
+
+def _chain_matrix(cfg: SliceConfig, lattice, scale: float, what: str,
+                  real: bool = False, flush: bool = True) -> np.ndarray:
+    """The n×n one-slice kernel on a lattice of n sites, gathered from one
+    _slice_row: entry (i, j) is its value (its real part if real) at the
+    distance of offset |i - j|.  check_table_size refuses its bytes (what
+    names the matrix) before anything is built.  A matrix for a mat-vec chain
+    (flush) holds no real or imaginary part below NORMAL_MIN but +0.0: they
+    are zeroed on the row."""
+    n = lattice.n_sites
+    check_table_size(n, 8 if real else 16, what)
+    row = _slice_row(cfg, lattice.offset_distances(), scale)
+    if real:
+        row = row.real
+    if flush:
+        parts = row.view(np.float64)        # every real and imaginary part
+        parts[np.abs(parts) < NORMAL_MIN] = 0.0
+    return gather_by_offset(row)
+
+
 def sliced_line_propagator(cfg: SliceConfig, x0: float, x1: float,
                            method: str = "recursion") -> complex:
     """Time-sliced free propagator on the line from x0 to x1; see
@@ -517,52 +518,30 @@ def _sliced_line(cfg: SliceConfig, x0: float, x1s, method: str) -> list[complex]
     if cfg.mode != EUCLIDEAN:
         raise ValueError("quadrature evaluation is supported in euclidean mode only")
     L, M = cfg.quad_halfwidth, cfg.quad_nodes
+    h = 2 * L / (M - 1)         # the node spacing, np.linspace's step
     if cfg.n_slices > 1:        # one slice builds no kernel
-        check_table_size(M, 8, f"a quadrature kernel of {M} nodes")
+        # the nodes are a line lattice of M sites, h apart
+        K = _chain_matrix(cfg, LineLattice(M, h), 1.0, f"a quadrature kernel of {M} nodes",
+                          real=True)
+        if h > math.sqrt(cfg.hbar * cfg.dt / cfg.mass):
+            warnings.warn("quadrature nodes too coarse for the requested slicing: node "
+                          "spacing exceeds the one-slice kernel width", stacklevel=3)
     sigma_total = math.sqrt(cfg.hbar * cfg.total_time / cfg.mass)
     for x1 in x1s:
         if L < max(abs(x0), abs(x1)) + 6 * sigma_total:
             warnings.warn("quadrature domain may truncate significant mass; "
                           "increase quad_halfwidth", stacklevel=3)
     if cfg.n_slices == 1:
-        return [complex(k) for k in _euclidean_slice_row(cfg, np.asarray(x1s, float) - x0)]
+        return [complex(k) for k in _slice_row(cfg, np.asarray(x1s, float) - x0).real]
     u = np.linspace(-L, L, M)
-    wts = np.full(M, u[1] - u[0])
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
+    wts = np.full(M, h)
+    wts[[0, -1]] *= 0.5
     # the interior chain: every factor but the last, shared by all endpoints
-    K = _quadrature_kernel(cfg, u)
-    v = _euclidean_slice_row(cfg, u - x0)
+    v = _slice_row(cfg, u - x0).real
     for _ in range(cfg.n_slices - 2):
         v = K @ (wts * v)
     # one reduction per endpoint keeps the summation order of a single call
-    return [complex(np.sum(wts * _euclidean_slice_row(cfg, x1 - u) * v)) for x1 in x1s]
-
-
-def _quadrature_kernel(cfg: SliceConfig, u: np.ndarray) -> np.ndarray:
-    """The M×M one-slice kernel norm * exp(-m (u_i - u_j)^2 / (2 hbar dt)) on
-    the nodes u, built in place, with every entry below NORMAL_MIN an exact
-    +0.0: the cut goes on the exponent (_normal_exp_cut), so exp runs only
-    where the entry is normal, and no pass over the scaled kernel is made."""
-    norm = math.sqrt(cfg.mass / (2 * math.pi * cfg.hbar * cfg.dt))
-    K = u[:, None] - u[None, :]
-    np.square(K, out=K)
-    K *= -cfg.mass
-    K /= 2 * cfg.hbar * cfg.dt
-    live = K >= _normal_exp_cut(norm)
-    np.exp(K, out=K, where=live)
-    K[~live] = 0.0
-    K *= norm
-    return K
-
-
-def _euclidean_slice_row(cfg: SliceConfig, dx: np.ndarray) -> np.ndarray:
-    """line_kernel(cfg.mass, cfg.hbar, cfg.dt, d, EUCLIDEAN).real for each d
-    of dx, bit for bit: its float operations in its order, with libm exp
-    mapped over the row as phase_factors' euclidean route does."""
-    A, _ = gaussian_slice_params(cfg)
-    x = phase_sigma(EUCLIDEAN) * cfg.mass * dx * dx / (2 * cfg.hbar * cfg.dt)
-    return A.real * np.array(list(map(math.exp, x.tolist())))
+    return [complex(np.sum(wts * _slice_row(cfg, x1 - u).real * v)) for x1 in x1s]
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +550,12 @@ def _euclidean_slice_row(cfg: SliceConfig, dx: np.ndarray) -> np.ndarray:
 
 def lattice_transfer(geometry, cfg: SliceConfig) -> np.ndarray:
     """One-slice lattice kernel with the continuum normalization and the
-    Riemann measure factor: N(dt) * spacing * phase(m d^2 / (2 dt))."""
-    n = geometry.n_sites
-    check_table_size(n, 16, f"a lattice transfer matrix of {n} sites")
-    norm, _ = gaussian_slice_params(cfg)
-    d = geometry.offset_distances()
-    expo = phase_sigma(cfg.mode) * cfg.mass * d * d / (2 * cfg.hbar * cfg.dt)
-    # T first: the complex product, fused under FMA, rounds by operand order
-    return gather_by_offset(np.exp(expo)) * (norm * geometry.spacing)
+    Riemann measure factor, N(dt) * spacing * phase(m d^2 / (2 dt)), built per
+    site offset: in euclidean mode, the transfer_matrix of the pair groupoid
+    of the sites under energy_lagrangian with fiber weights N(dt) * spacing.
+    Its subnormal entries are kept."""
+    return _chain_matrix(cfg, geometry, geometry.spacing,
+                         f"a lattice transfer matrix of {geometry.n_sites} sites", flush=False)
 
 
 def lattice_line_propagator(geometry, cfg: SliceConfig, site0: int, site1: int) -> complex:
@@ -588,26 +565,12 @@ def lattice_line_propagator(geometry, cfg: SliceConfig, site0: int, site1: int) 
     return _lattice_amplitudes(geometry, cfg, site0, [site1])[0]
 
 
-def _chain_transfer(geometry, cfg: SliceConfig) -> np.ndarray:
-    """lattice_transfer with every subnormal real or imaginary part made +0.0
-    (see NORMAL_MIN), for the mat-vec chain.  Entry (i, j) is T[0, |i - j|],
-    so the subnormal offsets are read on row 0 and zeroed through
-    offset_view, with no n×n float temporary.  A real-mode T, unimodular
-    phases times a normal scale, holds none and is returned as built."""
-    T = lattice_transfer(geometry, cfg)
-    for part in (T.real, T.imag):
-        row = part[0]
-        dead = _below_normal(row) & (row != 0)
-        if dead.any():
-            np.copyto(part, 0.0, where=offset_view(dead))
-    return T
-
-
 def _lattice_amplitudes(geometry, cfg: SliceConfig, site0: int, site1s) -> list[complex]:
     """lattice_line_propagator for each of site1s from one start column:
     v = T[:, site0], then N - 1 mat-vecs v = T @ v give column site0 of T^N,
-    T the subnormal-free _chain_transfer."""
-    T = _chain_transfer(geometry, cfg)
+    T the lattice transfer as a chain matrix (no subnormal part)."""
+    T = _chain_matrix(cfg, geometry, geometry.spacing,
+                      f"a lattice transfer matrix of {geometry.n_sites} sites")
     v = T[:, site0]
     for _ in range(cfg.n_slices - 1):
         v = T @ v

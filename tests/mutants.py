@@ -197,33 +197,22 @@ MUTANTS = (
            "if False:",
            ("tests/test_cli.py", "-k", "kernel_bytes")),
     Mutant("lattice-transfer-bytes-unchecked", "src/sumhist/propagator.py",
-           '    check_table_size(n, 16, f"a lattice transfer matrix of {n} sites")\n',
+           "    check_table_size(n, 8 if real else 16, what)\n",
            "",
            ("tests/test_cli.py", "-k", "kernel_bytes")),
-    Mutant("lattice-transfer-scales-before-gather", "src/sumhist/propagator.py",
-           "return gather_by_offset(np.exp(expo)) * (norm * geometry.spacing)",
-           "return gather_by_offset(norm * geometry.spacing * np.exp(expo))",
-           ("tests/test_continuum.py", "-k", "lattice_transfer_is_bit_identical")),
-    Mutant("lattice-transfer-scale-times-table", "src/sumhist/propagator.py",
-           "return gather_by_offset(np.exp(expo)) * (norm * geometry.spacing)",
-           "return norm * geometry.spacing * gather_by_offset(np.exp(expo))",
-           ("tests/test_continuum.py", "-k", "lattice_transfer_is_bit_identical")),
-    Mutant("quadrature-endpoint-rows-use-numpy-exp", "src/sumhist/propagator.py",
-           "return A.real * np.array(list(map(math.exp, x.tolist())))",
-           "return A.real * np.exp(x)",
+    Mutant("slice-row-uses-numpy-exp", "src/sumhist/propagator.py",
+           "return phase_factors(cfg.mass * d * d / (2.0 * cfg.dt), cfg.hbar, cfg.mode) * (A * scale)",
+           "return np.exp(phase_sigma(cfg.mode) * (cfg.mass * d * d / (2.0 * cfg.dt) / cfg.hbar))"
+           " * (A * scale)",
            ("tests/test_continuum.py", "-k", "entrywise")),
-    Mutant("quadrature-kernel-keeps-underflowed-arguments", "src/sumhist/propagator.py",
-           "    K[~live] = 0.0\n",
+    Mutant("chain-matrix-flushes-normal-parts", "src/sumhist/propagator.py",
+           "NORMAL_MIN = 2.0 ** -1022",
+           "NORMAL_MIN = 2.0 ** -1000",
+           ("tests/test_continuum.py", "-k", "drops_only_subnormal")),
+    Mutant("chain-matrix-keeps-subnormals", "src/sumhist/propagator.py",
+           "        parts[np.abs(parts) < NORMAL_MIN] = 0.0\n",
            "",
-           ("tests/test_continuum.py", "-k", "entrywise")),
-    Mutant("quadrature-cut-drops-normal-entries", "src/sumhist/propagator.py",
-           "live = K >= _normal_exp_cut(norm)",
-           "live = K >= _normal_exp_cut(norm) + 1.0",
-           ("tests/test_continuum.py", "-k", "entrywise")),
-    Mutant("lattice-chain-flushes-normal-parts", "src/sumhist/propagator.py",
-           "dead = _below_normal(row) & (row != 0)",
-           "dead = (np.abs(row) < 2.0 ** -1000) & (row != 0)",
-           ("tests/test_continuum.py", "-k", "lattice_chain_drops_only_subnormal")),
+           ("tests/test_continuum.py", "-k", "drops_only_subnormal")),
 )
 
 

@@ -8,6 +8,7 @@ import re
 import shlex
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,13 +99,15 @@ def test_a_description_file_above_the_table_cap_is_refused_by_every_command(
 
 
 def _no_continuum_kernel(monkeypatch):
-    """Make the first step of each continuum kernel raise: the quadrature grid
-    and the lattice's row of offset distances."""
+    """Make the first step of each continuum kernel raise: the row of offset
+    distances of a lattice (the quadrature nodes are a line lattice) and the
+    quadrature grid."""
     def build(*args, **kwargs):
         raise AssertionError("a continuum kernel was built")
 
     monkeypatch.setattr(np, "linspace", build)
     monkeypatch.setattr(sh.CircleLattice, "offset_distances", build)
+    monkeypatch.setattr(sh.LineLattice, "offset_distances", build)
 
 
 @pytest.mark.parametrize("argv, what, kernel_bytes", [
@@ -359,37 +362,58 @@ def _counted(calls, name, fn):
     return counting
 
 
-def test_circle_builds_one_transfer_per_slicing_and_no_power(capsys, monkeypatch):
+def _counted_chain_matrices(monkeypatch):
+    """The shape of every chain matrix built, in call order."""
     import sumhist.propagator as sp
+    shapes, build = [], sp._chain_matrix
+
+    def counting(*args, **kwargs):
+        matrix = build(*args, **kwargs)
+        shapes.append(matrix.shape)
+        return matrix
+
+    monkeypatch.setattr(sp, "_chain_matrix", counting)
+    return shapes
+
+
+def test_circle_builds_one_transfer_per_slicing_and_no_power(capsys, monkeypatch):
+    shapes = _counted_chain_matrices(monkeypatch)
     calls = {}
-    monkeypatch.setattr(sp, "lattice_transfer", _counted(calls, "transfer", sp.lattice_transfer))
     monkeypatch.setattr(np.linalg, "matrix_power",
                         _counted(calls, "power", np.linalg.matrix_power))
     code, out, _ = run(capsys, "propagate", "--geometry", "circle", "--mode", "euclidean",
                        "--N", "16", "--sites", "64")
     assert code == 0 and len(out.splitlines()) == 1 + 8
-    assert calls == {"transfer": 1}
-    calls.clear()
+    assert shapes == [(64, 64)] and calls == {}
+    shapes.clear()
     code, out, _ = run(capsys, "converge", "--geometry", "circle", "--mode", "euclidean",
                        "--sweep", "1,2,4,8,16", "--sites", "64")
     assert code == 0 and len(out.splitlines()) == 1 + 5
-    assert calls == {"transfer": 5}
+    assert shapes == [(64, 64)] * 5 and calls == {}
 
 
 def test_propagate_line_builds_one_interior_chain(capsys, monkeypatch):
-    # the quadrature kernel is the one two-dimensional exp of the line route
-    kernels, exp = [], np.exp
-
-    def counting_exp(x, *args, **kwargs):
-        if np.ndim(x) == 2:
-            kernels.append(np.shape(x))
-        return exp(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "exp", counting_exp)
+    # the quadrature kernel is the one chain matrix of the line route
+    shapes = _counted_chain_matrices(monkeypatch)
     code, out, _ = run(capsys, "propagate", "--geometry", "line", "--mode", "euclidean",
                        "--N", "8", "--quad-nodes", "100")
     assert code == 0 and len(out.splitlines()) == 1 + 9
-    assert kernels == [(100, 100)]
+    assert shapes == [(100, 100)]
+
+
+def test_propagate_line_warns_of_quadrature_nodes_coarser_than_the_slice(capsys):
+    # node spacing 0.099 against a one-slice width sqrt(hbar dt / m) of 0.0095:
+    # the chain overflows to nan, the warning names the cause, and the exit
+    # code stays 0 while propagate --geometry gates nothing on --tol
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, "propagate", "--geometry", "line", "--mode", "euclidean",
+                           "--N", "512", "--quad-nodes", "120", "--quad-halfwidth", "5.87",
+                           "--T", "0.968", "--mass", "1.54", "--hbar", "0.074", "--x1", "0.5")
+    assert code == 0 and ",nan," in out
+    assert [str(w.message) for w in caught if w.category is UserWarning] == [
+        "quadrature nodes too coarse for the requested slicing: node spacing exceeds "
+        "the one-slice kernel width"]
 
 
 def test_propagate_json_format(capsys, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sumhist as sh
-from sumhist.action import EUCLIDEAN, REAL_PHASE
+from sumhist.action import EUCLIDEAN, REAL_PHASE, phase_factor
 from sumhist.geometry import CircleLattice, LineLattice
 from sumhist.propagator import SliceConfig, gaussian_slice_params, lattice_transfer
 
@@ -165,15 +165,6 @@ def _branch_slice_params(cfg):
     return A, B
 
 
-def _branch_lattice_transfer(geometry, cfg):
-    sigma = 1j if cfg.mode == REAL_PHASE else -1.0
-    norm = cmath.sqrt(cfg.mass / (2 * math.pi * cfg.hbar * cfg.dt
-                                  * (1j if cfg.mode == REAL_PHASE else 1.0)))
-    d = geometry.distance_matrix
-    expo = sigma * cfg.mass * d * d / (2 * cfg.hbar * cfg.dt)
-    return np.exp(expo) * (norm * geometry.spacing)
-
-
 def _bits(*zs):
     return b"".join(struct.pack("<dd", z.real, z.imag) for z in zs)
 
@@ -194,10 +185,21 @@ def test_gaussian_slice_params_are_bit_identical_to_branch_formula(mode):
         assert _bits(*gaussian_slice_params(cfg)) == _bits(*_branch_slice_params(cfg)), cfg
 
 
+def _entrywise_kernel(cfg, d, scale):
+    """phase_factor(l) (A scale) at every entry of the distance array d, with
+    l = m d^2 / (2 dt): one scalar phase_factor per distinct distance.  The
+    product is numpy's, phases first, as a complex product under FMA rounds
+    by operand order."""
+    A, _ = gaussian_slice_params(cfg)
+    values, index = np.unique(d, return_inverse=True)
+    phases = np.array([phase_factor(cfg.mass * x * x / (2.0 * cfg.dt), cfg.hbar, cfg.mode)
+                       for x in values.tolist()])
+    return phases[index.reshape(d.shape)] * (A * scale)
+
+
 @pytest.mark.parametrize("mode", [REAL_PHASE, EUCLIDEAN])
-def test_lattice_transfer_is_bit_identical_to_branch_formula(mode):
-    # the table is the first operand of the scale at every size, below 128
-    # sites (a complex n×n array under 256 KiB) as well as above
+def test_lattice_transfer_is_the_entrywise_kernel(mode):
+    # below 128 sites (a complex n×n array under 256 KiB) as well as above
     rng = np.random.default_rng(82)
     small = _seeded_configs(83, 120, mode)
     for k, cfg in enumerate(small + _seeded_configs(84, 10, mode)):
@@ -205,21 +207,42 @@ def test_lattice_transfer_is_bit_identical_to_branch_formula(mode):
         geom = (CircleLattice(n_sites, float(rng.uniform(0.5, 10.0))) if k % 2
                 else LineLattice(n_sites, float(rng.uniform(0.05, 2.0))))
         got = lattice_transfer(geom, cfg)
-        want = _branch_lattice_transfer(geom, cfg)
+        want = _entrywise_kernel(cfg, geom.distance_matrix, geom.spacing)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), cfg
+
+
+@pytest.mark.parametrize("lattice", [LineLattice, CircleLattice])
+def test_euclidean_lattice_transfer_is_the_pair_groupoid_transfer_matrix(lattice):
+    # the paper's instance: the one-slice kernel is the transfer matrix of the
+    # pair groupoid of the sites under the energy q-Lagrangian, with fiber
+    # weights the slice normalization times the spacing
+    rng = np.random.default_rng(85 if lattice is LineLattice else 86)
+    for cfg in _seeded_configs(87, 28, EUCLIDEAN):
+        n_sites, spacing = int(rng.integers(1, 49)), float(rng.uniform(0.05, 2.0))
+        geom = (LineLattice(n_sites, spacing) if lattice is LineLattice
+                else CircleLattice(n_sites, n_sites * spacing))
+        g = sh.pair_groupoid(n_sites)
+        A, _ = gaussian_slice_params(cfg)
+        measure = sh.GroupoidMeasure(g, np.ones(n_sites),
+                                     np.full(g.n_morphisms, A.real * geom.spacing))
+        want = sh.transfer_matrix(g, sh.energy_lagrangian(g, geom, cfg.dt, cfg.mass),
+                                  sh.uniform_state_spec(g, cfg.hbar, EUCLIDEAN), measure)
+        assert lattice_transfer(geom, cfg).tobytes() == want.tobytes(), (geom, cfg)
 
 
 def _subnormal(x):
     return (x != 0) & (np.abs(x) < 2.0 ** -1022)
 
 
-def _drops_only_subnormals(got, parent):
-    """got holds no subnormal, and each of its entries is the parent's bytes
-    or a +0.0 where the parent's entry is subnormal; the count of those."""
-    assert got.dtype == parent.dtype == np.float64 and got.shape == parent.shape
+def _drops_only_subnormals(got, want):
+    """got holds no subnormal, and each of its entries is want's bytes or a
+    +0.0 where want's entry is subnormal; the count of those.  A complex
+    array is compared part by part."""
+    got, want = (np.ascontiguousarray(x).view(np.float64) for x in (got, want))
+    assert got.shape == want.shape
     assert not _subnormal(got).any()
-    moved = got.view(np.int64) != parent.view(np.int64)
-    assert _subnormal(parent[moved]).all() and not got[moved].view(np.int64).any()
+    moved = got.view(np.int64) != want.view(np.int64)
+    assert _subnormal(want[moved]).all() and not got[moved].view(np.int64).any()
     return int(moved.sum())
 
 
@@ -251,14 +274,15 @@ def _transfer_chain(geom, cfg, site0, site1s):
     return [complex(v[s] / geom.spacing) for s in site1s]
 
 
+def _lattice_chain_matrix(geom, cfg):
+    return sh.propagator._chain_matrix(cfg, geom, geom.spacing, "a lattice transfer")
+
+
 def test_lattice_chain_drops_only_subnormal_parts_and_keeps_the_amplitudes():
     rng = np.random.default_rng(93)
     for geom, cfg in _subnormal_lattices(92, 14):
-        T = lattice_transfer(geom, cfg)
-        chain = sh.propagator._chain_transfer(geom, cfg)
-        assert _drops_only_subnormals(np.ascontiguousarray(chain.real),
-                                      np.ascontiguousarray(T.real)) > 0, (geom, cfg)
-        assert chain.imag.tobytes() == T.imag.tobytes()
+        want = _entrywise_kernel(cfg, geom.distance_matrix, geom.spacing)
+        assert _drops_only_subnormals(_lattice_chain_matrix(geom, cfg), want) > 0, (geom, cfg)
         s0, *s1s = (int(s) for s in rng.integers(0, geom.n_sites, 4))
         want = _transfer_chain(geom, cfg, s0, s1s)
         if isinstance(geom, CircleLattice):
@@ -271,14 +295,14 @@ def test_lattice_chain_drops_only_subnormal_parts_and_keeps_the_amplitudes():
         assert _zbytes(got) == _zbytes(want), (geom, cfg)
 
 
-def test_real_lattice_chain_is_the_lattice_transfer():
+def test_real_lattice_chain_is_the_entrywise_kernel():
     rng = np.random.default_rng(94)
     for k, cfg in enumerate(_seeded_configs(95, 30, REAL_PHASE)):
         n_sites = 512 if k < 2 else int(rng.integers(1, 300))
         geom = (CircleLattice(n_sites, float(rng.uniform(0.5, 10.0))) if k % 2
                 else LineLattice(n_sites, float(rng.uniform(0.05, 2.0))))
-        chain = sh.propagator._chain_transfer(geom, cfg)
-        assert chain.tobytes() == lattice_transfer(geom, cfg).tobytes(), cfg
+        want = _entrywise_kernel(cfg, geom.distance_matrix, geom.spacing)
+        assert _lattice_chain_matrix(geom, cfg).tobytes() == want.tobytes(), cfg
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 7, 40])
@@ -290,36 +314,40 @@ def test_distance_matrix_is_the_pairwise_distance(n_sites):
         assert d[0].tobytes() == geom.offset_distances().tobytes()
 
 
-def _quadrature_nodes(cfg):
-    return np.linspace(-cfg.quad_halfwidth, cfg.quad_halfwidth, cfg.quad_nodes)
+def _node_spacing(cfg):
+    """The trapezoid spacing h of the quadrature nodes on [-L, L]."""
+    return 2 * cfg.quad_halfwidth / (cfg.quad_nodes - 1)
 
 
-def _parent_kernel(cfg, u):
-    """The quadrature kernel as one full-matrix np.exp, subnormals kept."""
-    K = np.exp(-cfg.mass * (u[:, None] - u[None, :]) ** 2 / (2 * cfg.hbar * cfg.dt))
-    K *= math.sqrt(cfg.mass / (2 * math.pi * cfg.hbar * cfg.dt))
-    return K
+def _entrywise_quadrature_kernel(cfg):
+    """The kernel on the nodes at distance |i - j| h, subnormals kept."""
+    k = np.arange(cfg.quad_nodes)
+    K = _entrywise_kernel(cfg, np.abs(k[:, None] - k[None, :]) * _node_spacing(cfg), 1.0)
+    return np.ascontiguousarray(K.real)
 
 
-def _parent_quadrature(cfg, x0, x1s):
-    """The quadrature route as first written: endpoint rows of scalar
-    line_kernel calls and the kernel as one full-matrix np.exp."""
-    u = _quadrature_nodes(cfg)
-    M = len(u)
-    wts = np.full(M, u[1] - u[0])
+def _entrywise_quadrature(cfg, x0, x1s):
+    """The quadrature route with every kernel value a scalar
+    (A phase_factor(l)).real: endpoint rows at u - x0 and x1 - u, the
+    interior kernel of _entrywise_quadrature_kernel."""
+    M, h = cfg.quad_nodes, _node_spacing(cfg)
+    u = np.linspace(-cfg.quad_halfwidth, cfg.quad_halfwidth, M)
+    wts = np.full(M, h)
     wts[0] *= 0.5
     wts[-1] *= 0.5
+    A, _ = gaussian_slice_params(cfg)
 
-    def k1(a, b):
-        return sh.line_kernel(cfg.mass, cfg.hbar, cfg.dt, a - b, EUCLIDEAN).real
+    def k1(d):
+        return (A * phase_factor(cfg.mass * d * d / (2.0 * cfg.dt), cfg.hbar, EUCLIDEAN)).real
 
     if cfg.n_slices == 1:
-        return [complex(k1(x1, x0)) for x1 in x1s]
-    K = _parent_kernel(cfg, u)
-    v = np.array([k1(ui, x0) for ui in u])
+        return [complex(k1(x1 - x0)) for x1 in x1s]
+    K = _entrywise_quadrature_kernel(cfg)
+    v = np.array([k1(ui - x0) for ui in u.tolist()])
     for _ in range(cfg.n_slices - 2):
         v = K @ (wts * v)
-    return [complex(np.sum(wts * np.array([k1(x1, ui) for ui in u]) * v)) for x1 in x1s]
+    return [complex(np.sum(wts * np.array([k1(x1 - ui) for ui in u.tolist()]) * v))
+            for x1 in x1s]
 
 
 def _quadrature_configs(rng):
@@ -334,30 +362,55 @@ def _quadrature_configs(rng):
     return cfgs
 
 
-def test_quadrature_kernel_keeps_the_entrywise_kernel_but_its_subnormals():
+def test_quadrature_kernel_drops_only_subnormals_of_the_entrywise_kernel():
     # the byte cross-check of the route is the entrywise test below, whose
-    # parent kernel keeps every subnormal entry
+    # kernel keeps every subnormal entry
     dropped = []
     for cfg in _quadrature_configs(np.random.default_rng(91)):
-        u = _quadrature_nodes(cfg)
-        dropped.append(_drops_only_subnormals(sh.propagator._quadrature_kernel(cfg, u),
-                                              _parent_kernel(cfg, u)))
+        nodes = LineLattice(cfg.quad_nodes, _node_spacing(cfg))
+        K = sh.propagator._chain_matrix(cfg, nodes, 1.0, "a quadrature kernel", real=True)
+        assert K.dtype == np.float64
+        dropped.append(_drops_only_subnormals(K, _entrywise_quadrature_kernel(cfg)))
     assert dropped[0] > 2000 and sum(d > 0 for d in dropped) >= 10, dropped
 
 
 def test_quadrature_is_bit_identical_to_the_entrywise_formula():
     rng = np.random.default_rng(91)
     cfgs = _quadrature_configs(rng)
-    big = cfgs[0]
-    assert (-big.mass * (2 * big.quad_halfwidth) ** 2 / (2 * big.hbar * big.dt)
-            < sh.propagator.EXP_ZERO_BELOW)
+    big = cfgs[0]    # exp underflows to 0.0 at the farthest offset
+    assert math.exp(-big.mass * (2 * big.quad_halfwidth) ** 2 / (2 * big.hbar * big.dt)) == 0.0
     for cfg in cfgs:
         x0 = float(rng.uniform(-2.0, 2.0))
         xs = [float(x) for x in rng.uniform(-3.0, 3.0, 4)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # the truncating domains
             got = sh.sliced_line_propagators(cfg, x0, xs, "quadrature")
-        assert _zbytes(got) == _zbytes(_parent_quadrature(cfg, x0, xs)), cfg
+        assert _zbytes(got) == _zbytes(_entrywise_quadrature(cfg, x0, xs)), cfg
+
+
+def test_benchmark_quadrature_line_is_within_1e_13_of_the_closed_form():
+    # 800 nodes on [-10, 10] at N = 256: kernel entries at offsets k h carry
+    # no rounding of node differences u_i - u_j
+    cfg = SliceConfig(256, 1.0, mode=EUCLIDEAN, quad_halfwidth=10.0, quad_nodes=800)
+    x0, xs = 0.3, [-2.0 + 0.5 * k for k in range(9)]
+    for x1, z in zip(xs, sh.sliced_line_propagators(cfg, x0, xs, "quadrature")):
+        ref = sh.line_kernel(cfg.mass, cfg.hbar, cfg.total_time, x1 - x0, EUCLIDEAN)
+        assert abs(z - ref) <= 1e-13 * abs(ref), x1
+
+
+@pytest.mark.parametrize("n_slices, nodes, warns", [
+    (512, 120, True),       # h = 0.099 against a width of 0.0095
+    (512, 1500, False),     # h = 0.0078
+    (1, 120, False),        # one slice runs no quadrature
+])
+def test_quadrature_warns_of_nodes_coarser_than_the_slice_width(n_slices, nodes, warns):
+    cfg = SliceConfig(n_slices, 0.968, 1.54, 0.074, EUCLIDEAN, 5.87, nodes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        warnings.simplefilter("ignore", RuntimeWarning)     # the overflowing chain
+        sh.sliced_line_propagators(cfg, 0.0, [0.5, 1.0], "quadrature")
+    coarse = [w.filename for w in caught if "too coarse" in str(w.message)]
+    assert coarse == ([__file__] if warns else [])
 
 
 def test_slice_config_refuses_unknown_mode():

@@ -8,10 +8,16 @@ the report of the sum-splitting check with and without --threads, and
 the warnings of the quadrature domain and of a coarse circle lattice.  A
 change that is meant to keep every output byte-identical must leave them all
 unchanged.  They were recorded on x86-64 Linux with CPython 3.11 and numpy
-2.4; another libm or numpy build may round the last bits differently.
+2.4; another libm or numpy build may round the last bits differently.  The
+kernels of the line and circle chains take libm exp through phase_factors,
+so those two digests hold under numpy's CPU dispatch with AVX-512 switched
+off as well; the chains' mat-vecs still depend on the BLAS kernel.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -60,11 +66,11 @@ GOLDEN = {
     "line-euclidean": (
         ["propagate", "--geometry", "line", "--mode", "euclidean", "--N", "4",
          "--quad-nodes", "120", "--x1", "0,0.5,1"],
-        0, "8ef0d6030eae2d49e906c54df81309bb4ad5f2cef7e98d69f2f3a722a0f34854"),
+        0, "cf8d5de474803f9547f1226891e64bbee75ff006ee591ed9c6bc89c7a8d4724e"),
     "circle-euclidean": (
         ["propagate", "--geometry", "circle", "--mode", "euclidean", "--N", "4",
          "--T", "0.5", "--sites", "48"],
-        0, "8269ea95ea9398f20b6397d5cc9b5ee946848951a4faff5865f7018f0024d2e9"),
+        0, "c721554b07efefdbb2ef5788fb68fac32bd29ce3d94290abb208cb236efd48af"),
     "state-check": (
         ["state-check", "--groupoid", "pair:3", "--grid", "0,1,3",
          "--lagrangian", "energy:line,0.5"],
@@ -118,8 +124,8 @@ WARNING_GOLDEN = {
     "line-quadrature-domain": (
         ["propagate", "--geometry", "line", "--mode", "euclidean", "--N", "4",
          "--quad-nodes", "120", "--x1=-1,2.5,0.5"],
-        ["48916d93585230adef8909d7dcf992d080083b6a98a051daa209092840bd7b6b",
-         "3ad19dee1da4ac3d9c038de287489e7371fee30d6b029501c8099144da055520"]),
+        ["49c03b36364b1f65421085c87c22c907ed3d73e290f1a63926365cde7df3f0c0",
+         "eef78fae32e373021dc318c3a11fffd2f4cacd51827e6b6d783dbdf2dd4124c9"]),
     "circle-coarse-lattice": (
         ["propagate", "--geometry", "circle", "--mode", "euclidean", "--N", "4",
          "--T", "0.5", "--sites", "16"],
@@ -140,3 +146,43 @@ def test_geometry_warnings_are_byte_identical(name, capsys):
     digests = [hashlib.sha256(text.encode()).hexdigest()
                for text in (captured.out, captured.err + shown)]
     assert (code, digests) == (0, want)
+
+
+# numpy's AVX-512 loops switched off, for the process that runs the CLI call
+NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+# a child process that prints the exit code and stdout digest of one CLI
+# call, or exits 3 if numpy refuses NPY_DISABLE_CPU_FEATURES (a feature of
+# its baseline, or one this build does not dispatch)
+DISPATCH_CHILD = """
+import hashlib, io, sys, warnings
+from contextlib import redirect_stdout
+warnings.simplefilter("error", ImportWarning)
+try:
+    import numpy
+except (ImportWarning, RuntimeError) as exc:
+    print(exc, file=sys.stderr)
+    sys.exit(3)
+warnings.resetwarnings()
+from sumhist.cli import main
+out = io.StringIO()
+with redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("name", ["circle-euclidean", "line-euclidean"])
+def test_kernel_goldens_hold_without_avx512_dispatch(name):
+    argv, want_code, want_digest = GOLDEN[name]
+    src = str(Path(sh.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = subprocess.run([sys.executable, "-c", DISPATCH_CHILD, *argv], env=env,
+                         capture_output=True, text=True)
+    if run.returncode == 3:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={NO_AVX512!r}: "
+                    f"{run.stderr.strip()}")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [str(want_code), want_digest]
