@@ -12,7 +12,6 @@ import cmath
 import csv
 import io as _io
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -198,18 +197,23 @@ def save_state_spec(spec: StateSpec, path) -> None:
 TABLE_HEADER = ("x0", "t0", "x1", "t1", "re", "im", "abs", "phase")
 CONVERGENCE_HEADER = ("N", "dt", "value_re", "value_im", "reference_re",
                       "reference_im", "rel_error")
-KERNEL_HEADER = TABLE_HEADER + ("rel_error",)
 
 
-def propagator_table_rows(table: PropagatorTable, extra: dict | None = None):
-    """Rows (x0, t0, x1, t1, re, im, abs, phase) [+ extra columns keyed by
-    (x0, x1)]."""
-    for x0, t0, x1, t1, z in table.rows():
-        row = [x0, _fmt(t0), x1, _fmt(t1), _fmt(z.real), _fmt(z.imag),
-               _fmt(abs(z)), _fmt(cmath.phase(z))]
-        if extra is not None:
-            row.append(_fmt(extra[(x0, x1)]))
-        yield row
+def _labels(xs: np.ndarray) -> list:
+    """Object ids as integers, positions as shortest round-trip strings."""
+    return xs.tolist() if xs.dtype.kind in "iu" else [_fmt(x) for x in xs.tolist()]
+
+
+def propagator_table_rows(table: PropagatorTable, extra: np.ndarray | None = None):
+    """Rows (x0, t0, x1, t1, re, im, abs, phase) in (x0, x1) order [+ one
+    extra column, an array in the shape of the amplitudes]."""
+    t0, t1 = _fmt(table.grid.times[0]), _fmt(table.grid.times[-1])
+    x1s = _labels(table.x1s)
+    columns = [table.amplitudes.tolist()] + ([] if extra is None else [extra.tolist()])
+    for x0, *rows in zip(_labels(table.x0s), *columns):
+        for x1, z, *cells in zip(x1s, *rows):
+            yield [x0, t0, x1, t1, _fmt(z.real), _fmt(z.imag), _fmt(abs(z)),
+                   _fmt(cmath.phase(z)), *map(_fmt, cells)]
 
 
 def _table_header(extra, extra_name: str) -> tuple:
@@ -217,13 +221,13 @@ def _table_header(extra, extra_name: str) -> tuple:
 
 
 def propagator_table_csv(table: PropagatorTable, path=None,
-                         extra: dict | None = None, extra_name: str = "") -> str:
+                         extra: np.ndarray | None = None, extra_name: str = "") -> str:
     return render_rows(_table_header(extra, extra_name),
                        propagator_table_rows(table, extra), "csv", path)
 
 
 def propagator_table_json(table: PropagatorTable, path=None,
-                          extra: dict | None = None, extra_name: str = "") -> str:
+                          extra: np.ndarray | None = None, extra_name: str = "") -> str:
     return render_rows(_table_header(extra, extra_name),
                        propagator_table_rows(table, extra), "json", path)
 
@@ -240,16 +244,6 @@ def convergence_csv(rows, path=None) -> str:
 
 def convergence_json(rows, path=None) -> str:
     return render_rows(CONVERGENCE_HEADER, convergence_rows(rows), "json", path)
-
-
-def kernel_comparison(rows, total_time: float, fmt: str = "csv", path=None) -> str:
-    """Continuum kernel values against their references: rows (x0, x1, value,
-    rel_error), each written as (x0, 0, x1, total_time, re, im, abs, phase,
-    rel_error)."""
-    out = [(_fmt(x0), _fmt(0.0), _fmt(x1), _fmt(total_time), _fmt(z.real),
-            _fmt(z.imag), _fmt(abs(z)), _fmt(math.atan2(z.imag, z.real)), _fmt(rel))
-           for x0, x1, z, rel in rows]
-    return render_rows(KERNEL_HEADER, out, fmt, path)
 
 
 def report_csv(entries: list[tuple[str, str, str]], path=None) -> str:

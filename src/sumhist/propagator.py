@@ -217,40 +217,52 @@ def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
 
 @dataclass(frozen=True)
 class PropagatorTable:
-    """Amplitudes indexed by endpoint pair over a fixed grid span."""
+    """The amplitude from each start label to each end label over one time
+    span: object ids for a finite groupoid, positions for a continuum kernel."""
 
     grid: TimeGrid
-    amplitudes: dict        # (x0, x1) -> complex
-
-    def rows(self):
-        t0, t1 = self.grid.times[0], self.grid.times[-1]
-        for (x0, x1), z in sorted(self.amplitudes.items()):
-            yield (x0, t0, x1, t1, z)
+    x0s: np.ndarray
+    x1s: np.ndarray
+    amplitudes: np.ndarray  # complex; [i, j] from x0s[i] to x1s[j]
 
 
 def propagator_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
                      spec: StateSpec,
                      measure: GroupoidMeasure | None = None) -> PropagatorTable:
     """The amplitude of every endpoint pair, one finite_propagator each."""
-    amps = {}
-    for x0 in range(g.n_objects):
-        for x1 in range(g.n_objects):
-            amps[(x0, x1)] = finite_propagator(g, grid, lag, spec, x0, x1, measure)
-    return PropagatorTable(grid, amps)
+    objects = np.arange(g.n_objects)
+    amps = np.empty((g.n_objects, g.n_objects), dtype=complex)
+    for x0, x1 in itertools.product(range(g.n_objects), repeat=2):
+        amps[x0, x1] = finite_propagator(g, grid, lag, spec, x0, x1, measure)
+    return PropagatorTable(grid, objects, objects, amps)
 
 
 def transfer_oracle_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
                           spec: StateSpec,
                           measure: GroupoidMeasure | None = None) -> PropagatorTable:
-    """The same table resummed through transfer-matrix powers."""
+    """The same table resummed through transfer-matrix powers.
+
+    Every euclidean term is positive, so the density-stripped reference of a
+    pair with at least one history is positive too.  One that is 0 or below
+    NORMAL_MIN has underflowed and can check nothing: a euclidean table with
+    such an entry raises ValueError."""
+    n = grid.n_intervals
     p = spec.slices(grid)
-    T = transfer_matrix(g, lag, spec, measure)
-    A = transfer_power(T, grid.n_intervals, measure)
-    amps = {}
-    for x0 in range(g.n_objects):
-        for x1 in range(g.n_objects):
-            amps[(x0, x1)] = math.sqrt(p[grid.n_intervals, x1] * p[0, x0]) * A[x1, x0]
-    return PropagatorTable(grid, amps)
+    A = transfer_power(transfer_matrix(g, lag, spec, measure), n, measure).T
+    if spec.mode == EUCLIDEAN:
+        # the pairs with histories, from the hom-size pattern: T's own entries underflow
+        hop = (g.hom_arrays[0].reshape(g.n_objects, g.n_objects) > 0).astype(float)
+        reach = hop
+        for _ in range(n - 1):
+            reach = np.minimum(reach @ hop, 1.0)
+        lost = np.argwhere((reach > 0) & (A.real < NORMAL_MIN))
+        if len(lost):
+            x0, x1 = lost[0]
+            raise ValueError(f"the transfer-matrix reference underflows below the smallest "
+                             f"normal double at {len(lost)} endpoint pairs with histories, "
+                             f"first (x0, x1) = ({x0}, {x1}); the oracle cannot check them")
+    objects = np.arange(g.n_objects)
+    return PropagatorTable(grid, objects, objects, np.sqrt(np.outer(p[0], p[n])) * A)
 
 
 def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
@@ -260,7 +272,7 @@ def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     """Max over endpoint pairs of the sum-splitting defect at interior slice j:
     the full amplitude against the object-measure-weighted product of the two
     sub-amplitudes, with the doubled density factor at the junction divided
-    out.
+    out; NaN if any defect is NaN.
 
     table is a propagator_table of the same arguments, if the caller already
     holds it; without one the table is computed here."""
@@ -277,17 +289,31 @@ def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
         raise ValueError("the propagator table spans another grid")
     if table is None:
         table = propagator_table(g, grid, lag, spec, measure)
-    full = table.amplitudes
-    first = propagator_table(g, g1, lag, s1, measure).amplitudes
-    second = propagator_table(g, g2, lag, s2, measure).amplitudes
-    worst = 0.0
-    for a in range(g.n_objects):
-        for b in range(g.n_objects):
-            split = fsum_complex(
-                m.object_weights[c] * second[(c, b)] * first[(a, c)] / p[j, c]
-                for c in range(g.n_objects))
-            worst = max(worst, abs(full[(a, b)] - split))
-    return worst
+    # Python scalars, so that every term is the product of the scalar route
+    full = table.amplitudes.tolist()
+    first = propagator_table(g, g1, lag, s1, measure).amplitudes.tolist()
+    second = propagator_table(g, g2, lag, s2, measure).amplitudes.tolist()
+    defects = []
+    for a, b in itertools.product(range(g.n_objects), repeat=2):
+        split = fsum_complex(m.object_weights[c] * second[c][b] * first[a][c] / p[j, c]
+                             for c in range(g.n_objects))
+        defects.append(abs(full[a][b] - split))
+    return _worst(defects)
+
+
+def relative_deviations(values, refs) -> tuple[np.ndarray, float]:
+    """|z - ref| / max(|ref|, 1e-300) of each value against its reference, in
+    the shape of values, and the worst of them.  The abs is Python's complex
+    abs: numpy's array abs rounds some moduli otherwise."""
+    devs = [abs(z - r) / max(abs(r), 1e-300)
+            for z, r in zip(np.ravel(values).tolist(), np.ravel(refs).tolist())]
+    return np.reshape(devs, np.shape(values)), _worst(devs)
+
+
+def _worst(values: list[float]) -> float:
+    """The largest of values, 0.0 if there are none, NaN if any is NaN (max
+    would drop a NaN, as NaN compares False)."""
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +435,19 @@ class SliceConfig:
             raise ValueError("quad_halfwidth must be positive")
         if self.quad_nodes < 2:
             raise ValueError("need at least two quadrature nodes")
+        if not math.isfinite(self.node_spacing):
+            raise ValueError(f"quad_halfwidth {self.quad_halfwidth!r} makes the quadrature's "
+                             "node spacing 2 * quad_halfwidth / (quad_nodes - 1) overflow")
         phase_sigma(self.mode)
 
     @property
     def dt(self) -> float:
         return self.total_time / self.n_slices
+
+    @property
+    def node_spacing(self) -> float:
+        """The step of the quadrature's nodes, np.linspace's step on [-L, L]."""
+        return 2 * self.quad_halfwidth / (self.quad_nodes - 1)
 
 
 # The smallest normal double.  The matrices of the mat-vec chains
@@ -423,7 +457,8 @@ class SliceConfig:
 # cut its 255 mat-vecs from about 40 to 24 ms (2-core Xeon, numpy 2.4 with
 # OpenBLAS).  A dropped part weighs below 2^-1022 against entries of order
 # one: the amplitudes kept their bytes in every configuration checked, which
-# is a measurement, not a proof.
+# is a measurement, not a proof.  A euclidean transfer-oracle reference below
+# it has underflowed (transfer_oracle_table).
 NORMAL_MIN = 2.0 ** -1022
 
 
@@ -518,7 +553,7 @@ def _sliced_line(cfg: SliceConfig, x0: float, x1s, method: str) -> list[complex]
     if cfg.mode != EUCLIDEAN:
         raise ValueError("quadrature evaluation is supported in euclidean mode only")
     L, M = cfg.quad_halfwidth, cfg.quad_nodes
-    h = 2 * L / (M - 1)         # the node spacing, np.linspace's step
+    h = cfg.node_spacing
     if cfg.n_slices > 1:        # one slice builds no kernel
         # the nodes are a line lattice of M sites, h apart
         K = _chain_matrix(cfg, LineLattice(M, h), 1.0, f"a quadrature kernel of {M} nodes",
@@ -640,8 +675,7 @@ class ConvergenceRow:
 
     @property
     def rel_error(self) -> float:
-        scale = abs(self.reference)
-        return abs(self.value - self.reference) / scale if scale else abs(self.value)
+        return relative_deviations(self.value, self.reference)[1]
 
 
 def line_convergence(cfg: SliceConfig, x0: float, x1: float, sweep) -> list[ConvergenceRow]:

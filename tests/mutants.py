@@ -57,8 +57,8 @@ MUTANTS = (
            "return f",
            ("tests/test_states.py", "-k", "seeded_measure")),
     Mutant("propagate-oracle-gate", "src/sumhist/cli.py",
-           "if worst > args.tol:",
-           "if worst > 1.0:",
+           "if not worst <= args.tol:",
+           "if not worst <= 1.0:",
            ("tests/test_cli.py", "-k", "tol_gates")),
     Mutant("propagate-geometry-reads-finite-flags", "src/sumhist/cli.py",
            "unread = [name for name in FLAGS if name in given and name not in reads]",
@@ -69,8 +69,8 @@ MUTANTS = (
            '"check", "at", "oracle", "tol", "sites")',
            ("tests/test_cli.py", "-k", "every_flag_it_does_not_read")),
     Mutant("propagate-residual-gate", "src/sumhist/cli.py",
-           "if res > args.tol:",
-           "if res > 1.0:",
+           "if not res <= args.tol:",
+           "if not res <= 1.0:",
            ("tests/test_cli.py", "-k", "tol_gates")),
     Mutant("errors-decrease-never-fails", "src/sumhist/propagator.py",
            "if prev is not None and e > max(prev, floor):\n            return False",
@@ -213,6 +213,23 @@ MUTANTS = (
            "        parts[np.abs(parts) < NORMAL_MIN] = 0.0\n",
            "",
            ("tests/test_continuum.py", "-k", "drops_only_subnormal")),
+    Mutant("oracle-passes-an-underflowed-reference", "src/sumhist/propagator.py",
+           "if len(lost):",
+           "if False:",
+           ("tests/test_propagator.py", "tests/test_cli.py", "-k", "underflow")),
+    Mutant("worst-deviation-drops-a-nan", "src/sumhist/propagator.py",
+           "return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)",
+           "return max(values, default=0.0)",
+           ("tests/test_propagator.py", "tests/test_continuum.py",
+            "-k", "relative_deviations or rel_error_is")),
+    Mutant("propagate-history-count-unchecked", "src/sumhist/cli.py",
+           '    _check_histories(g, grid, PROPAGATE_HISTORY_CAP, "the path sum")\n',
+           "",
+           ("tests/test_cli.py", "-k", "monkeypatched_cap")),
+    Mutant("slice-config-takes-an-overflowing-spacing", "src/sumhist/propagator.py",
+           "if not math.isfinite(self.node_spacing):",
+           "if False:",
+           ("tests/test_cli.py", "-k", "input_errors and halfwidth")),
 )
 
 

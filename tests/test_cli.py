@@ -276,8 +276,7 @@ def test_propagate_tol_gates_exit_3_on_a_deviation_above_tol(capsys, monkeypatch
 
         def skewed(*args, **kw):
             t = exact(*args, **kw)
-            return sh.PropagatorTable(t.grid, {k: z * (1 + 1e-6) for k, z in
-                                               t.amplitudes.items()})
+            return sh.PropagatorTable(t.grid, t.x0s, t.x1s, t.amplitudes * (1 + 1e-6))
         monkeypatch.setattr(cli, "transfer_oracle_table", skewed)
         argv = ("--oracle", "transfer-matrix")
     else:
@@ -287,6 +286,32 @@ def test_propagate_tol_gates_exit_3_on_a_deviation_above_tol(capsys, monkeypatch
                          "--lagrangian", "energy:line,0.5", *argv)
     assert code == 3 and out.startswith("x0,")
     assert "1.000e-06" in err
+
+
+def test_propagate_refuses_an_underflowed_oracle_before_the_path_sum(capsys, monkeypatch):
+    argv = ("propagate", "--groupoid", "pair:3", "--grid", "0,1,2", "--lagrangian",
+            "energy:circle,3", "--hbar", "1e-3", "--oracle", "transfer-matrix")
+    code, out, err = run(capsys, *argv)             # real mode: a zero can be true
+    assert code == 0 and out.startswith("x0,")
+
+    def enumerate_(*args, **kw):
+        raise AssertionError("the path sum ran before the oracle")
+
+    monkeypatch.setattr(cli, "propagator_table", enumerate_)
+    code, out, err = run(capsys, *argv, "--mode", "euclidean")
+    assert (code, out) == (2, "")
+    assert "underflows below the smallest normal double at 6 endpoint pairs" in err
+
+
+def test_propagate_refuses_histories_above_a_monkeypatched_cap(capsys, monkeypatch):
+    argv = ("propagate", "--groupoid", "pair:3", "--grid", "0,1,4", "--lagrangian", "zero")
+    monkeypatch.setattr(cli, "PROPAGATE_HISTORY_CAP", 3 ** 5)
+    assert run(capsys, *argv)[0] == 0               # at the cap
+    monkeypatch.setattr(cli, "PROPAGATE_HISTORY_CAP", 3 ** 5 - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: 243 histories on this grid; the path sum needs <= 242 "
+                   "(use a coarser grid)\n")
 
 
 @pytest.mark.parametrize("flags, unread", [
@@ -834,6 +859,17 @@ MISSING = "{d}/missing/out.txt"
     (("propagate", "--geometry", "line", "--N", "4", "--tol", "nan"),
      "--tol must be a non-negative number, not nan"),
     (("propagate", *CIRCLE16, "--tol=-1e-12"), "--tol must be a non-negative number, not -1e-12"),
+    (("propagate", "--geometry", "line", "--mode", "euclidean", "--N", "4",
+      "--quad-halfwidth", "1e308"),
+     "error: quad_halfwidth 1e+308 makes the quadrature's node spacing "
+     "2 * quad_halfwidth / (quad_nodes - 1) overflow"),
+    (("propagate", "--groupoid", "pair:6", "--grid", "0,1,6", "--lagrangian", "energy:circle",
+      "--mode", "euclidean", "--hbar", "1e-3", "--oracle", "transfer-matrix"),
+     "error: the transfer-matrix reference underflows below the smallest normal double at "
+     "30 endpoint pairs with histories, first (x0, x1) = (0, 1)"),
+    (("propagate", "--groupoid", "pair:4", "--grid", "0,1,20", "--lagrangian", "zero"),
+     "error: 4398046511104 histories on this grid; the path sum needs <= 100000000 "
+     "(use a coarser grid)"),
 ], ids=["out-validate", "out-state-check", "out-propagate", "out-converge",
         "zero-density-junction", "yaml-syntax", "units-scalar", "compose-short-row",
         "hbar-nan", "T-nan", "grid-nan", "x1-nan", "circle-real-propagate",
@@ -846,7 +882,8 @@ MISSING = "{d}/missing/out.txt"
         "state-check-euclidean-unnormalized",
         "action-overflow-propagate", "action-overflow-state-check",
         "tol-nan", "tol-negative", "at-without-check", "tol-nan-geometry",
-        "tol-negative-geometry"])
+        "tol-negative-geometry", "halfwidth-overflow", "oracle-underflow",
+        "history-cap"])
 def test_input_errors_exit_2_with_one_line(capsys, recwarn, tmp_path, argv, message):
     for name, text in CONTRACT_FILES.items():
         (tmp_path / name).write_text(text)
@@ -1258,6 +1295,30 @@ def _benchmark_argvs(tmp_path, monkeypatch):
     workloads = importlib.import_module("workloads")
     return [req.argv for name in workloads.WORKLOADS
             for req in workloads.build(name, 201, tmp_path / name) if req.kind == "cli"]
+
+
+def test_the_history_cap_refuses_no_benchmark_or_readme_call(tmp_path, monkeypatch):
+    counts = []
+    monkeypatch.chdir(tmp_path)
+    for argv in [*_benchmark_argvs(tmp_path, monkeypatch), *_readme_argvs()]:
+        args = cli.build_parser().parse_args(argv)
+        cli._check_flags(args)
+        if args.command == "propagate" and not args.geometry:
+            g = cli._load_groupoid(args.groupoid)
+            counts.append(sh.total_histories(g, cli._parse_grid(args.grid).n_intervals))
+    assert len(counts) > 100 and max(counts) == 279936 <= cli.PROPAGATE_HISTORY_CAP // 100
+
+
+def test_propagate_help_lists_the_flags_of_each_branch(capsys):
+    with pytest.raises(SystemExit):
+        main(["propagate", "--help"])
+    epilog = capsys.readouterr().out.split("\n\n")[-1]
+    branches = dict(re.findall(r"^(propagate.*):\n((?:  .*\n?)+)", epilog, re.M))
+    assert list(branches) == ["propagate without --geometry", "propagate --geometry line",
+                              "propagate --geometry circle"]
+    assert [name for name, text in branches.items() if "--sites" in text] == [
+        "propagate --geometry circle"]
+    assert "requires --groupoid, --grid" in branches["propagate without --geometry"]
 
 
 def test_the_flag_check_refuses_no_benchmark_or_readme_call(capsys, tmp_path, monkeypatch):

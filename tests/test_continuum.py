@@ -143,6 +143,13 @@ def test_errors_decrease_detects_growth():
     assert not sh.errors_decrease(rows, burn_in=8, floor=1e-12)
 
 
+def test_convergence_rel_error_is_the_relative_deviation():
+    assert sh.ConvergenceRow(1, 1.0, 3 + 4j, 1 + 0j).rel_error == abs(2 + 4j)
+    # a zero reference divides by 1e-300, as every other relative deviation does
+    assert sh.ConvergenceRow(1, 1.0, 0.5 + 0j, 0j).rel_error == 0.5 / 1e-300
+    assert math.isnan(sh.ConvergenceRow(1, 1.0, complex(math.nan, 0), 1 + 0j).rel_error)
+
+
 def test_convergence_csv(tmp_path):
     from sumhist.io import convergence_csv
     cfg = SliceConfig(4, 1.0, mode=EUCLIDEAN)

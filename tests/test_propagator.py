@@ -100,7 +100,7 @@ def test_finite_propagator_matches_transfer_oracle(rng):
         grid = sh.TimeGrid.uniform(0.0, 1.0, 4)
         table = sh.propagator_table(g, grid, lag, spec, m)
         oracle = sh.transfer_oracle_table(g, grid, lag, spec, m)
-        for key, z in table.amplitudes.items():
+        for key, z in np.ndenumerate(table.amplitudes):
             ref = oracle.amplitudes[key]
             assert abs(z - ref) <= RTOL * max(1.0, abs(ref))
 
@@ -120,11 +120,59 @@ def test_pair_256_transfer_oracle_fits_its_memory_bound():
         tracemalloc.stop()
     assert peak <= 16 * 2 ** 20
     amps = oracle.amplitudes
-    assert len(amps) == n * n
+    assert amps.shape == (n, n)
     # the circle is translation invariant, so the amplitudes are circulant
     for x0, x1, shift in ((0, 0, 97), (3, 40, 200), (250, 7, 11)):
-        z, w = amps[(x0, x1)], amps[((x0 + shift) % n, (x1 + shift) % n)]
+        z, w = amps[x0, x1], amps[(x0 + shift) % n, (x1 + shift) % n]
         assert z.real > 0 and abs(z - w) <= 1e-12 * abs(z)
+
+
+@pytest.mark.parametrize("hbar, lost", [(1.5e-3, None), (1.4e-3, "subnormal"), (1e-3, "zero")])
+def test_euclidean_transfer_oracle_refuses_an_underflowed_reference(hbar, lost):
+    # every euclidean term is positive, so the six off-diagonal pairs, which
+    # have histories, have positive references: e^(-0.993/hbar) is normal at
+    # 1.5e-3, subnormal at 1.4e-3 and 0 at 1e-3
+    g = sh.pair_groupoid(3)
+    grid = sh.TimeGrid.uniform(0.0, 1.0, 2)
+    lag = sh.energy_lagrangian(g, sh.CircleLattice(3, 3.0), grid.dt(0), 1.0)
+    euclidean = sh.uniform_state_spec(g, hbar=hbar, mode=EUCLIDEAN)
+    A = sh.transfer_power(sh.transfer_matrix(g, lag, euclidean), 2)
+    assert (A[0, 1].real == 0) == (lost == "zero")
+    if lost is None:
+        assert A[0, 1].real >= propagator.NORMAL_MIN
+        sh.transfer_oracle_table(g, grid, lag, euclidean)
+    else:
+        with pytest.raises(ValueError, match=r"normal double at 6 endpoint pairs with "
+                                              r"histories, first \(x0, x1\) = \(0, 1\)"):
+            sh.transfer_oracle_table(g, grid, lag, euclidean)
+    # real mode is not checked: cancellation can make a true zero
+    sh.transfer_oracle_table(g, grid, lag, sh.uniform_state_spec(g, hbar=hbar))
+
+
+def test_euclidean_transfer_oracle_takes_a_zero_reference_without_histories():
+    g = sh.pair_groupoid(2)
+    units_only = dataclasses.replace(
+        g, src=np.array([0, 1]), tgt=np.array([0, 1]),
+        unit_of=np.array([0, 1]), inverse_of=np.array([0, 1]),
+        table=np.array([[0, -1], [-1, 1]], dtype=np.int32))
+    spec = sh.uniform_state_spec(units_only, mode=EUCLIDEAN)
+    oracle = sh.transfer_oracle_table(units_only, sh.TimeGrid.uniform(0.0, 1.0, 3),
+                                      sh.zero_lagrangian(units_only), spec)
+    assert oracle.amplitudes.tolist() == [[0.5, 0], [0, 0.5]]
+
+
+def test_relative_deviations_read_python_abs_and_keep_a_nan(rng):
+    z = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    ref = z + 1e-3 * (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
+    ref[0, 0] = 0
+    devs, worst = propagator.relative_deviations(z, ref)
+    expect = [abs(a - b) / max(abs(b), 1e-300) for a, b in zip(z.ravel().tolist(),
+                                                                  ref.ravel().tolist())]
+    assert devs.shape == (3, 4) and devs.ravel().tolist() == expect
+    assert worst == max(expect) == abs(z[0, 0]) / 1e-300
+    z[2, 3] = complex(math.nan, 0.0)
+    assert math.isnan(propagator.relative_deviations(z, ref)[1])
+    assert propagator.relative_deviations(np.zeros((0, 0)), np.zeros((0, 0)))[1] == 0.0
 
 
 def test_finite_propagator_weighted_measure(rng):
@@ -140,7 +188,7 @@ def test_finite_propagator_weighted_measure(rng):
     grid = sh.TimeGrid.uniform(0.0, 1.0, 3)
     table = sh.propagator_table(g, grid, lag, spec, m)
     oracle = sh.transfer_oracle_table(g, grid, lag, spec, m)
-    for key, z in table.amplitudes.items():
+    for key, z in np.ndenumerate(table.amplitudes):
         ref = oracle.amplitudes[key]
         assert abs(z - ref) <= RTOL * max(1.0, abs(ref))
 
