@@ -314,13 +314,16 @@ def uniform_state_spec(g: FiniteGroupoid, hbar: float = 1.0, mode: str = REAL_PH
 
 @dataclass(frozen=True, eq=False)
 class HistoryState:
-    """Evaluator of the factorized positive-type function on grid histories:
+    """The DFS state of one model: groupoid, grid, Lagrangian, densities and
+    measure, which every path-sum table route takes.  It evaluates the
+    factorized positive-type function on grid histories:
     value(w) = sqrt(p(source) p(target)) * phase(action(w))."""
 
     groupoid: FiniteGroupoid
     grid: TimeGrid
     lagrangian: Lagrangian
     spec: StateSpec
+    measure: GroupoidMeasure
 
     @cached_property
     def density_table(self) -> np.ndarray:
@@ -362,14 +365,14 @@ def state_from_lagrangian(lag: Lagrangian, spec: StateSpec, g: FiniteGroupoid,
                           grid: TimeGrid,
                           measure: GroupoidMeasure | None = None) -> HistoryState:
     """Build the history state, enforcing Lagrangian symmetry and density
-    normalization."""
+    normalization against the measure (the counting measure if None)."""
     bad = asymmetric_morphisms(lag)
     if bad:
         raise SymmetryError(
             f"lagrangian is not inversion-symmetric on morphism pairs {bad[:5]}")
     m = measure if measure is not None else counting_measure(g)
     spec.validate(grid, m)
-    return HistoryState(g, grid, lag, spec)
+    return HistoryState(g, grid, lag, spec, m)
 
 
 def classical_restriction(state: HistoryState) -> np.ndarray:

@@ -184,8 +184,6 @@ def cmd_state_check(args) -> int:
         _check_histories(g, grid, 20000, "the positivity certificate")
         family = full_interval_family(g, grid)
         cert = family_certificate(state, family)
-
-    if status == EXIT_OK:
         entries.append(("positivity_min_eigenvalue", repr(cert.min_eigenvalue),
                         "pass" if cert.is_positive else "fail"))
         if not cert.is_positive:
@@ -217,12 +215,12 @@ def cmd_propagate(args) -> int:
     g, grid, measure, lag, spec = _load_model(args)
     if args.check and (args.at is None or not 0 < args.at < grid.n_intervals):
         raise ValueError("--check reproducing needs an interior --at slice")
-    state_from_lagrangian(lag, spec, g, grid, measure)  # symmetry + normalization
+    state = state_from_lagrangian(lag, spec, g, grid, measure)
     _check_histories(g, grid, PROPAGATE_HISTORY_CAP, "the path sum")
 
     # the oracle first: its refusal of an underflowed reference costs no enumeration
-    oracle = transfer_oracle_table(g, grid, lag, spec, measure) if args.oracle else None
-    table = propagator_table(g, grid, lag, spec, measure)
+    oracle = transfer_oracle_table(state) if args.oracle else None
+    table = propagator_table(state)
     status = EXIT_OK
     devs = None
     if oracle is not None:
@@ -231,7 +229,7 @@ def cmd_propagate(args) -> int:
         if not worst <= args.tol:
             status = EXIT_CHECK
     if args.check == "reproducing":
-        res = reproducing_residual(g, grid, lag, spec, args.at, measure, table)
+        res = reproducing_residual(state, args.at, table)
         print(f"reproducing residual at slice {args.at}: {res:.3e}", file=sys.stderr)
         if not res <= args.tol:
             status = EXIT_CHECK

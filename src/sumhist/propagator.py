@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action import (EUCLIDEAN, REAL_PHASE, Lagrangian, StateSpec,
+from .action import (EUCLIDEAN, REAL_PHASE, HistoryState, Lagrangian, StateSpec,
                      history_actions, phase_factors, phase_sigma)
 from .algebra import GroupoidMeasure, counting_measure
 from .geometry import CircleLattice, LineLattice, gather_by_offset
@@ -210,8 +210,10 @@ def finite_propagator(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     stays that of one block.  Only a pair whose terms are not finite, or
     whose sum of |t| may reach 2^1020, is enumerated a second time, for
     math.fsum over the full term list."""
-    p = spec.slices(grid)
-    amp = math.sqrt(p[grid.n_intervals, x1] * p[0, x0])
+    p = spec.density
+    if len(p) > 1:              # a table for every slice: refuse another slice count
+        p = spec.slices(grid)
+    amp = math.sqrt(p[-1, x1] * p[0, x0])
     return amp * exact_sum(lambda: path_sum_terms(g, grid, lag, spec, x0, x1, measure))
 
 
@@ -226,29 +228,29 @@ class PropagatorTable:
     amplitudes: np.ndarray  # complex; [i, j] from x0s[i] to x1s[j]
 
 
-def propagator_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
-                     spec: StateSpec,
-                     measure: GroupoidMeasure | None = None) -> PropagatorTable:
-    """The amplitude of every endpoint pair, one finite_propagator each."""
+def propagator_table(state: HistoryState) -> PropagatorTable:
+    """The amplitude of every endpoint pair of the state's model, one
+    finite_propagator each."""
+    g, grid = state.groupoid, state.grid
     objects = np.arange(g.n_objects)
     amps = np.empty((g.n_objects, g.n_objects), dtype=complex)
     for x0, x1 in itertools.product(range(g.n_objects), repeat=2):
-        amps[x0, x1] = finite_propagator(g, grid, lag, spec, x0, x1, measure)
+        amps[x0, x1] = finite_propagator(g, grid, state.lagrangian, state.spec, x0, x1,
+                                         state.measure)
     return PropagatorTable(grid, objects, objects, amps)
 
 
-def transfer_oracle_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
-                          spec: StateSpec,
-                          measure: GroupoidMeasure | None = None) -> PropagatorTable:
+def transfer_oracle_table(state: HistoryState) -> PropagatorTable:
     """The same table resummed through transfer-matrix powers.
 
     Every euclidean term is positive, so the density-stripped reference of a
     pair with at least one history is positive too.  One that is 0 or below
     NORMAL_MIN has underflowed and can check nothing: a euclidean table with
     such an entry raises ValueError."""
+    g, grid, spec, m = state.groupoid, state.grid, state.spec, state.measure
     n = grid.n_intervals
-    p = spec.slices(grid)
-    A = transfer_power(transfer_matrix(g, lag, spec, measure), n, measure).T
+    p = state.density_table
+    A = transfer_power(transfer_matrix(g, state.lagrangian, spec, m), n, m).T
     if spec.mode == EUCLIDEAN:
         # the pairs with histories, from the hom-size pattern: T's own entries underflow
         hop = (g.hom_arrays[0].reshape(g.n_objects, g.n_objects) > 0).astype(float)
@@ -265,37 +267,35 @@ def transfer_oracle_table(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
     return PropagatorTable(grid, objects, objects, np.sqrt(np.outer(p[0], p[n])) * A)
 
 
-def reproducing_residual(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
-                         spec: StateSpec, j: int,
-                         measure: GroupoidMeasure | None = None,
+def reproducing_residual(state: HistoryState, j: int,
                          table: PropagatorTable | None = None) -> float:
     """Max over endpoint pairs of the sum-splitting defect at interior slice j:
-    the full amplitude against the object-measure-weighted product of the two
-    sub-amplitudes, with the doubled density factor at the junction divided
-    out; NaN if any defect is NaN.
+    the full amplitude against the object-measure-weighted product of the
+    amplitudes of the two halves of the state, with the doubled density
+    factor at the junction divided out; NaN if any defect is NaN.
 
-    table is a propagator_table of the same arguments, if the caller already
-    holds it; without one the table is computed here."""
+    table is the state's propagator_table, if the caller already holds it;
+    without one the table is computed here."""
+    g, grid, spec = state.groupoid, state.grid, state.spec
     n = grid.n_intervals
     if not (0 < j < n):
         raise ValueError(f"splitting slice {j} must be interior to 0..{n}")
-    m = measure if measure is not None else counting_measure(g)
-    p = spec.slices(grid)
+    p = state.density_table
     if np.any(p[j] <= 0):
         raise ValueError("splitting requires a strictly positive density at the junction")
-    g1, g2 = grid.sub(0, j), grid.sub(j, n)
-    s1, s2 = spec.sub(grid, 0, j), spec.sub(grid, j, n)
     if table is not None and table.grid != grid:
         raise ValueError("the propagator table spans another grid")
     if table is None:
-        table = propagator_table(g, grid, lag, spec, measure)
+        table = propagator_table(state)
     # Python scalars, so that every term is the product of the scalar route
     full = table.amplitudes.tolist()
-    first = propagator_table(g, g1, lag, s1, measure).amplitudes.tolist()
-    second = propagator_table(g, g2, lag, s2, measure).amplitudes.tolist()
+    halves = [replace(state, grid=grid.sub(i, k), spec=spec.sub(grid, i, k))
+              for i, k in ((0, j), (j, n))]
+    first, second = (propagator_table(half).amplitudes.tolist() for half in halves)
+    ow = state.measure.object_weights
     defects = []
     for a, b in itertools.product(range(g.n_objects), repeat=2):
-        split = fsum_complex(m.object_weights[c] * second[c][b] * first[a][c] / p[j, c]
+        split = fsum_complex(ow[c] * second[c][b] * first[a][c] / p[j, c]
                              for c in range(g.n_objects))
         defects.append(abs(full[a][b] - split))
     return _worst(defects)
@@ -378,7 +378,12 @@ def velocity_form_propagator(geometry, grid: TimeGrid, spec: StateSpec,
                              mass: float, x0: int, x1: int) -> complex:
     """The lattice path sum re-expressed over velocity paths with per-interval
     action mass*v^2*dt/2; the change of summation variables is a bijection with
-    unit Jacobian, so this equals the position-form sum exactly.
+    unit Jacobian, so in exact arithmetic this equals the position-form sum.
+    In floats it does not: each kinetic value rounds apart from the energy
+    Lagrangian's, and each action is a left-to-right sum, not a correctly
+    rounded one.  It agrees with finite_propagator within a rounding bound
+    c u sum|t| (N + N max|l| / hbar), u the unit roundoff, which the
+    route-agreement test of tests/test_propagator.py checks at c = 16.
 
     Site sequences are taken in blocks.  The kinetic value of every (site,
     next site) step is computed once per call into an n_sites x n_sites

@@ -230,6 +230,19 @@ MUTANTS = (
            "if not math.isfinite(self.node_spacing):",
            "if False:",
            ("tests/test_cli.py", "-k", "input_errors and halfwidth")),
+    # the route-agreement property alone must kill these three
+    Mutant("transfer-power-drops-interior-weights", "src/sumhist/propagator.py",
+           "DT = measure.object_weights[:, None] * T if measure is not None else T",
+           "DT = T",
+           ("tests/test_propagator.py", "-k", "every_route")),
+    Mutant("path-sum-drops-last-interior-weight", "src/sumhist/propagator.py",
+           "    for k in range(n - 1):\n            w *= ow",
+           "    for k in range(n - 2):\n            w *= ow",
+           ("tests/test_propagator.py", "-k", "every_route")),
+    Mutant("splitting-divides-by-first-slice-density", "src/sumhist/propagator.py",
+           "/ p[j, c]",
+           "/ p[0, c]",
+           ("tests/test_propagator.py", "-k", "every_route")),
 )
 
 

@@ -199,7 +199,7 @@ def _path_sum_instances():
         spec = sh.uniform_state_spec(g)
         m = sh.counting_measure(g)
         grid = sh.TimeGrid.uniform(0.0, 1.0, n)
-        table = sh.propagator_table(g, grid, lag, spec, m)
+        table = sh.propagator_table(sh.state_from_lagrangian(lag, spec, g, grid, m))
         out.append((g, grid, lag, spec, m, table))
     PATH_SUM_INSTANCES = out
     return out
@@ -208,7 +208,7 @@ def _path_sum_instances():
 @criterion(5, 10.0, "path sums equal transfer-matrix powers to 1e-12 relative")
 def test_criterion_05_transfer_matrix_identity():
     for g, grid, lag, spec, m, table in _path_sum_instances():
-        oracle = sh.transfer_oracle_table(g, grid, lag, spec, m)
+        oracle = sh.transfer_oracle_table(sh.state_from_lagrangian(lag, spec, g, grid, m))
         for key, z in np.ndenumerate(table.amplitudes):
             ref = oracle.amplitudes[key]
             assert abs(z - ref) <= 1e-12 * max(1.0, abs(ref)), (g.name, key)
@@ -234,8 +234,9 @@ def test_criterion_06_reproducing_kernel():
                     assert abs(table.amplitudes[a, b] - split) <= 1e-12, (g.name, j)
     # the library entry point agrees on a small instance at every slice
     g, grid, lag, spec, m, _ = _path_sum_instances()[1]
+    state = sh.state_from_lagrangian(lag, spec, g, grid, m)
     for j in range(1, grid.n_intervals):
-        assert sh.reproducing_residual(g, grid, lag, spec, j, m) <= 1e-12
+        assert sh.reproducing_residual(state, j) <= 1e-12
 
 
 @criterion(7, 5.0, "action laws: exact incremental additivity, exact inversion "

@@ -237,7 +237,7 @@ def test_family_psi_is_bit_identical_to_psi(rng, mode):
         vals[g.unit(0)] = -0.0
         vals[[1, g.inverse(1)]] = -0.0
         spec = dataclasses.replace(state.spec, hbar=0.37, convention=convention)
-        state = sh.HistoryState(g, grid, sh.Lagrangian(g, vals), spec)
+        state = sh.state_from_lagrangian(sh.Lagrangian(g, vals), spec, g, grid)
         family = sh.full_interval_family(g, grid)
         assert len(family) == sum(sh.count_histories(g, x0, x1, n)
                                   for x0 in range(g.n_objects) for x1 in range(g.n_objects))

@@ -19,7 +19,7 @@ from sumhist.histories import BLOCK
 from sumhist.propagator import (EXACT_SUM_BINS, exact_sum, kinetic_lagrangian_value,
                                 path_sum_terms)
 
-from conftest import product_walks, symmetric_lagrangian
+from conftest import disjoint_union, product_walks, symmetric_lagrangian
 
 RTOL = 1e-12
 
@@ -93,13 +93,30 @@ def test_finite_propagator_empty_history_set():
                                 spec, 0, 1) == 0.0
 
 
+def test_finite_propagator_reads_the_end_slices_of_a_density_table(rng):
+    g = sh.pair_groupoid(3)
+    grid = sh.TimeGrid.uniform(0.0, 1.0, 3)
+    lag = symmetric_lagrangian(g, rng)
+    for rows in (2, 5):
+        spec = sh.StateSpec(np.full((rows, 3), 1 / 3))
+        with pytest.raises(sh.NormalizationError,
+                           match=f"density has {rows} slices but the grid has 4"):
+            sh.finite_propagator(g, grid, lag, spec, 0, 1)
+    p = rng.uniform(0.2, 1.0, (4, 3))
+    p /= p.sum(axis=1, keepdims=True)
+    spec = sh.StateSpec(p)
+    total = exact_sum(lambda: path_sum_terms(g, grid, lag, spec, 0, 2))
+    assert sh.finite_propagator(g, grid, lag, spec, 0, 2) == math.sqrt(p[3, 2] * p[0, 0]) * total
+
+
 def test_finite_propagator_matches_transfer_oracle(rng):
     for g in (sh.pair_groupoid(3), sh.product_with_group(2, sh.cyclic_groupoid(3))):
         lag = symmetric_lagrangian(g, rng)
         spec, m = uniform_setup(g)
         grid = sh.TimeGrid.uniform(0.0, 1.0, 4)
-        table = sh.propagator_table(g, grid, lag, spec, m)
-        oracle = sh.transfer_oracle_table(g, grid, lag, spec, m)
+        state = sh.state_from_lagrangian(lag, spec, g, grid, m)
+        table = sh.propagator_table(state)
+        oracle = sh.transfer_oracle_table(state)
         for key, z in np.ndenumerate(table.amplitudes):
             ref = oracle.amplitudes[key]
             assert abs(z - ref) <= RTOL * max(1.0, abs(ref))
@@ -114,7 +131,8 @@ def test_pair_256_transfer_oracle_fits_its_memory_bound():
         g = sh.pair_groupoid(n)
         grid = sh.TimeGrid.uniform(0.0, 0.5, 4)
         lag = sh.energy_lagrangian(g, sh.CircleLattice(n, 2 * math.pi), grid.dt(0), 1.0)
-        oracle = sh.transfer_oracle_table(g, grid, lag, sh.uniform_state_spec(g, mode=EUCLIDEAN))
+        state = sh.state_from_lagrangian(lag, sh.uniform_state_spec(g, mode=EUCLIDEAN), g, grid)
+        oracle = sh.transfer_oracle_table(state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -140,13 +158,14 @@ def test_euclidean_transfer_oracle_refuses_an_underflowed_reference(hbar, lost):
     assert (A[0, 1].real == 0) == (lost == "zero")
     if lost is None:
         assert A[0, 1].real >= propagator.NORMAL_MIN
-        sh.transfer_oracle_table(g, grid, lag, euclidean)
+        sh.transfer_oracle_table(sh.state_from_lagrangian(lag, euclidean, g, grid))
     else:
         with pytest.raises(ValueError, match=r"normal double at 6 endpoint pairs with "
                                               r"histories, first \(x0, x1\) = \(0, 1\)"):
-            sh.transfer_oracle_table(g, grid, lag, euclidean)
+            sh.transfer_oracle_table(sh.state_from_lagrangian(lag, euclidean, g, grid))
     # real mode is not checked: cancellation can make a true zero
-    sh.transfer_oracle_table(g, grid, lag, sh.uniform_state_spec(g, hbar=hbar))
+    sh.transfer_oracle_table(sh.state_from_lagrangian(lag, sh.uniform_state_spec(g, hbar=hbar),
+                                                      g, grid))
 
 
 def test_euclidean_transfer_oracle_takes_a_zero_reference_without_histories():
@@ -156,8 +175,8 @@ def test_euclidean_transfer_oracle_takes_a_zero_reference_without_histories():
         unit_of=np.array([0, 1]), inverse_of=np.array([0, 1]),
         table=np.array([[0, -1], [-1, 1]], dtype=np.int32))
     spec = sh.uniform_state_spec(units_only, mode=EUCLIDEAN)
-    oracle = sh.transfer_oracle_table(units_only, sh.TimeGrid.uniform(0.0, 1.0, 3),
-                                      sh.zero_lagrangian(units_only), spec)
+    oracle = sh.transfer_oracle_table(sh.state_from_lagrangian(
+        sh.zero_lagrangian(units_only), spec, units_only, sh.TimeGrid.uniform(0.0, 1.0, 3)))
     assert oracle.amplitudes.tolist() == [[0.5, 0], [0, 0.5]]
 
 
@@ -186,8 +205,9 @@ def test_finite_propagator_weighted_measure(rng):
     p /= (p * ow).sum()
     spec = sh.StateSpec(p)
     grid = sh.TimeGrid.uniform(0.0, 1.0, 3)
-    table = sh.propagator_table(g, grid, lag, spec, m)
-    oracle = sh.transfer_oracle_table(g, grid, lag, spec, m)
+    state = sh.state_from_lagrangian(lag, spec, g, grid, m)
+    table = sh.propagator_table(state)
+    oracle = sh.transfer_oracle_table(state)
     for key, z in np.ndenumerate(table.amplitudes):
         ref = oracle.amplitudes[key]
         assert abs(z - ref) <= RTOL * max(1.0, abs(ref))
@@ -198,15 +218,18 @@ def test_reproducing_residual_cases(rng):
     spec, m = uniform_setup(g)
     grid = sh.TimeGrid.uniform(0.0, 1.0, 4)
     lag = symmetric_lagrangian(g, rng)
-    assert sh.reproducing_residual(g, grid, lag, spec, 2, m) <= 1e-12
-    assert sh.reproducing_residual(g, grid, sh.zero_lagrangian(g), spec, 2, m) <= 1e-12
+    state = sh.state_from_lagrangian(lag, spec, g, grid, m)
+    assert sh.reproducing_residual(state, 2) <= 1e-12
+    zero = sh.state_from_lagrangian(sh.zero_lagrangian(g), spec, g, grid, m)
+    assert sh.reproducing_residual(zero, 2) <= 1e-12
     # euclidean free-particle lattice
     geom = sh.LineLattice(3, spacing=0.7)
     energy = sh.energy_lagrangian(g, geom, slice_dt=0.25, mass=1.3)
     spec_e = sh.uniform_state_spec(g, mode=EUCLIDEAN)
-    assert sh.reproducing_residual(g, grid, energy, spec_e, 1, m) <= 1e-12
+    euclidean = sh.state_from_lagrangian(energy, spec_e, g, grid, m)
+    assert sh.reproducing_residual(euclidean, 1) <= 1e-12
     with pytest.raises(ValueError):
-        sh.reproducing_residual(g, grid, lag, spec, 0, m)
+        sh.reproducing_residual(state, 0)
 
 
 def test_reproducing_residual_weighted_measure(rng):
@@ -218,8 +241,9 @@ def test_reproducing_residual_weighted_measure(rng):
     spec = sh.StateSpec(p)
     lag = symmetric_lagrangian(g, rng)
     grid = sh.TimeGrid.uniform(0.0, 1.0, 4)
+    state = sh.state_from_lagrangian(lag, spec, g, grid, m)
     for j in (1, 2, 3):
-        assert sh.reproducing_residual(g, grid, lag, spec, j, m) <= 1e-12
+        assert sh.reproducing_residual(state, j) <= 1e-12
 
 
 def test_reproducing_residual_reuses_the_callers_table(rng):
@@ -230,12 +254,14 @@ def test_reproducing_residual_reuses_the_callers_table(rng):
     spec = sh.StateSpec(p, hbar=0.37)
     lag = symmetric_lagrangian(g, rng)
     grid = sh.TimeGrid.uniform(0.0, 1.0, 5)
-    table = sh.propagator_table(g, grid, lag, spec, m)
+    state = sh.state_from_lagrangian(lag, spec, g, grid, m)
+    table = sh.propagator_table(state)
     for j in (1, 2, 4):
-        given = sh.reproducing_residual(g, grid, lag, spec, j, m, table)
-        assert given == sh.reproducing_residual(g, grid, lag, spec, j, m)
+        given = sh.reproducing_residual(state, j, table)
+        assert given == sh.reproducing_residual(state, j)
+    other = dataclasses.replace(state, grid=sh.TimeGrid.uniform(0.0, 2.0, 5))
     with pytest.raises(ValueError, match="another grid"):
-        sh.reproducing_residual(g, sh.TimeGrid.uniform(0.0, 2.0, 5), lag, spec, 2, m, table)
+        sh.reproducing_residual(other, 2, table)
 
 
 def test_deterministic_bit_identical(rng):
@@ -369,11 +395,135 @@ def test_propagator_table_csv(tmp_path, rng):
     g = sh.pair_groupoid(3)
     spec, m = uniform_setup(g)
     grid = sh.TimeGrid.uniform(0.0, 1.0, 2)
-    table = sh.propagator_table(g, grid, sh.zero_lagrangian(g), spec, m)
+    table = sh.propagator_table(sh.state_from_lagrangian(sh.zero_lagrangian(g), spec, g, grid, m))
     text = propagator_table_csv(table, tmp_path / "t.csv")
     lines = text.strip().split("\n")
     assert lines[0] == "x0,t0,x1,t1,re,im,abs,phase"
     assert len(lines) == 10
+
+
+# ---------------------------------------------------------------------------
+# route agreement over generated models
+#
+# Every route sums the same terms t of the state's histories, so each rounds
+# within about u sum|t| (N + N max|l| / hbar) of the exact amplitude, u the
+# unit roundoff (Higham, "Accuracy and Stability of Numerical Algorithms",
+# ch. 3-4): N for the products of weights and the sums of each action, and
+# N max|l| / hbar for the error the rounded action leaves in each phase.
+# sum|t| must not be |T|, whose hom-set sums cancel.  That model holds above
+# underflow; gradual underflow adds up to eta = 2^-1074 absolute to each of
+# the N + 2 products of a term, times at most the weights of the term, as
+# every |phase| <= 1 here (Higham, ch. 2).  The routes must agree within
+# ROUTE_C times the sum of the two.
+
+ROUTE_C = 16
+ROUTE_GROUPOIDS = ("pair:2", "pair:3", "pair:4", "pair_x_cyclic:2,2", "pair_x_cyclic:2,3",
+                   "cyclic:3", "file")
+
+
+@pytest.fixture(scope="module")
+def two_morphism_homs(tmp_path_factory):
+    """A description file with two-morphism hom sets: pair_x_cyclic:2,2 beside
+    a one-object Z2, which no history joins to the other two objects."""
+    path = tmp_path_factory.mktemp("routes") / "two_morphism_homs.yaml"
+    sh.save_groupoid_file(disjoint_union([sh.resolve_groupoid("pair_x_cyclic:2,2"),
+                                          sh.cyclic_groupoid(2)]), path)
+    return sh.load_groupoid_file(path)
+
+
+@st.composite
+def route_models(draw, file_groupoid):
+    """A validated state of the incremental convention, and (lattice, mass)
+    for a circle-lattice model under the counting measure, else None."""
+    name = draw(st.sampled_from(ROUTE_GROUPOIDS))
+    g = file_groupoid if name == "file" else sh.resolve_groupoid(name)
+    n = draw(st.sampled_from((4, 3, 2, 1)))
+    mode = draw(st.sampled_from((REAL_PHASE, EUCLIDEAN)))
+    hbar = 10.0 ** draw(st.floats(-4.0, 1.0))
+    seeded, per_slice = draw(st.booleans()), draw(st.booleans())
+    energy = name.startswith("pair:") and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k, grid = g.n_objects, sh.TimeGrid.uniform(0.0, 1.0, n)
+    m = (sh.GroupoidMeasure(g, rng.uniform(0.5, 2.0, k), rng.uniform(0.5, 2.0, g.n_morphisms))
+         if seeded else sh.counting_measure(g))
+    lattice = None
+    if energy:
+        mass = float(rng.uniform(0.5, 2.0))
+        geom = sh.CircleLattice(k, float(rng.uniform(1.0, 4.0)))
+        lag = sh.energy_lagrangian(g, geom, grid.dt(0), mass)
+        lattice = None if seeded else (geom, mass)
+    else:
+        # euclidean weights exp(-l / hbar) overflow below l = 0 at small hbar
+        vals = rng.uniform(0.0 if mode == EUCLIDEAN else -3.0, 3.0, g.n_morphisms)
+        lag = sh.Lagrangian(g, 0.5 * (vals + vals[g.inverse_of]))
+    p = rng.uniform(0.2, 1.0, (n + 1 if per_slice else 1, k))
+    p /= (p @ m.object_weights)[:, None]
+    state = sh.state_from_lagrangian(lag, sh.StateSpec(p, hbar, mode), g, grid, m)
+    return state, lattice
+
+
+def route_scale(state) -> np.ndarray:
+    """u sum|t| (N + N max|l| / hbar) + eta (N + 2) sum w per endpoint pair
+    [x0, x1].  sum|t| is the transfer power, between the endpoint densities,
+    of the matrix of fiber weight times |phase| summed over each hom set;
+    sum w is the same with every |phase| 1."""
+    g, spec, m, n = state.groupoid, state.spec, state.measure, state.grid.n_intervals
+    p = state.density_table
+
+    def density_stripped_power(phase_moduli):
+        T = np.zeros((g.n_objects, g.n_objects))
+        np.add.at(T, (g.tgt, g.src), m.fiber_weights * phase_moduli)
+        return np.sqrt(np.outer(p[0], p[n])) * sh.transfer_power(T, n, m).T
+
+    lag = state.lagrangian.values
+    terms = density_stripped_power(np.abs(phase_factors(lag, spec.hbar, spec.mode)))
+    weights = density_stripped_power(1.0)
+    return (2.0 ** -53 * terms * (n + n * np.abs(lag).max() / spec.hbar)
+            + 2.0 ** -1074 * (n + 2) * weights)
+
+
+def _worst_units(devs, scale) -> float:
+    """The largest of devs in units of scale; a zero deviation is 0 units,
+    also where scale underflowed to 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(devs == 0, 0.0, devs / scale)))
+
+
+def route_ratios(state, lattice) -> dict:
+    """The worst deviation of each route from the literal table, in units of
+    route_scale; a route that cannot check the state is left out."""
+    scale = route_scale(state)
+    table = sh.propagator_table(state)
+
+    def worst(values):
+        return _worst_units(np.abs(np.asarray(values) - table.amplitudes), scale)
+
+    ratios = {}
+    try:
+        ratios["transfer"] = worst(sh.transfer_oracle_table(state).amplitudes)
+    except ValueError as exc:
+        assert state.spec.mode == EUCLIDEAN and "underflows" in str(exc)
+    n = state.grid.n_intervals
+    if n > 1:
+        ratios["splitting"] = _worst_units(
+            np.array([sh.reproducing_residual(state, j, table) for j in range(1, n)]),
+            scale.max())
+    if lattice is not None:
+        geom, mass = lattice
+        ratios["velocity"] = worst([[sh.velocity_form_propagator(geom, state.grid, state.spec,
+                                                                 mass, x0, x1)
+                                     for x1 in range(geom.n_sites)]
+                                    for x0 in range(geom.n_sites)])
+    return ratios
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_route_agrees_with_the_literal_table_within_the_rounding_bound(
+        two_morphism_homs, data):
+    state, lattice = data.draw(route_models(two_morphism_homs))
+    for route, ratio in route_ratios(state, lattice).items():
+        assert ratio <= ROUTE_C, (route, ratio)
 
 
 # ---------------------------------------------------------------------------
