@@ -28,12 +28,12 @@ from .propagator import (ConvergenceRow, PropagatorTable, SliceConfig,
                          circle_propagators, errors_decrease,
                          finite_propagator, fsum_complex, gaussian_recursion,
                          history_to_velocity_path, image_sum_circle_kernel,
-                         lattice_line_propagator, lattice_transfer,
-                         line_convergence, line_kernel, propagator_table,
-                         reproducing_residual, sliced_line_propagator,
-                         sliced_line_propagators, transfer_matrix,
-                         transfer_oracle_table, transfer_power,
-                         velocity_form_propagator, velocity_path_to_history)
+                         lattice_line_propagator, line_convergence,
+                         line_kernel, propagator_table, reproducing_residual,
+                         sliced_line_propagator, sliced_line_propagators,
+                         transfer_matrix, transfer_oracle_table,
+                         transfer_power, velocity_form_propagator,
+                         velocity_path_to_history)
 from .states import (FactorizedForm, PhaseState, PositivityCertificate,
                      certify_positive_type, gns_matrix, gns_norm_sq,
                      gns_vector, is_normalized, positivity_form, state_value)

@@ -240,16 +240,14 @@ def propagator_table(state: HistoryState) -> PropagatorTable:
     return PropagatorTable(grid, objects, objects, amps)
 
 
-def transfer_oracle_table(state: HistoryState) -> PropagatorTable:
-    """The same table resummed through transfer-matrix powers.
-
-    Every euclidean term is positive, so the density-stripped reference of a
-    pair with at least one history is positive too.  One that is 0 or below
-    NORMAL_MIN has underflowed and can check nothing: a euclidean table with
-    such an entry raises ValueError."""
-    g, grid, spec, m = state.groupoid, state.grid, state.spec, state.measure
-    n = grid.n_intervals
-    p = state.density_table
+def _reference(state: HistoryState, check: str) -> np.ndarray:
+    """The density-stripped transfer-matrix reference A[x0, x1] of the
+    state's table.  Every euclidean term is positive, so a pair with at least
+    one history has a positive reference; one that is 0 or below NORMAL_MIN
+    has underflowed, as has the literal sum, and a euclidean state with such
+    a pair raises ValueError: check (named in the message) sees 0 against 0."""
+    g, spec, m = state.groupoid, state.spec, state.measure
+    n = state.grid.n_intervals
     A = transfer_power(transfer_matrix(g, state.lagrangian, spec, m), n, m).T
     if spec.mode == EUCLIDEAN:
         # the pairs with histories, from the hom-size pattern: T's own entries underflow
@@ -262,9 +260,17 @@ def transfer_oracle_table(state: HistoryState) -> PropagatorTable:
             x0, x1 = lost[0]
             raise ValueError(f"the transfer-matrix reference underflows below the smallest "
                              f"normal double at {len(lost)} endpoint pairs with histories, "
-                             f"first (x0, x1) = ({x0}, {x1}); the oracle cannot check them")
-    objects = np.arange(g.n_objects)
-    return PropagatorTable(grid, objects, objects, np.sqrt(np.outer(p[0], p[n])) * A)
+                             f"first (x0, x1) = ({x0}, {x1}); {check} cannot check them")
+    return A
+
+
+def transfer_oracle_table(state: HistoryState) -> PropagatorTable:
+    """The same table resummed through transfer-matrix powers; an underflowed
+    euclidean reference raises ValueError (_reference)."""
+    A = _reference(state, "the oracle")
+    p, n = state.density_table, state.grid.n_intervals
+    objects = np.arange(state.groupoid.n_objects)
+    return PropagatorTable(state.grid, objects, objects, np.sqrt(np.outer(p[0], p[n])) * A)
 
 
 def reproducing_residual(state: HistoryState, j: int,
@@ -272,7 +278,8 @@ def reproducing_residual(state: HistoryState, j: int,
     """Max over endpoint pairs of the sum-splitting defect at interior slice j:
     the full amplitude against the object-measure-weighted product of the
     amplitudes of the two halves of the state, with the doubled density
-    factor at the junction divided out; NaN if any defect is NaN.
+    factor at the junction divided out; NaN if any defect is NaN.  An
+    underflowed euclidean table raises ValueError, as the oracle does.
 
     table is the state's propagator_table, if the caller already holds it;
     without one the table is computed here."""
@@ -285,6 +292,7 @@ def reproducing_residual(state: HistoryState, j: int,
         raise ValueError("splitting requires a strictly positive density at the junction")
     if table is not None and table.grid != grid:
         raise ValueError("the propagator table spans another grid")
+    _reference(state, "the reproducing check")
     if table is None:
         table = propagator_table(state)
     # Python scalars, so that every term is the product of the scalar route
@@ -500,33 +508,45 @@ def gaussian_recursion(cfg: SliceConfig) -> tuple[complex, complex]:
     return A, B
 
 
-def _slice_row(cfg: SliceConfig, d: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """The one-slice kernel phase(l) (A scale) at each distance of d: A from
+def _slice_row(cfg: SliceConfig, d: np.ndarray) -> np.ndarray:
+    """The one-slice kernel phase(l) A at each distance of d: A from
     gaussian_slice_params and the energy q-Lagrangian l = m d^2 / (2 dt),
     written as energy_lagrangian_from_metric writes it, through
     phase_factors.  The phases come first: a complex product under FMA rounds
     by operand order, and numpy may compute it in place on its first operand."""
     A, _ = gaussian_slice_params(cfg)
-    return phase_factors(cfg.mass * d * d / (2.0 * cfg.dt), cfg.hbar, cfg.mode) * (A * scale)
+    return phase_factors(cfg.mass * d * d / (2.0 * cfg.dt), cfg.hbar, cfg.mode) * A
 
 
-def _chain_matrix(cfg: SliceConfig, lattice, scale: float, what: str,
-                  real: bool = False, flush: bool = True) -> np.ndarray:
+def _chain_matrix(cfg: SliceConfig, lattice, what: str) -> np.ndarray:
     """The n×n one-slice kernel on a lattice of n sites, gathered from one
-    _slice_row: entry (i, j) is its value (its real part if real) at the
-    distance of offset |i - j|.  check_table_size refuses its bytes (what
-    names the matrix) before anything is built.  A matrix for a mat-vec chain
-    (flush) holds no real or imaginary part below NORMAL_MIN but +0.0: they
-    are zeroed on the row."""
-    n = lattice.n_sites
-    check_table_size(n, 8 if real else 16, what)
-    row = _slice_row(cfg, lattice.offset_distances(), scale)
+    _slice_row: entry (i, j) is its value at the distance of offset |i - j|,
+    its real part in euclidean mode.  check_table_size refuses its bytes
+    (what names the matrix), 8 a real entry and 16 a complex one, before
+    anything is built.  It holds no real or imaginary part below NORMAL_MIN
+    but +0.0: they are zeroed on the row."""
+    real = cfg.mode == EUCLIDEAN
+    check_table_size(lattice.n_sites, 8 if real else 16, what)
+    row = _slice_row(cfg, lattice.offset_distances())
     if real:
         row = row.real
-    if flush:
-        parts = row.view(np.float64)        # every real and imaginary part
-        parts[np.abs(parts) < NORMAL_MIN] = 0.0
+    parts = row.view(np.float64)        # every real and imaginary part
+    parts[np.abs(parts) < NORMAL_MIN] = 0.0
     return gather_by_offset(row)
+
+
+def _weighted_chain(cfg: SliceConfig, K: np.ndarray, weights: np.ndarray, start,
+                    ends) -> list[complex]:
+    """The kernel of cfg.n_slices >= 2 slices from one start to each of ends:
+    start is the first slice's kernel over the nodes and each end the last
+    slice's, and every interior slice is integrated against weights, the
+    measure's object weights.  N - 2 mat-vecs v = K @ (weights * v) are
+    shared by every end; one reduction per end keeps the summation order of
+    a single call."""
+    v = start
+    for _ in range(cfg.n_slices - 2):
+        v = K @ (weights * v)
+    return [complex(np.sum(weights * end * v)) for end in ends]
 
 
 def sliced_line_propagator(cfg: SliceConfig, x0: float, x1: float,
@@ -561,8 +581,7 @@ def _sliced_line(cfg: SliceConfig, x0: float, x1s, method: str) -> list[complex]
     h = cfg.node_spacing
     if cfg.n_slices > 1:        # one slice builds no kernel
         # the nodes are a line lattice of M sites, h apart
-        K = _chain_matrix(cfg, LineLattice(M, h), 1.0, f"a quadrature kernel of {M} nodes",
-                          real=True)
+        K = _chain_matrix(cfg, LineLattice(M, h), f"a quadrature kernel of {M} nodes")
         if h > math.sqrt(cfg.hbar * cfg.dt / cfg.mass):
             warnings.warn("quadrature nodes too coarse for the requested slicing: node "
                           "spacing exceeds the one-slice kernel width", stacklevel=3)
@@ -576,45 +595,30 @@ def _sliced_line(cfg: SliceConfig, x0: float, x1s, method: str) -> list[complex]
     u = np.linspace(-L, L, M)
     wts = np.full(M, h)
     wts[[0, -1]] *= 0.5
-    # the interior chain: every factor but the last, shared by all endpoints
-    v = _slice_row(cfg, u - x0).real
-    for _ in range(cfg.n_slices - 2):
-        v = K @ (wts * v)
-    # one reduction per endpoint keeps the summation order of a single call
-    return [complex(np.sum(wts * _slice_row(cfg, x1 - u).real * v)) for x1 in x1s]
+    return _weighted_chain(cfg, K, wts, _slice_row(cfg, u - x0).real,
+                           (_slice_row(cfg, x1 - u).real for x1 in x1s))
 
 
 # ---------------------------------------------------------------------------
 # circle: lattice path sum and winding-number image sum
 
 
-def lattice_transfer(geometry, cfg: SliceConfig) -> np.ndarray:
-    """One-slice lattice kernel with the continuum normalization and the
-    Riemann measure factor, N(dt) * spacing * phase(m d^2 / (2 dt)), built per
-    site offset: in euclidean mode, the transfer_matrix of the pair groupoid
-    of the sites under energy_lagrangian with fiber weights N(dt) * spacing.
-    Its subnormal entries are kept."""
-    return _chain_matrix(cfg, geometry, geometry.spacing,
-                         f"a lattice transfer matrix of {geometry.n_sites} sites", flush=False)
-
-
 def lattice_line_propagator(geometry, cfg: SliceConfig, site0: int, site1: int) -> complex:
-    """Time-sliced path sum on a lattice geometry: the site0 column of the
-    transfer power T^N, propagated slice by slice; endpoints carry no measure
-    factor (kernel density convention)."""
+    """Time-sliced path sum on a lattice geometry: the one-slice kernel
+    chained over the slices, every interior site weighted by the spacing;
+    endpoints carry no measure factor (kernel density convention)."""
     return _lattice_amplitudes(geometry, cfg, site0, [site1])[0]
 
 
 def _lattice_amplitudes(geometry, cfg: SliceConfig, site0: int, site1s) -> list[complex]:
-    """lattice_line_propagator for each of site1s from one start column:
-    v = T[:, site0], then N - 1 mat-vecs v = T @ v give column site0 of T^N,
-    T the lattice transfer as a chain matrix (no subnormal part)."""
-    T = _chain_matrix(cfg, geometry, geometry.spacing,
-                      f"a lattice transfer matrix of {geometry.n_sites} sites")
-    v = T[:, site0]
-    for _ in range(cfg.n_slices - 1):
-        v = T @ v
-    return [complex(v[s1] / geometry.spacing) for s1 in site1s]
+    """lattice_line_propagator for each of site1s: one slice reads the
+    kernel K (a chain matrix) at [site1, site0]; more run the weighted chain
+    from K[:, site0] to each K[site1] under the object weight spacing."""
+    K = _chain_matrix(cfg, geometry, f"a lattice transfer matrix of {geometry.n_sites} sites")
+    if cfg.n_slices == 1:
+        return [complex(K[s1, site0]) for s1 in site1s]
+    weights = np.full(geometry.n_sites, geometry.spacing)
+    return _weighted_chain(cfg, K, weights, K[:, site0], (K[s1] for s1 in site1s))
 
 
 def circle_propagator(cfg: SliceConfig, circumference: float, theta0: float,

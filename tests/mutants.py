@@ -197,26 +197,30 @@ MUTANTS = (
            "if False:",
            ("tests/test_cli.py", "-k", "kernel_bytes")),
     Mutant("lattice-transfer-bytes-unchecked", "src/sumhist/propagator.py",
-           "    check_table_size(n, 8 if real else 16, what)\n",
+           "    check_table_size(lattice.n_sites, 8 if real else 16, what)\n",
            "",
            ("tests/test_cli.py", "-k", "kernel_bytes")),
     Mutant("slice-row-uses-numpy-exp", "src/sumhist/propagator.py",
-           "return phase_factors(cfg.mass * d * d / (2.0 * cfg.dt), cfg.hbar, cfg.mode) * (A * scale)",
+           "return phase_factors(cfg.mass * d * d / (2.0 * cfg.dt), cfg.hbar, cfg.mode) * A",
            "return np.exp(phase_sigma(cfg.mode) * (cfg.mass * d * d / (2.0 * cfg.dt) / cfg.hbar))"
-           " * (A * scale)",
+           " * A",
            ("tests/test_continuum.py", "-k", "entrywise")),
     Mutant("chain-matrix-flushes-normal-parts", "src/sumhist/propagator.py",
            "NORMAL_MIN = 2.0 ** -1022",
            "NORMAL_MIN = 2.0 ** -1000",
            ("tests/test_continuum.py", "-k", "drops_only_subnormal")),
     Mutant("chain-matrix-keeps-subnormals", "src/sumhist/propagator.py",
-           "        parts[np.abs(parts) < NORMAL_MIN] = 0.0\n",
+           "    parts[np.abs(parts) < NORMAL_MIN] = 0.0\n",
            "",
            ("tests/test_continuum.py", "-k", "drops_only_subnormal")),
     Mutant("oracle-passes-an-underflowed-reference", "src/sumhist/propagator.py",
            "if len(lost):",
            "if False:",
            ("tests/test_propagator.py", "tests/test_cli.py", "-k", "underflow")),
+    Mutant("reproducing-passes-an-underflowed-table", "src/sumhist/propagator.py",
+           '    _reference(state, "the reproducing check")\n',
+           "",
+           ("tests/test_cli.py", "-k", "input_errors and reproducing-underflow")),
     Mutant("worst-deviation-drops-a-nan", "src/sumhist/propagator.py",
            "return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)",
            "return max(values, default=0.0)",
@@ -230,7 +234,7 @@ MUTANTS = (
            "if not math.isfinite(self.node_spacing):",
            "if False:",
            ("tests/test_cli.py", "-k", "input_errors and halfwidth")),
-    # the route-agreement property alone must kill these three
+    # the route-agreement property alone must kill these five
     Mutant("transfer-power-drops-interior-weights", "src/sumhist/propagator.py",
            "DT = measure.object_weights[:, None] * T if measure is not None else T",
            "DT = T",
@@ -242,6 +246,14 @@ MUTANTS = (
     Mutant("splitting-divides-by-first-slice-density", "src/sumhist/propagator.py",
            "/ p[j, c]",
            "/ p[0, c]",
+           ("tests/test_propagator.py", "-k", "every_route")),
+    Mutant("weighted-chain-drops-interior-weights", "src/sumhist/propagator.py",
+           "        v = K @ (weights * v)\n",
+           "        v = K @ v\n",
+           ("tests/test_propagator.py", "-k", "every_route")),
+    Mutant("weighted-chain-end-drops-weights", "src/sumhist/propagator.py",
+           "np.sum(weights * end * v)",
+           "np.sum(end * v)",
            ("tests/test_propagator.py", "-k", "every_route")),
 )
 

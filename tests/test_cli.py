@@ -116,9 +116,9 @@ def _no_continuum_kernel(monkeypatch):
     (("converge", "--geometry", "line", "--sweep", "1,2", "--quad-nodes", "20"),
      "a quadrature kernel of 20 nodes", 8 * 20 ** 2),
     (("propagate", "--geometry", "circle", "--N", "1", "--sites", "16"),
-     "a lattice transfer matrix of 16 sites", 16 * 16 ** 2),
+     "a lattice transfer matrix of 16 sites", 8 * 16 ** 2),
     (("converge", "--geometry", "circle", "--sweep", "1", "--sites", "16"),
-     "a lattice transfer matrix of 16 sites", 16 * 16 ** 2),
+     "a lattice transfer matrix of 16 sites", 8 * 16 ** 2),
 ])
 def test_continuum_kernel_bytes_above_the_cap_are_refused_before_building(
         capsys, monkeypatch, argv, what, kernel_bytes):
@@ -138,16 +138,17 @@ def test_continuum_kernel_bytes_above_the_cap_are_refused_before_building(
      "a quadrature kernel of 5793 nodes takes 268470792 bytes"),
     (("propagate", "--geometry", "line", "--N", "4", "--quad-nodes", "200000"),
      "a quadrature kernel of 200000 nodes takes 320000000000 bytes"),
-    (("propagate", "--geometry", "circle", "--N", "4", "--sites", "4097"),
-     "a lattice transfer matrix of 4097 sites takes 268566544 bytes"),
+    (("propagate", "--geometry", "circle", "--N", "4", "--sites", "5793"),
+     "a lattice transfer matrix of 5793 sites takes 268470792 bytes"),
     (("propagate", "--geometry", "circle", "--N", "4", "--sites", "100000"),
-     "a lattice transfer matrix of 100000 sites takes 160000000000 bytes"),
+     "a lattice transfer matrix of 100000 sites takes 80000000000 bytes"),
     (("converge", "--geometry", "circle", "--sweep", "1,2", "--sites", "60000"),
-     "a lattice transfer matrix of 60000 sites takes 57600000000 bytes"),
+     "a lattice transfer matrix of 60000 sites takes 28800000000 bytes"),
 ])
 def test_continuum_kernel_bytes_cap_the_node_and_site_counts(capsys, monkeypatch, argv, what):
-    # 8 M² bytes fit the cap up to M = 5792 nodes, 16 n² bytes up to n = 4096 sites
-    assert 8 * 5792 ** 2 <= sh.groupoid.TABLE_CAP < 16 * 4097 ** 2
+    # euclidean kernels are real: 8 M² bytes fit the cap up to M = 5792 nodes
+    # or sites
+    assert 8 * 5792 ** 2 <= sh.groupoid.TABLE_CAP < 8 * 5793 ** 2
     _no_continuum_kernel(monkeypatch)
     code, out, err = run(capsys, *argv, "--mode", "euclidean")
     assert (code, out) == (2, "")
@@ -866,7 +867,12 @@ MISSING = "{d}/missing/out.txt"
     (("propagate", "--groupoid", "pair:6", "--grid", "0,1,6", "--lagrangian", "energy:circle",
       "--mode", "euclidean", "--hbar", "1e-3", "--oracle", "transfer-matrix"),
      "error: the transfer-matrix reference underflows below the smallest normal double at "
-     "30 endpoint pairs with histories, first (x0, x1) = (0, 1)"),
+     "30 endpoint pairs with histories, first (x0, x1) = (0, 1); the oracle cannot check them"),
+    (("propagate", "--groupoid", "pair:6", "--grid", "0,1,6", "--lagrangian", "energy:circle",
+      "--mode", "euclidean", "--hbar", "1e-3", "--check", "reproducing", "--at", "3"),
+     "error: the transfer-matrix reference underflows below the smallest normal double at "
+     "30 endpoint pairs with histories, first (x0, x1) = (0, 1); the reproducing check "
+     "cannot check them"),
     (("propagate", "--groupoid", "pair:4", "--grid", "0,1,20", "--lagrangian", "zero"),
      "error: 4398046511104 histories on this grid; the path sum needs <= 100000000 "
      "(use a coarser grid)"),
@@ -883,7 +889,7 @@ MISSING = "{d}/missing/out.txt"
         "action-overflow-propagate", "action-overflow-state-check",
         "tol-nan", "tol-negative", "at-without-check", "tol-nan-geometry",
         "tol-negative-geometry", "halfwidth-overflow", "oracle-underflow",
-        "history-cap"])
+        "reproducing-underflow", "history-cap"])
 def test_input_errors_exit_2_with_one_line(capsys, recwarn, tmp_path, argv, message):
     for name, text in CONTRACT_FILES.items():
         (tmp_path / name).write_text(text)

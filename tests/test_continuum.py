@@ -9,7 +9,7 @@ import pytest
 import sumhist as sh
 from sumhist.action import EUCLIDEAN, REAL_PHASE, phase_factor
 from sumhist.geometry import CircleLattice, LineLattice
-from sumhist.propagator import SliceConfig, gaussian_slice_params, lattice_transfer
+from sumhist.propagator import SliceConfig, _chain_matrix, gaussian_slice_params
 
 
 def test_line_kernel_closed_forms():
@@ -192,20 +192,26 @@ def test_gaussian_slice_params_are_bit_identical_to_branch_formula(mode):
         assert _bits(*gaussian_slice_params(cfg)) == _bits(*_branch_slice_params(cfg)), cfg
 
 
-def _entrywise_kernel(cfg, d, scale):
-    """phase_factor(l) (A scale) at every entry of the distance array d, with
-    l = m d^2 / (2 dt): one scalar phase_factor per distinct distance.  The
-    product is numpy's, phases first, as a complex product under FMA rounds
-    by operand order."""
+def _entrywise_kernel(cfg, d):
+    """phase_factor(l) A at every entry of the distance array d, with
+    l = m d^2 / (2 dt): one scalar phase_factor per distinct distance, and
+    every subnormal part kept.  The product is numpy's, phases first, as a
+    complex product under FMA rounds by operand order; the real part in
+    euclidean mode, as the chain matrices hold it."""
     A, _ = gaussian_slice_params(cfg)
     values, index = np.unique(d, return_inverse=True)
     phases = np.array([phase_factor(cfg.mass * x * x / (2.0 * cfg.dt), cfg.hbar, cfg.mode)
                        for x in values.tolist()])
-    return phases[index.reshape(d.shape)] * (A * scale)
+    K = phases[index.reshape(d.shape)] * A
+    return np.ascontiguousarray(K.real) if cfg.mode == EUCLIDEAN else K
+
+
+def _lattice_chain_matrix(geom, cfg):
+    return _chain_matrix(cfg, geom, "a lattice transfer")
 
 
 @pytest.mark.parametrize("mode", [REAL_PHASE, EUCLIDEAN])
-def test_lattice_transfer_is_the_entrywise_kernel(mode):
+def test_lattice_chain_matrix_is_the_entrywise_kernel(mode):
     # below 128 sites (a complex n×n array under 256 KiB) as well as above
     rng = np.random.default_rng(82)
     small = _seeded_configs(83, 120, mode)
@@ -213,16 +219,18 @@ def test_lattice_transfer_is_the_entrywise_kernel(mode):
         n_sites = int(rng.integers(1, 40)) if k < len(small) else (128, 512)[k // 2 % 2]
         geom = (CircleLattice(n_sites, float(rng.uniform(0.5, 10.0))) if k % 2
                 else LineLattice(n_sites, float(rng.uniform(0.05, 2.0))))
-        got = lattice_transfer(geom, cfg)
-        want = _entrywise_kernel(cfg, geom.distance_matrix, geom.spacing)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), cfg
+        got = _lattice_chain_matrix(geom, cfg)
+        want = _entrywise_kernel(cfg, geom.distance_matrix)
+        assert got.dtype == want.dtype, cfg
+        _drops_only_subnormals(got, want)
 
 
 @pytest.mark.parametrize("lattice", [LineLattice, CircleLattice])
-def test_euclidean_lattice_transfer_is_the_pair_groupoid_transfer_matrix(lattice):
+def test_euclidean_lattice_kernel_is_the_pair_groupoid_transfer_matrix(lattice):
     # the paper's instance: the one-slice kernel is the transfer matrix of the
-    # pair groupoid of the sites under the energy q-Lagrangian, with fiber
-    # weights the slice normalization times the spacing
+    # pair groupoid of the sites under the energy q-Lagrangian, in the measure
+    # whose fiber weights are the slice normalization and whose object
+    # weights, which the chains put at every interior slice, are the spacing
     rng = np.random.default_rng(85 if lattice is LineLattice else 86)
     for cfg in _seeded_configs(87, 28, EUCLIDEAN):
         n_sites, spacing = int(rng.integers(1, 49)), float(rng.uniform(0.05, 2.0))
@@ -230,11 +238,12 @@ def test_euclidean_lattice_transfer_is_the_pair_groupoid_transfer_matrix(lattice
                 else CircleLattice(n_sites, n_sites * spacing))
         g = sh.pair_groupoid(n_sites)
         A, _ = gaussian_slice_params(cfg)
-        measure = sh.GroupoidMeasure(g, np.ones(n_sites),
-                                     np.full(g.n_morphisms, A.real * geom.spacing))
+        measure = sh.GroupoidMeasure(g, np.full(n_sites, geom.spacing),
+                                     np.full(g.n_morphisms, A.real))
         want = sh.transfer_matrix(g, sh.energy_lagrangian(g, geom, cfg.dt, cfg.mass),
                                   sh.uniform_state_spec(g, cfg.hbar, EUCLIDEAN), measure)
-        assert lattice_transfer(geom, cfg).tobytes() == want.tobytes(), (geom, cfg)
+        assert not want.imag.any()
+        _drops_only_subnormals(_lattice_chain_matrix(geom, cfg), want.real)
 
 
 def _subnormal(x):
@@ -267,31 +276,30 @@ def _subnormal_lattices(seed, count):
         reach = float(geom.offset_distances().max())
         mass = float(rng.uniform(700.0, 3000.0)) * 2 * hbar * total / n_slices / reach ** 2
         cfg = SliceConfig(n_slices, total, mass, hbar, EUCLIDEAN)
-        if _subnormal(lattice_transfer(geom, cfg).real).any():
+        if _subnormal(_entrywise_kernel(cfg, geom.distance_matrix)).any():
             out.append((geom, cfg))
     return out
 
 
-def _transfer_chain(geom, cfg, site0, site1s):
-    """The start-column chain over the unmodified lattice_transfer."""
-    T = lattice_transfer(geom, cfg)
-    v = T[:, site0]
-    for _ in range(cfg.n_slices - 1):
-        v = T @ v
-    return [complex(v[s] / geom.spacing) for s in site1s]
-
-
-def _lattice_chain_matrix(geom, cfg):
-    return sh.propagator._chain_matrix(cfg, geom, geom.spacing, "a lattice transfer")
+def _entrywise_chain(geom, cfg, site0, site1s):
+    """The weighted chain over the entrywise kernel, subnormals kept."""
+    K = _entrywise_kernel(cfg, geom.distance_matrix)
+    if cfg.n_slices == 1:
+        return [complex(K[s, site0]) for s in site1s]
+    w = np.full(geom.n_sites, geom.spacing)
+    v = K[:, site0]
+    for _ in range(cfg.n_slices - 2):
+        v = K @ (w * v)
+    return [complex(np.sum(w * K[s] * v)) for s in site1s]
 
 
 def test_lattice_chain_drops_only_subnormal_parts_and_keeps_the_amplitudes():
     rng = np.random.default_rng(93)
     for geom, cfg in _subnormal_lattices(92, 14):
-        want = _entrywise_kernel(cfg, geom.distance_matrix, geom.spacing)
+        want = _entrywise_kernel(cfg, geom.distance_matrix)
         assert _drops_only_subnormals(_lattice_chain_matrix(geom, cfg), want) > 0, (geom, cfg)
         s0, *s1s = (int(s) for s in rng.integers(0, geom.n_sites, 4))
-        want = _transfer_chain(geom, cfg, s0, s1s)
+        want = _entrywise_chain(geom, cfg, s0, s1s)
         if isinstance(geom, CircleLattice):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # the coarse lattices
@@ -308,7 +316,7 @@ def test_real_lattice_chain_is_the_entrywise_kernel():
         n_sites = 512 if k < 2 else int(rng.integers(1, 300))
         geom = (CircleLattice(n_sites, float(rng.uniform(0.5, 10.0))) if k % 2
                 else LineLattice(n_sites, float(rng.uniform(0.05, 2.0))))
-        want = _entrywise_kernel(cfg, geom.distance_matrix, geom.spacing)
+        want = _entrywise_kernel(cfg, geom.distance_matrix)
         assert _lattice_chain_matrix(geom, cfg).tobytes() == want.tobytes(), cfg
 
 
@@ -329,8 +337,7 @@ def _node_spacing(cfg):
 def _entrywise_quadrature_kernel(cfg):
     """The kernel on the nodes at distance |i - j| h, subnormals kept."""
     k = np.arange(cfg.quad_nodes)
-    K = _entrywise_kernel(cfg, np.abs(k[:, None] - k[None, :]) * _node_spacing(cfg), 1.0)
-    return np.ascontiguousarray(K.real)
+    return _entrywise_kernel(cfg, np.abs(k[:, None] - k[None, :]) * _node_spacing(cfg))
 
 
 def _entrywise_quadrature(cfg, x0, x1s):
@@ -375,7 +382,7 @@ def test_quadrature_kernel_drops_only_subnormals_of_the_entrywise_kernel():
     dropped = []
     for cfg in _quadrature_configs(np.random.default_rng(91)):
         nodes = LineLattice(cfg.quad_nodes, _node_spacing(cfg))
-        K = sh.propagator._chain_matrix(cfg, nodes, 1.0, "a quadrature kernel", real=True)
+        K = _chain_matrix(cfg, nodes, "a quadrature kernel")
         assert K.dtype == np.float64
         dropped.append(_drops_only_subnormals(K, _entrywise_quadrature_kernel(cfg)))
     assert dropped[0] > 2000 and sum(d > 0 for d in dropped) >= 10, dropped
@@ -515,12 +522,12 @@ def test_circle_coarse_lattice_warns_once_at_the_caller():
                                                      (REAL_PHASE, 64, 16)])
 def test_circle_transfer_power_matches_its_circulant_spectrum(mode, n_sites, n_slices):
     # CircleLattice distances depend only on (i - j) mod n, so the lattice
-    # transfer matrix is circulant and column 0 of T^N is
+    # transfer matrix T = spacing K is circulant and column 0 of T^N is
     # ifft(fft(T[:, 0]) ** N): a route to the amplitudes from site 0 that
     # shares no arithmetic with the mat-vec chain of circle_propagators
     geom = CircleLattice(n_sites, 2 * math.pi)
     cfg = SliceConfig(n_slices, 1.0, mode=mode)
-    T = lattice_transfer(geom, cfg)
+    T = _entrywise_kernel(cfg, geom.distance_matrix) * geom.spacing
     col = np.fft.ifft(np.fft.fft(T[:, 0]) ** n_slices)
     thetas = [geom.position(s) for s in range(n_sites)]
     got = np.array(sh.circle_propagators(cfg, 2 * math.pi, 0.0, thetas, n_sites))
@@ -536,9 +543,20 @@ def test_lattice_line_propagator_matches_the_transfer_power(mode, n_sites, spaci
     # every entry of T^N
     geom = LineLattice(n_sites, spacing, origin=-1.0)
     cfg = SliceConfig(n_slices, 0.9, mass=1.3, hbar=0.8, mode=mode)
-    A = np.linalg.matrix_power(lattice_transfer(geom, cfg), n_slices) / spacing
+    T = _entrywise_kernel(cfg, geom.distance_matrix) * spacing
+    A = np.linalg.matrix_power(T, n_slices) / spacing
     for s0 in range(n_sites):
         for s1 in range(n_sites):
             z = sh.lattice_line_propagator(geom, cfg, s0, s1)
             assert abs(z - A[s1, s0]) <= 1e-12 * abs(A[s1, s0])
 
+
+@pytest.mark.parametrize("mode, itemsize", [(REAL_PHASE, 16), (EUCLIDEAN, 8)])
+def test_chain_matrix_is_real_exactly_in_euclidean_mode_and_sized_so(monkeypatch, mode,
+                                                                     itemsize):
+    cfg, geom = SliceConfig(2, 1.0, mode=mode), CircleLattice(16, 3.0)
+    monkeypatch.setattr(sh.groupoid, "TABLE_CAP", itemsize * 16 ** 2)
+    assert _chain_matrix(cfg, geom, "a kernel").nbytes == itemsize * 16 ** 2
+    monkeypatch.setattr(sh.groupoid, "TABLE_CAP", itemsize * 16 ** 2 - 1)
+    with pytest.raises(ValueError, match=f"a kernel takes {itemsize * 16 ** 2} bytes"):
+        _chain_matrix(cfg, geom, "a kernel")

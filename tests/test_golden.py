@@ -11,7 +11,11 @@ unchanged.  They were recorded on x86-64 Linux with CPython 3.11 and numpy
 2.4; another libm or numpy build may round the last bits differently.  The
 kernels of the line and circle chains take libm exp through phase_factors,
 so those two digests hold under numpy's CPU dispatch with AVX-512 switched
-off as well; the chains' mat-vecs still depend on the BLAS kernel.
+off as well.  The chains' mat-vecs still depend on the BLAS kernel: the
+real euclidean chain of the 48-site circle keeps its bytes under
+OpenBLAS's Sandybridge kernels (no FMA), which a subprocess test checks
+where numpy's BLAS is OpenBLAS, and the quadrature chain of line-euclidean
+does not.
 """
 
 import hashlib
@@ -70,7 +74,7 @@ GOLDEN = {
     "circle-euclidean": (
         ["propagate", "--geometry", "circle", "--mode", "euclidean", "--N", "4",
          "--T", "0.5", "--sites", "48"],
-        0, "c721554b07efefdbb2ef5788fb68fac32bd29ce3d94290abb208cb236efd48af"),
+        0, "7404e08c5e8d8dd509ed7e2f765c536ef18806840b85a81c1ab1a1d8238bfc88"),
     "state-check": (
         ["state-check", "--groupoid", "pair:3", "--grid", "0,1,3",
          "--lagrangian", "energy:line,0.5"],
@@ -129,7 +133,7 @@ WARNING_GOLDEN = {
     "circle-coarse-lattice": (
         ["propagate", "--geometry", "circle", "--mode", "euclidean", "--N", "4",
          "--T", "0.5", "--sites", "16"],
-        ["7704f0074b517ab775124e4f9db5d70baff70b79e2b88d8d65504843a2b923a0",
+        ["27b362a358ec6f663d471dcfe31d118115496f765d846084e6d483f8f5a4ca36",
          "08cfb226cbf6e7d18e8e2e09ae8ad94b85c181028104dd63ab97476fe572d286"]),
 }
 
@@ -172,17 +176,42 @@ print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
 """
 
 
+def _child_run(argv, **env):
+    """Run DISPATCH_CHILD on argv with the src/ of this checkout on the path
+    and env added to the environment."""
+    src = str(Path(sh.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **env)
+    return subprocess.run([sys.executable, "-c", DISPATCH_CHILD, *argv], env=env,
+                          capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("name", ["circle-euclidean", "line-euclidean"])
 def test_kernel_goldens_hold_without_avx512_dispatch(name):
     argv, want_code, want_digest = GOLDEN[name]
-    src = str(Path(sh.__file__).resolve().parent.parent)
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
-               PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    run = subprocess.run([sys.executable, "-c", DISPATCH_CHILD, *argv], env=env,
-                         capture_output=True, text=True)
+    run = _child_run(argv, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
     if run.returncode == 3:
         pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={NO_AVX512!r}: "
                     f"{run.stderr.strip()}")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [str(want_code), want_digest]
+
+
+def _blas_name() -> str:
+    """The BLAS numpy was built with, as its build configuration names it."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return "unknown"
+
+
+@pytest.mark.skipif("openblas" not in _blas_name().lower(),
+                    reason=f"numpy's BLAS is {_blas_name()}, not OpenBLAS")
+def test_circle_golden_holds_under_openblas_kernels_without_fma():
+    # the lattice chain is real in euclidean mode; the 48-site circle keeps
+    # its bytes under OpenBLAS's Sandybridge kernels, the quadrature chain of
+    # line-euclidean does not
+    argv, want_code, want_digest = GOLDEN["circle-euclidean"]
+    run = _child_run(argv, OPENBLAS_CORETYPE="Sandybridge")
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == [str(want_code), want_digest]

@@ -16,12 +16,11 @@ from sumhist import propagator
 from sumhist.action import (ANCHORED, CMATH_EXP_LARGE, EUCLIDEAN, INCREMENTAL, REAL_PHASE,
                             ROW_FSUM_CASCADE, phase_factor, phase_factors, row_fsums)
 from sumhist.histories import BLOCK
-from sumhist.propagator import (EXACT_SUM_BINS, exact_sum, kinetic_lagrangian_value,
+from sumhist.propagator import (EXACT_SUM_BINS, SliceConfig, exact_sum,
+                                gaussian_slice_params, kinetic_lagrangian_value,
                                 path_sum_terms)
 
 from conftest import disjoint_union, product_walks, symmetric_lagrangian
-
-RTOL = 1e-12
 
 
 def uniform_setup(g, mode="real"):
@@ -47,6 +46,9 @@ def test_transfer_matrix_group_is_scalar(rng):
 
 
 def test_transfer_power_matches_enumeration(rng):
+    # each brute term is a product of N numpy phases, inside the N u of the
+    # rounding bound; the bound is of amplitudes, so the endpoint densities
+    # are stripped from it
     g = sh.pair_groupoid(3)
     spec, m = uniform_setup(g)
     grid = sh.TimeGrid.uniform(0.0, 1.0, 3)
@@ -54,11 +56,14 @@ def test_transfer_power_matches_enumeration(rng):
         lag = symmetric_lagrangian(g, rng)
         T = sh.transfer_matrix(g, lag, spec, m)
         A = sh.transfer_power(T, 3, m)
+        state = sh.state_from_lagrangian(lag, spec, g, grid, m)
+        p = state.density_table
+        scale = route_scale(state) / np.sqrt(np.outer(p[0], p[3]))
         for x0, x1 in ((0, 0), (0, 2), (1, 2)):
             brute = sh.fsum_complex(
                 np.prod([np.exp(1j * lag.values[l]) for l in sh.links_of(w)])
                 for w in sh.enumerate_histories(g, grid, x0, x1))
-            assert abs(A[x1, x0] - brute) <= RTOL * max(1.0, abs(brute))
+            assert _worst_units(abs(A[x1, x0] - brute), scale[x0, x1]) <= ROUTE_C
 
 
 def test_finite_propagator_zero_lagrangian_count():
@@ -115,11 +120,9 @@ def test_finite_propagator_matches_transfer_oracle(rng):
         spec, m = uniform_setup(g)
         grid = sh.TimeGrid.uniform(0.0, 1.0, 4)
         state = sh.state_from_lagrangian(lag, spec, g, grid, m)
-        table = sh.propagator_table(state)
-        oracle = sh.transfer_oracle_table(state)
-        for key, z in np.ndenumerate(table.amplitudes):
-            ref = oracle.amplitudes[key]
-            assert abs(z - ref) <= RTOL * max(1.0, abs(ref))
+        devs = np.abs(sh.propagator_table(state).amplitudes
+                      - sh.transfer_oracle_table(state).amplitudes)
+        assert _worst_units(devs, route_scale(state)) <= ROUTE_C
 
 
 def test_pair_256_transfer_oracle_fits_its_memory_bound():
@@ -206,11 +209,9 @@ def test_finite_propagator_weighted_measure(rng):
     spec = sh.StateSpec(p)
     grid = sh.TimeGrid.uniform(0.0, 1.0, 3)
     state = sh.state_from_lagrangian(lag, spec, g, grid, m)
-    table = sh.propagator_table(state)
-    oracle = sh.transfer_oracle_table(state)
-    for key, z in np.ndenumerate(table.amplitudes):
-        ref = oracle.amplitudes[key]
-        assert abs(z - ref) <= RTOL * max(1.0, abs(ref))
+    devs = np.abs(sh.propagator_table(state).amplitudes
+                  - sh.transfer_oracle_table(state).amplitudes)
+    assert _worst_units(devs, route_scale(state)) <= ROUTE_C
 
 
 def test_reproducing_residual_cases(rng):
@@ -414,7 +415,9 @@ def test_propagator_table_csv(tmp_path, rng):
 # underflow; gradual underflow adds up to eta = 2^-1074 absolute to each of
 # the N + 2 products of a term, times at most the weights of the term, as
 # every |phase| <= 1 here (Higham, ch. 2).  The routes must agree within
-# ROUTE_C times the sum of the two.
+# ROUTE_C times the sum of the two.  The lattice chain zeroes every kernel
+# part below NORMAL_MIN, so for it the underflow term takes 2^-1022 in place
+# of eta.
 
 ROUTE_C = 16
 ROUTE_GROUPOIDS = ("pair:2", "pair:3", "pair:4", "pair_x_cyclic:2,2", "pair_x_cyclic:2,3",
@@ -433,25 +436,34 @@ def two_morphism_homs(tmp_path_factory):
 
 @st.composite
 def route_models(draw, file_groupoid):
-    """A validated state of the incremental convention, and (lattice, mass)
-    for a circle-lattice model under the counting measure, else None."""
+    """A validated state of the incremental convention, and for a
+    circle-lattice model (lattice, mass, measure) with measure "counting" or,
+    in euclidean mode, "lattice": object weights the spacing and fiber
+    weights the slice normalization A.  Else None: a seeded measure, or no
+    lattice."""
     name = draw(st.sampled_from(ROUTE_GROUPOIDS))
     g = file_groupoid if name == "file" else sh.resolve_groupoid(name)
     n = draw(st.sampled_from((4, 3, 2, 1)))
     mode = draw(st.sampled_from((REAL_PHASE, EUCLIDEAN)))
     hbar = 10.0 ** draw(st.floats(-4.0, 1.0))
-    seeded, per_slice = draw(st.booleans()), draw(st.booleans())
+    per_slice = draw(st.booleans())
     energy = name.startswith("pair:") and draw(st.booleans())
+    choices = ("lattice", "counting", "seeded") if energy and mode == EUCLIDEAN else (
+        "counting", "seeded")
+    measure = draw(st.sampled_from(choices))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     k, grid = g.n_objects, sh.TimeGrid.uniform(0.0, 1.0, n)
     m = (sh.GroupoidMeasure(g, rng.uniform(0.5, 2.0, k), rng.uniform(0.5, 2.0, g.n_morphisms))
-         if seeded else sh.counting_measure(g))
+         if measure == "seeded" else sh.counting_measure(g))
     lattice = None
     if energy:
         mass = float(rng.uniform(0.5, 2.0))
         geom = sh.CircleLattice(k, float(rng.uniform(1.0, 4.0)))
         lag = sh.energy_lagrangian(g, geom, grid.dt(0), mass)
-        lattice = None if seeded else (geom, mass)
+        if measure == "lattice":
+            A, _ = gaussian_slice_params(SliceConfig(n, 1.0, mass, hbar, EUCLIDEAN))
+            m = sh.GroupoidMeasure(g, np.full(k, geom.spacing), np.full(g.n_morphisms, A.real))
+        lattice = None if measure == "seeded" else (geom, mass, measure)
     else:
         # euclidean weights exp(-l / hbar) overflow below l = 0 at small hbar
         vals = rng.uniform(0.0 if mode == EUCLIDEAN else -3.0, 3.0, g.n_morphisms)
@@ -462,7 +474,7 @@ def route_models(draw, file_groupoid):
     return state, lattice
 
 
-def route_scale(state) -> np.ndarray:
+def route_scale(state, eta: float = 2.0 ** -1074) -> np.ndarray:
     """u sum|t| (N + N max|l| / hbar) + eta (N + 2) sum w per endpoint pair
     [x0, x1].  sum|t| is the transfer power, between the endpoint densities,
     of the matrix of fiber weight times |phase| summed over each hom set;
@@ -479,7 +491,7 @@ def route_scale(state) -> np.ndarray:
     terms = density_stripped_power(np.abs(phase_factors(lag, spec.hbar, spec.mode)))
     weights = density_stripped_power(1.0)
     return (2.0 ** -53 * terms * (n + n * np.abs(lag).max() / spec.hbar)
-            + 2.0 ** -1074 * (n + 2) * weights)
+            + eta * (n + 2) * weights)
 
 
 def _worst_units(devs, scale) -> float:
@@ -499,21 +511,30 @@ def route_ratios(state, lattice) -> dict:
         return _worst_units(np.abs(np.asarray(values) - table.amplitudes), scale)
 
     ratios = {}
+    n = state.grid.n_intervals
     try:
         ratios["transfer"] = worst(sh.transfer_oracle_table(state).amplitudes)
-    except ValueError as exc:
+        if n > 1:
+            ratios["splitting"] = _worst_units(
+                np.array([sh.reproducing_residual(state, j, table) for j in range(1, n)]),
+                scale.max())
+    except ValueError as exc:   # both refuse an underflowed euclidean table
         assert state.spec.mode == EUCLIDEAN and "underflows" in str(exc)
-    n = state.grid.n_intervals
-    if n > 1:
-        ratios["splitting"] = _worst_units(
-            np.array([sh.reproducing_residual(state, j, table) for j in range(1, n)]),
-            scale.max())
-    if lattice is not None:
-        geom, mass = lattice
+    if lattice is None:
+        return ratios
+    geom, mass, measure = lattice
+    sites = range(geom.n_sites)
+    if measure == "counting":
         ratios["velocity"] = worst([[sh.velocity_form_propagator(geom, state.grid, state.spec,
                                                                  mass, x0, x1)
-                                     for x1 in range(geom.n_sites)]
-                                    for x0 in range(geom.n_sites)])
+                                     for x1 in sites] for x0 in sites])
+    else:
+        cfg = SliceConfig(n, 1.0, mass, state.spec.hbar, EUCLIDEAN)
+        p = state.density_table
+        chain = [[sh.lattice_line_propagator(geom, cfg, x0, x1) * math.sqrt(p[0, x0] * p[n, x1])
+                  for x1 in sites] for x0 in sites]
+        devs = np.abs(np.asarray(chain) - table.amplitudes)
+        ratios["chain"] = _worst_units(devs, route_scale(state, propagator.NORMAL_MIN))
     return ratios
 
 
