@@ -218,9 +218,12 @@ def cmd_propagate(args) -> int:
     state = state_from_lagrangian(lag, spec, g, grid, measure)
     _check_histories(g, grid, PROPAGATE_HISTORY_CAP, "the path sum")
 
-    # the oracle first: its refusal of an underflowed reference costs no enumeration
+    # every refusal of an underflowed reference comes before any enumeration
     oracle = transfer_oracle_table(state) if args.oracle else None
-    table = propagator_table(state)
+    if args.check == "reproducing":
+        res, table = reproducing_residual(state, args.at)
+    else:
+        table = propagator_table(state)
     status = EXIT_OK
     devs = None
     if oracle is not None:
@@ -229,7 +232,6 @@ def cmd_propagate(args) -> int:
         if not worst <= args.tol:
             status = EXIT_CHECK
     if args.check == "reproducing":
-        res = reproducing_residual(state, args.at, table)
         print(f"reproducing residual at slice {args.at}: {res:.3e}", file=sys.stderr)
         if not res <= args.tol:
             status = EXIT_CHECK

@@ -326,18 +326,22 @@ def enumerate_histories(g: FiniteGroupoid, grid: TimeGrid, x0: int, x1: int):
         yield from_links(g, grid, links)
 
 
+def _slice_chain(K: np.ndarray, weights, v: np.ndarray, steps: int) -> np.ndarray:
+    """v (one start, or one per column) over steps more slices of K[y, x]: ints
+    count histories, booleans find the reachable pairs, floats resum amplitudes."""
+    for _ in range(steps):
+        v = K @ (weights * v)
+    return v
+
+
 def _hom_power_counts(g: FiniteGroupoid, start: np.ndarray, n_steps: int) -> np.ndarray:
-    """H^n_steps @ start in Python integers, H[y, x] = |hom(x, y)| from
-    hom_arrays: entry y counts the histories of n_steps intervals that end at
-    y, each weighted by start at its first object."""
+    """H^n_steps @ start by the slice chain in Python integers, H[y, x] =
+    |hom(x, y)| from hom_arrays: entry y counts the histories of n_steps
+    intervals that end at y, each weighted by start at its first object."""
     if n_steps < 1:
         raise ValueError("need at least one interval")
     n = g.n_objects
-    H = g.hom_arrays[0].reshape(n, n).T.astype(object)
-    v = start
-    for _ in range(n_steps):
-        v = H.dot(v)
-    return v
+    return _slice_chain(g.hom_arrays[0].reshape(n, n).T.astype(object), 1, start, n_steps)
 
 
 def count_histories(g: FiniteGroupoid, x0: int, x1: int, n_steps: int) -> int:

@@ -26,7 +26,7 @@ from .action import (EUCLIDEAN, REAL_PHASE, HistoryState, Lagrangian, StateSpec,
 from .algebra import GroupoidMeasure, counting_measure
 from .geometry import CircleLattice, LineLattice, gather_by_offset
 from .groupoid import FiniteGroupoid, check_table_size
-from .histories import (BLOCK, FUTURE, History, TimeGrid, from_links,
+from .histories import (BLOCK, FUTURE, History, TimeGrid, _slice_chain, from_links,
                         interior_blocks, link_walks)
 
 
@@ -160,12 +160,12 @@ def transfer_matrix(g: FiniteGroupoid, lag: Lagrangian, spec: StateSpec,
 
 def transfer_power(T: np.ndarray, n_steps: int,
                    measure: GroupoidMeasure | None = None) -> np.ndarray:
-    """Density-stripped n-step amplitude matrix T (D T)^(n-1), D the diagonal
-    of object weights inserted at every interior slice."""
+    """Density-stripped n-step amplitude matrix T (D (T (D ...))) = T (D T)^(n-1),
+    D the object weights at every interior slice: the slice chain from T."""
     if n_steps < 1:
         raise ValueError("need at least one step")
-    DT = measure.object_weights[:, None] * T if measure is not None else T
-    return T @ np.linalg.matrix_power(DT, n_steps - 1)
+    weights = measure.object_weights[:, None] if measure is not None else 1.0
+    return _slice_chain(T, weights, T, n_steps - 1)
 
 
 def path_sum_terms(g: FiniteGroupoid, grid: TimeGrid, lag: Lagrangian,
@@ -250,12 +250,10 @@ def _reference(state: HistoryState, check: str) -> np.ndarray:
     n = state.grid.n_intervals
     A = transfer_power(transfer_matrix(g, state.lagrangian, spec, m), n, m).T
     if spec.mode == EUCLIDEAN:
-        # the pairs with histories, from the hom-size pattern: T's own entries underflow
-        hop = (g.hom_arrays[0].reshape(g.n_objects, g.n_objects) > 0).astype(float)
-        reach = hop
-        for _ in range(n - 1):
-            reach = np.minimum(reach @ hop, 1.0)
-        lost = np.argwhere((reach > 0) & (A.real < NORMAL_MIN))
+        # the pairs with histories, a boolean slice chain: T's own entries underflow
+        hop = g.hom_arrays[0].reshape(g.n_objects, g.n_objects) > 0
+        reach = _slice_chain(hop, True, hop, n - 1)
+        lost = np.argwhere(reach & (A.real < NORMAL_MIN))
         if len(lost):
             x0, x1 = lost[0]
             raise ValueError(f"the transfer-matrix reference underflows below the smallest "
@@ -273,16 +271,16 @@ def transfer_oracle_table(state: HistoryState) -> PropagatorTable:
     return PropagatorTable(state.grid, objects, objects, np.sqrt(np.outer(p[0], p[n])) * A)
 
 
-def reproducing_residual(state: HistoryState, j: int,
-                         table: PropagatorTable | None = None) -> float:
+def reproducing_residual(state: HistoryState, j: int) -> tuple[float, PropagatorTable]:
     """Max over endpoint pairs of the sum-splitting defect at interior slice j:
     the full amplitude against the object-measure-weighted product of the
     amplitudes of the two halves of the state, with the doubled density
-    factor at the junction divided out; NaN if any defect is NaN.  An
-    underflowed euclidean table raises ValueError, as the oracle does.
+    factor at the junction divided out; NaN if any defect is NaN.  Returned
+    with the state's propagator_table, the full amplitudes it checked.
 
-    table is the state's propagator_table, if the caller already holds it;
-    without one the table is computed here."""
+    Every refusal comes before any path sum: a j that is not interior, a
+    junction density that is not positive and, as in the oracle, an
+    underflowed euclidean table raise ValueError."""
     g, grid, spec = state.groupoid, state.grid, state.spec
     n = grid.n_intervals
     if not (0 < j < n):
@@ -290,11 +288,8 @@ def reproducing_residual(state: HistoryState, j: int,
     p = state.density_table
     if np.any(p[j] <= 0):
         raise ValueError("splitting requires a strictly positive density at the junction")
-    if table is not None and table.grid != grid:
-        raise ValueError("the propagator table spans another grid")
     _reference(state, "the reproducing check")
-    if table is None:
-        table = propagator_table(state)
+    table = propagator_table(state)
     # Python scalars, so that every term is the product of the scalar route
     full = table.amplitudes.tolist()
     halves = [replace(state, grid=grid.sub(i, k), spec=spec.sub(grid, i, k))
@@ -306,7 +301,7 @@ def reproducing_residual(state: HistoryState, j: int,
         split = fsum_complex(ow[c] * second[c][b] * first[a][c] / p[j, c]
                              for c in range(g.n_objects))
         defects.append(abs(full[a][b] - split))
-    return _worst(defects)
+    return _worst(defects), table
 
 
 def relative_deviations(values, refs) -> tuple[np.ndarray, float]:
@@ -540,12 +535,10 @@ def _weighted_chain(cfg: SliceConfig, K: np.ndarray, weights: np.ndarray, start,
     """The kernel of cfg.n_slices >= 2 slices from one start to each of ends:
     start is the first slice's kernel over the nodes and each end the last
     slice's, and every interior slice is integrated against weights, the
-    measure's object weights.  N - 2 mat-vecs v = K @ (weights * v) are
-    shared by every end; one reduction per end keeps the summation order of
-    a single call."""
-    v = start
-    for _ in range(cfg.n_slices - 2):
-        v = K @ (weights * v)
+    measure's object weights.  The N - 2 mat-vecs of the slice chain from
+    the start column are shared by every end; one reduction per end keeps
+    the summation order of a single call."""
+    v = _slice_chain(K, weights, start, cfg.n_slices - 2)
     return [complex(np.sum(weights * end * v)) for end in ends]
 
 
@@ -704,10 +697,11 @@ def circle_convergence(cfg: SliceConfig, circumference: float, theta0: float,
                        winding_max: int = 10) -> list[ConvergenceRow]:
     """Circle lattice path sum against the image-sum reference over a sweep."""
     geom = CircleLattice(n_sites, circumference)
+    # the reference reads T, m, hbar and the mode, not the slice count
+    ref = image_sum_circle_kernel(cfg, circumference, theta0, theta1, winding_max)
     rows = []
     for n in sweep:
         c = replace(cfg, n_slices=n)
-        ref = image_sum_circle_kernel(c, circumference, theta0, theta1, winding_max)
         val = _circle_amplitudes(c, geom, theta0, [theta1], 1)[0]
         rows.append(ConvergenceRow(n, c.dt, val, ref))
     return rows

@@ -230,14 +230,23 @@ MUTANTS = (
            '    _check_histories(g, grid, PROPAGATE_HISTORY_CAP, "the path sum")\n',
            "",
            ("tests/test_cli.py", "-k", "monkeypatched_cap")),
+    Mutant("hom-counts-one-slice-short", "src/sumhist/histories.py",
+           "1, start, n_steps)",
+           "1, start, n_steps - 1)",
+           ("tests/test_histories.py", "tests/test_cli.py",
+            "-k", "counts or monkeypatched_cap")),
+    Mutant("reproducing-refuses-after-the-table", "src/sumhist/propagator.py",
+           '    _reference(state, "the reproducing check")\n    table = propagator_table(state)\n',
+           '    table = propagator_table(state)\n    _reference(state, "the reproducing check")\n',
+           ("tests/test_cli.py", "-k", "underflowed_reproducing")),
     Mutant("slice-config-takes-an-overflowing-spacing", "src/sumhist/propagator.py",
            "if not math.isfinite(self.node_spacing):",
            "if False:",
            ("tests/test_cli.py", "-k", "input_errors and halfwidth")),
     # the route-agreement property alone must kill these five
     Mutant("transfer-power-drops-interior-weights", "src/sumhist/propagator.py",
-           "DT = measure.object_weights[:, None] * T if measure is not None else T",
-           "DT = T",
+           "weights = measure.object_weights[:, None] if measure is not None else 1.0",
+           "weights = 1.0",
            ("tests/test_propagator.py", "-k", "every_route")),
     Mutant("path-sum-drops-last-interior-weight", "src/sumhist/propagator.py",
            "    for k in range(n - 1):\n            w *= ow",
@@ -248,8 +257,8 @@ MUTANTS = (
            "/ p[0, c]",
            ("tests/test_propagator.py", "-k", "every_route")),
     Mutant("weighted-chain-drops-interior-weights", "src/sumhist/propagator.py",
-           "        v = K @ (weights * v)\n",
-           "        v = K @ v\n",
+           "v = _slice_chain(K, weights, start, cfg.n_slices - 2)",
+           "v = _slice_chain(K, 1.0, start, cfg.n_slices - 2)",
            ("tests/test_propagator.py", "-k", "every_route")),
     Mutant("weighted-chain-end-drops-weights", "src/sumhist/propagator.py",
            "np.sum(weights * end * v)",

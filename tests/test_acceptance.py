@@ -236,7 +236,7 @@ def test_criterion_06_reproducing_kernel():
     g, grid, lag, spec, m, _ = _path_sum_instances()[1]
     state = sh.state_from_lagrangian(lag, spec, g, grid, m)
     for j in range(1, grid.n_intervals):
-        assert sh.reproducing_residual(state, j) <= 1e-12
+        assert sh.reproducing_residual(state, j)[0] <= 1e-12
 
 
 @criterion(7, 5.0, "action laws: exact incremental additivity, exact inversion "

@@ -281,7 +281,8 @@ def test_propagate_tol_gates_exit_3_on_a_deviation_above_tol(capsys, monkeypatch
         monkeypatch.setattr(cli, "transfer_oracle_table", skewed)
         argv = ("--oracle", "transfer-matrix")
     else:
-        monkeypatch.setattr(cli, "reproducing_residual", lambda *args: 1e-6)
+        monkeypatch.setattr(cli, "reproducing_residual",
+                            lambda state, j: (1e-6, sh.propagator_table(state)))
         argv = ("--check", "reproducing", "--at", "2")
     code, out, err = run(capsys, "propagate", "--groupoid", "pair:3", "--grid", "0,1,4",
                          "--lagrangian", "energy:line,0.5", *argv)
@@ -302,6 +303,24 @@ def test_propagate_refuses_an_underflowed_oracle_before_the_path_sum(capsys, mon
     code, out, err = run(capsys, *argv, "--mode", "euclidean")
     assert (code, out) == (2, "")
     assert "underflows below the smallest normal double at 6 endpoint pairs" in err
+
+
+def test_propagate_refuses_an_underflowed_reproducing_check_before_the_path_sum(
+        capsys, monkeypatch):
+    import sumhist.propagator as sp
+    calls = {}
+    for module in (cli, sp):
+        monkeypatch.setattr(module, "propagator_table",
+                            _counted(calls, "table", module.propagator_table))
+    argv = ("propagate", "--groupoid", "pair:3", "--grid", "0,1,2", "--lagrangian",
+            "energy:circle,3", "--hbar", "1e-3", "--check", "reproducing", "--at", "1")
+    code, out, err = run(capsys, *argv)             # real mode: a zero can be true
+    assert code == 0 and out.startswith("x0,") and calls == {"table": 3}
+    calls.clear()
+    code, out, err = run(capsys, *argv, "--mode", "euclidean")
+    assert (code, out, calls) == (2, "", {})
+    assert ("underflows below the smallest normal double at 6 endpoint pairs with "
+            "histories, first (x0, x1) = (0, 1); the reproducing check cannot") in err
 
 
 def test_propagate_refuses_histories_above_a_monkeypatched_cap(capsys, monkeypatch):
@@ -402,20 +421,29 @@ def _counted_chain_matrices(monkeypatch):
     return shapes
 
 
-def test_circle_builds_one_transfer_per_slicing_and_no_power(capsys, monkeypatch):
+def test_circle_builds_one_transfer_per_slicing_and_chains_its_start_column(
+        capsys, monkeypatch):
+    # every circle chain starts from one column (a vector, not a matrix) and
+    # runs the N - 2 interior slices; one slice runs none
+    import sumhist.propagator as sp
     shapes = _counted_chain_matrices(monkeypatch)
-    calls = {}
-    monkeypatch.setattr(np.linalg, "matrix_power",
-                        _counted(calls, "power", np.linalg.matrix_power))
+    chains, chain = [], sp._slice_chain
+
+    def recording(K, weights, v, steps):
+        chains.append((np.ndim(v), steps))
+        return chain(K, weights, v, steps)
+
+    monkeypatch.setattr(sp, "_slice_chain", recording)
     code, out, _ = run(capsys, "propagate", "--geometry", "circle", "--mode", "euclidean",
                        "--N", "16", "--sites", "64")
     assert code == 0 and len(out.splitlines()) == 1 + 8
-    assert shapes == [(64, 64)] and calls == {}
+    assert shapes == [(64, 64)] and chains == [(1, 14)]
     shapes.clear()
+    chains.clear()
     code, out, _ = run(capsys, "converge", "--geometry", "circle", "--mode", "euclidean",
                        "--sweep", "1,2,4,8,16", "--sites", "64")
     assert code == 0 and len(out.splitlines()) == 1 + 5
-    assert shapes == [(64, 64)] * 5 and calls == {}
+    assert shapes == [(64, 64)] * 5 and chains == [(1, n - 2) for n in (2, 4, 8, 16)]
 
 
 def test_propagate_line_builds_one_interior_chain(capsys, monkeypatch):

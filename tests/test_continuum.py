@@ -137,6 +137,26 @@ def test_circle_convergence_decreases():
     assert sh.errors_decrease(rows, burn_in=8, floor=1e-9)
 
 
+def test_circle_convergence_builds_one_reference_per_sweep(monkeypatch):
+    # the image sum reads T, m, hbar and the mode: one per sweep, and each
+    # row's reference holds the bytes of its own slice count's image sum
+    import sumhist.propagator as sp
+    calls, image_sum = [], sp.image_sum_circle_kernel
+
+    def counting(cfg, *args):
+        calls.append(cfg.n_slices)
+        return image_sum(cfg, *args)
+
+    monkeypatch.setattr(sp, "image_sum_circle_kernel", counting)
+    cfg = SliceConfig(3, 0.7, mass=1.3, hbar=0.9, mode=EUCLIDEAN)
+    rows = sh.circle_convergence(cfg, 5.0, 0.4, 2.9, [2, 4, 8], n_sites=64, winding_max=6)
+    assert calls == [3]
+    for r in rows:
+        ref = image_sum(SliceConfig(r.n_slices, 0.7, 1.3, 0.9, EUCLIDEAN), 5.0, 0.4, 2.9, 6)
+        assert struct.pack("2d", r.reference.real, r.reference.imag) == struct.pack(
+            "2d", ref.real, ref.imag)
+
+
 def test_errors_decrease_detects_growth():
     rows = [sh.ConvergenceRow(n, 1.0 / n, complex(1 + 10 ** (-9 + k)), complex(1.0))
             for k, n in enumerate((4, 8, 16, 32, 64))]

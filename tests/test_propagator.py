@@ -220,15 +220,15 @@ def test_reproducing_residual_cases(rng):
     grid = sh.TimeGrid.uniform(0.0, 1.0, 4)
     lag = symmetric_lagrangian(g, rng)
     state = sh.state_from_lagrangian(lag, spec, g, grid, m)
-    assert sh.reproducing_residual(state, 2) <= 1e-12
+    assert sh.reproducing_residual(state, 2)[0] <= 1e-12
     zero = sh.state_from_lagrangian(sh.zero_lagrangian(g), spec, g, grid, m)
-    assert sh.reproducing_residual(zero, 2) <= 1e-12
+    assert sh.reproducing_residual(zero, 2)[0] <= 1e-12
     # euclidean free-particle lattice
     geom = sh.LineLattice(3, spacing=0.7)
     energy = sh.energy_lagrangian(g, geom, slice_dt=0.25, mass=1.3)
     spec_e = sh.uniform_state_spec(g, mode=EUCLIDEAN)
     euclidean = sh.state_from_lagrangian(energy, spec_e, g, grid, m)
-    assert sh.reproducing_residual(euclidean, 1) <= 1e-12
+    assert sh.reproducing_residual(euclidean, 1)[0] <= 1e-12
     with pytest.raises(ValueError):
         sh.reproducing_residual(state, 0)
 
@@ -244,10 +244,10 @@ def test_reproducing_residual_weighted_measure(rng):
     grid = sh.TimeGrid.uniform(0.0, 1.0, 4)
     state = sh.state_from_lagrangian(lag, spec, g, grid, m)
     for j in (1, 2, 3):
-        assert sh.reproducing_residual(state, j) <= 1e-12
+        assert sh.reproducing_residual(state, j)[0] <= 1e-12
 
 
-def test_reproducing_residual_reuses_the_callers_table(rng):
+def test_reproducing_residual_returns_the_table_it_checked(rng):
     g = sh.pair_groupoid(4)
     m = sh.GroupoidMeasure(g, rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4)[g.src])
     p = rng.uniform(0.2, 1.0, (1, 4))
@@ -258,11 +258,9 @@ def test_reproducing_residual_reuses_the_callers_table(rng):
     state = sh.state_from_lagrangian(lag, spec, g, grid, m)
     table = sh.propagator_table(state)
     for j in (1, 2, 4):
-        given = sh.reproducing_residual(state, j, table)
-        assert given == sh.reproducing_residual(state, j)
-    other = dataclasses.replace(state, grid=sh.TimeGrid.uniform(0.0, 2.0, 5))
-    with pytest.raises(ValueError, match="another grid"):
-        sh.reproducing_residual(other, 2, table)
+        residual, checked = sh.reproducing_residual(state, j)
+        assert residual <= 1e-12 and checked.grid == state.grid
+        assert checked.amplitudes.tobytes() == table.amplitudes.tobytes()
 
 
 def test_deterministic_bit_identical(rng):
@@ -516,7 +514,7 @@ def route_ratios(state, lattice) -> dict:
         ratios["transfer"] = worst(sh.transfer_oracle_table(state).amplitudes)
         if n > 1:
             ratios["splitting"] = _worst_units(
-                np.array([sh.reproducing_residual(state, j, table) for j in range(1, n)]),
+                np.array([sh.reproducing_residual(state, j)[0] for j in range(1, n)]),
                 scale.max())
     except ValueError as exc:   # both refuse an underflowed euclidean table
         assert state.spec.mode == EUCLIDEAN and "underflows" in str(exc)
