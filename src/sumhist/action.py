@@ -278,7 +278,7 @@ class StateSpec:
         p = self.slices(grid)
         sums = p @ measure.object_weights
         worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > tol:
+        if not worst <= tol:
             k = int(np.argmax(np.abs(sums - 1.0)))
             raise NormalizationError(
                 f"density on slice {k} integrates to {sums[k]!r}, not 1")

@@ -76,13 +76,13 @@ def modular_function(m: GroupoidMeasure, tol: float = 1e-10) -> np.ndarray:
     nu = m.morphism_weights
     inv = g.inverse_of
     delta = nu / nu[inv]
-    err = 0.0
+    errs = []
     for fib, block in g.fiber_blocks:
         lhs = delta[block]
         rhs = delta[inv[fib]][:, None] * delta[fib][None, :]
-        err = max(err, np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300),
-                              initial=0.0))
-    if err > tol:
+        errs.append(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300), initial=0.0))
+    err = np.max(errs, initial=0.0)
+    if not err <= tol:
         raise MeasureError(
             f"measure is not quasi-invariant: modular function fails "
             f"multiplicativity (max relative error {err:.3e})")

@@ -30,8 +30,8 @@ from .algebra import GroupoidMeasure, counting_measure
 from .geometry import CircleLattice, LineLattice
 from .groupoid import is_builtin_name, resolve_groupoid, validate_axioms
 from .histories import TimeGrid, total_histories
-from .propagator import (PropagatorTable, SliceConfig, circle_convergence,
-                         circle_propagators, errors_decrease,
+from .propagator import (PropagatorTable, SliceConfig, _modulus, _worst,
+                         circle_convergence, circle_propagators, errors_decrease,
                          image_sum_circle_kernel, line_convergence, line_kernel,
                          propagator_table, relative_deviations,
                          reproducing_residual, sliced_line_propagators,
@@ -161,48 +161,44 @@ def cmd_state_check(args) -> int:
         raise ValueError("positivity is claimed for the real mode only; "
                          "state-check does not take --mode euclidean")
 
-    entries = []
-    status = EXIT_OK
+    checks = []     # (check, value, passes): each row's one verdict
     bad_pairs = asymmetric_morphisms(lag)
+    checks.append(("lagrangian_symmetry",
+                   f"violations at {bad_pairs[:5]}" if bad_pairs else "ok", not bad_pairs))
     if bad_pairs:
-        entries.append(("lagrangian_symmetry", f"violations at {bad_pairs[:5]}", "fail"))
         print(f"symmetry error: lagrangian differs on morphism pairs {bad_pairs[:5]}",
               file=sys.stderr)
-        status = EXIT_CHECK
-    else:
-        entries.append(("lagrangian_symmetry", "ok", "pass"))
     try:
         spec.validate(grid, measure)
-        entries.append(("density_normalization", "ok", "pass"))
+        checks.append(("density_normalization", "ok", True))
     except NormalizationError as exc:
-        entries.append(("density_normalization", str(exc), "fail"))
+        checks.append(("density_normalization", str(exc), False))
         print(f"normalization error: {exc}", file=sys.stderr)
-        status = EXIT_CHECK
 
-    if status == EXIT_OK:
+    if all(passes for *_, passes in checks):
         state = state_from_lagrangian(lag, spec, g, grid, measure)
         _check_histories(g, grid, 20000, "the positivity certificate")
         family = full_interval_family(g, grid)
         cert = family_certificate(state, family)
-        entries.append(("positivity_min_eigenvalue", repr(cert.min_eigenvalue),
-                        "pass" if cert.is_positive else "fail"))
-        if not cert.is_positive:
-            status = EXIT_CHECK
+        checks.append(("positivity_min_eigenvalue", repr(cert.min_eigenvalue),
+                       cert.is_positive))
         rng = np.random.default_rng(args.seed)
-        worst = 0.0
+        residuals, scales = [], [1.0]
         for _ in range(5):
             f = rng.standard_normal(len(family)) + 1j * rng.standard_normal(len(family))
             lhs = family_form_value(state, family, f)
             rhs = float(np.sum(np.abs(family_gns_vector(state, family, f)) ** 2))
-            worst = max(worst, abs(lhs - rhs))
-        entries.append(("positivity_identity_residual", repr(worst),
-                        "pass" if worst <= 1e-10 else "fail"))
-        if worst > 1e-10:
-            status = EXIT_CHECK
+            residuals.append(_modulus(lhs - rhs))
+            scales.append(_modulus(lhs))
+        # the bound scales with the largest form value (at least 1), which
+        # grows with the family
+        worst = _worst(residuals)
+        checks.append(("positivity_identity_residual", repr(worst),
+                       worst <= 1e-10 * _worst(scales)))
 
-    text = sio.report_csv(entries)
-    _emit(text, args.out)
-    return status
+    _emit(sio.report_csv([(check, value, "pass" if passes else "fail")
+                          for check, value, passes in checks]), args.out)
+    return EXIT_OK if all(passes for *_, passes in checks) else EXIT_CHECK
 
 
 def cmd_propagate(args) -> int:
@@ -224,20 +220,17 @@ def cmd_propagate(args) -> int:
         res, table = reproducing_residual(state, args.at)
     else:
         table = propagator_table(state)
-    status = EXIT_OK
+    gates = []      # (stderr line, worst): each passes when worst <= --tol
     devs = None
     if oracle is not None:
         devs, worst = relative_deviations(table.amplitudes, oracle.amplitudes)
-        print(f"transfer-matrix oracle: max relative deviation {worst:.3e}", file=sys.stderr)
-        if not worst <= args.tol:
-            status = EXIT_CHECK
+        gates.append((f"transfer-matrix oracle: max relative deviation {worst:.3e}", worst))
     if args.check == "reproducing":
-        print(f"reproducing residual at slice {args.at}: {res:.3e}", file=sys.stderr)
-        if not res <= args.tol:
-            status = EXIT_CHECK
-
+        gates.append((f"reproducing residual at slice {args.at}: {res:.3e}", res))
+    for line, _ in gates:
+        print(line, file=sys.stderr)
     _emit_table(args, table, devs, "oracle_rel_dev")
-    return status
+    return EXIT_OK if all(worst <= args.tol for _, worst in gates) else EXIT_CHECK
 
 
 def _emit_table(args, table: PropagatorTable, extra, extra_name: str) -> None:

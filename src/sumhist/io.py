@@ -19,7 +19,7 @@ import yaml
 
 from .action import StateSpec, uniform_state_spec
 from .groupoid import FiniteGroupoid, is_int, read_yaml
-from .propagator import ConvergenceRow, PropagatorTable
+from .propagator import ConvergenceRow, PropagatorTable, _modulus
 
 
 def _fmt(x) -> str:
@@ -212,7 +212,7 @@ def propagator_table_rows(table: PropagatorTable, extra: np.ndarray | None = Non
     columns = [table.amplitudes.tolist()] + ([] if extra is None else [extra.tolist()])
     for x0, *rows in zip(_labels(table.x0s), *columns):
         for x1, z, *cells in zip(x1s, *rows):
-            yield [x0, t0, x1, t1, _fmt(z.real), _fmt(z.imag), _fmt(abs(z)),
+            yield [x0, t0, x1, t1, _fmt(z.real), _fmt(z.imag), _fmt(_modulus(z)),
                    _fmt(cmath.phase(z)), *map(_fmt, cells)]
 
 

@@ -300,22 +300,29 @@ def reproducing_residual(state: HistoryState, j: int) -> tuple[float, Propagator
     for a, b in itertools.product(range(g.n_objects), repeat=2):
         split = fsum_complex(ow[c] * second[c][b] * first[a][c] / p[j, c]
                              for c in range(g.n_objects))
-        defects.append(abs(full[a][b] - split))
+        defects.append(_modulus(full[a][b] - split))
     return _worst(defects), table
 
 
 def relative_deviations(values, refs) -> tuple[np.ndarray, float]:
     """|z - ref| / max(|ref|, 1e-300) of each value against its reference, in
-    the shape of values, and the worst of them.  The abs is Python's complex
-    abs: numpy's array abs rounds some moduli otherwise."""
-    devs = [abs(z - r) / max(abs(r), 1e-300)
+    the shape of values, and the worst of them.  The modulus is _modulus:
+    numpy's array abs rounds some moduli otherwise."""
+    devs = [_modulus(z - r) / max(_modulus(r), 1e-300)
             for z, r in zip(np.ravel(values).tolist(), np.ravel(refs).tolist())]
     return np.reshape(devs, np.shape(values)), _worst(devs)
 
 
+def _modulus(z: complex) -> float:
+    """Python's complex abs, NaN for a NaN z: CPython's abs of a NaN complex
+    raises OverflowError whenever a stale errno reads ERANGE."""
+    return abs(z) if z == z else math.nan
+
+
 def _worst(values: list[float]) -> float:
     """The largest of values, 0.0 if there are none, NaN if any is NaN (max
-    would drop a NaN, as NaN compares False)."""
+    would drop a NaN, as NaN compares False).  Every gate reads a worst value
+    and passes only when worst <= bound, so a NaN fails it."""
     return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
@@ -711,13 +718,9 @@ def errors_decrease(rows, burn_in: int = 8, floor: float = 1e-9) -> bool:
     """Monotonicity gate for a convergence sweep: beyond the burn-in slice
     count, every error must not exceed its predecessor, except that anything at
     or below the floor counts as converged (exactly sliced problems sit at the
-    roundoff floor for every resolution)."""
+    roundoff floor for every resolution).  A NaN error anywhere in the sweep,
+    burn-in rows included, fails it."""
     errs = [(r.n_slices, r.rel_error) for r in rows]
-    prev = None
-    for n, e in errs:
-        if n <= burn_in:
-            continue
-        if prev is not None and e > max(prev, floor):
-            return False
-        prev = e
-    return True
+    later = [e for n, e in errs if n > burn_in]
+    return (not any(math.isnan(e) for _, e in errs)
+            and all(e <= max(prev, floor) for prev, e in zip(later, later[1:])))

@@ -88,10 +88,10 @@ def certify_positive_type(phi: np.ndarray, m: GroupoidMeasure,
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
     blocks = [Q for _, Q in _positivity_blocks(phi, m) if Q.size]
-    defect = max((float(np.max(np.abs(Q - Q.conj().T))) for Q in blocks), default=0.0)
-    lam = min((float(np.linalg.eigvalsh(0.5 * (Q + Q.conj().T))[0]) for Q in blocks),
-              default=0.0)
-    verdict = "positive" if (lam >= -tol and defect <= max(tol, 1e-12)) else "indefinite"
+    defect = float(np.max([np.max(np.abs(Q - Q.conj().T)) for Q in blocks], initial=0.0))
+    lams = [np.linalg.eigvalsh(0.5 * (Q + Q.conj().T))[0] for Q in blocks]
+    lam = float(np.min(lams)) if lams else 0.0
+    verdict = "positive" if (-lam <= tol and defect <= max(tol, 1e-12)) else "indefinite"
     return PositivityCertificate(lam, m.groupoid.n_morphisms, verdict, defect)
 
 
@@ -176,9 +176,9 @@ class FactorizedForm:
         rank-one conj(a_b) a_b^T, a = weight * psi, exactly Hermitian, with
         eigenvalues 0 (two elements or more) and |a_b|^2."""
         a = self.psi if self.weights is None else self.weights * self.psi
-        lam_min = min((0.0 if len(idx) > 1 else float(np.vdot(a[idx], a[idx]).real)
-                       for idx in self.blocks), default=0.0)
-        verdict = "positive" if lam_min >= -tol else "indefinite"
+        lam_min = float(np.min([0.0 if len(idx) > 1 else np.vdot(a[idx], a[idx]).real
+                                for idx in self.blocks]))
+        verdict = "positive" if -lam_min <= tol else "indefinite"
         return PositivityCertificate(lam_min, len(self.psi), verdict)
 
 

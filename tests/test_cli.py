@@ -245,6 +245,15 @@ def test_state_check_failures_read_fail_in_their_rows(capsys, tmp_path):
         assert rows == {failing: "fail", passing: "pass"}
 
 
+def test_state_check_identity_gate_scales_with_the_form_value(capsys):
+    # 16384 histories: form values of 8.4e3-2.2e4, so an absolute residual of
+    # 1.1e-10 is about 31 ulps of them; the row still prints the absolute worst
+    code, out, _ = run(capsys, "state-check", "--groupoid", "pair:2", "--grid", "0,1,13",
+                       "--lagrangian", "energy:line,0.7", "--seed", "0")
+    assert code == 0
+    assert "positivity_identity_residual,1.127773430198431e-10,pass" in out.splitlines()
+
+
 def test_propagate_finite_with_oracle(capsys, tmp_path):
     out_file = tmp_path / "table.csv"
     code, out, _ = run(capsys, "propagate", "--groupoid", "pair:3",
@@ -576,6 +585,20 @@ def test_converge_failure_exit_code(capsys, tmp_path):
     assert "decrease" in err
     rows = list(csv.DictReader(out_file.open()))
     assert len(rows) == 8
+
+
+@pytest.mark.parametrize("sweep", ["16,512", "512"])
+def test_converge_fails_a_sweep_with_a_nan_error(capsys, sweep):
+    # the 120-node chain overflows at N = 512; with one row past the burn-in
+    # there is no pair to compare, and the NaN alone must fail the gate
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run(capsys, "converge", "--geometry", "line", "--mode", "euclidean",
+                             "--quad-nodes", "120", "--quad-halfwidth", "5.87", "--T", "0.968",
+                             "--mass", "1.54", "--hbar", "0.074", "--x1", "0.5",
+                             "--sweep", sweep)
+    assert code == 3 and "convergence check failed" in err
+    assert out.splitlines()[-1].startswith("512,") and out.rstrip().endswith(",nan")
 
 
 def test_converge_requires_geometry(capsys):

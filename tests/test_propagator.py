@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -12,15 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sumhist as sh
+from sumhist import io as sio
 from sumhist import propagator
 from sumhist.action import (ANCHORED, CMATH_EXP_LARGE, EUCLIDEAN, INCREMENTAL, REAL_PHASE,
                             ROW_FSUM_CASCADE, phase_factor, phase_factors, row_fsums)
+from sumhist.algebra import MeasureError, modular_function
 from sumhist.histories import BLOCK
 from sumhist.propagator import (EXACT_SUM_BINS, SliceConfig, exact_sum,
                                 gaussian_slice_params, kinetic_lagrangian_value,
                                 path_sum_terms)
+from sumhist.states import FactorizedForm
 
-from conftest import disjoint_union, product_walks, symmetric_lagrangian
+from conftest import disjoint_union, product_walks, symmetric_lagrangian, units_only_groupoid
 
 
 def uniform_setup(g, mode="real"):
@@ -195,6 +199,58 @@ def test_relative_deviations_read_python_abs_and_keep_a_nan(rng):
     z[2, 3] = complex(math.nan, 0.0)
     assert math.isnan(propagator.relative_deviations(z, ref)[1])
     assert propagator.relative_deviations(np.zeros((0, 0)), np.zeros((0, 0)))[1] == 0.0
+
+
+def test_moduli_read_a_nan_after_a_stale_overflow_errno():
+    # CPython's complex abs of a NaN raises OverflowError while a libm call
+    # has left errno = ERANGE, as each overflow below does; the deviations
+    # and the table's abs column must read NaN instead
+    with contextlib.suppress(OverflowError):
+        math.exp(1000)
+    devs, worst = propagator.relative_deviations([complex(math.nan, 0)], [1.0])
+    assert math.isnan(devs[0]) and math.isnan(worst)
+    table = sh.PropagatorTable(sh.TimeGrid((0.0, 1.0)), np.array([0.0]), np.array([1.0]),
+                               np.array([[complex(math.nan, 0)]]))
+    with contextlib.suppress(OverflowError):
+        math.exp(1000)
+    assert sio.propagator_table_csv(table).splitlines()[1] == "0.0,0.0,1.0,1.0,nan,0.0,nan,nan"
+
+
+def _gate_passes(gate, error, *args, **kw):
+    """True if gate(*args, **kw) returns without raising error."""
+    try:
+        gate(*args, **kw)
+    except error:
+        return False
+    return True
+
+
+def _nan_gates():
+    """Each library gate fed a NaN: a callable returning True if the gate passes."""
+    nan = math.nan
+    units = units_only_groupoid()
+    huge = sh.GroupoidMeasure(sh.pair_groupoid(3), np.full(3, 1e200), np.full(9, 1e200))
+    rows = [sh.ConvergenceRow(n, 1.0 / n, complex(v), 1 + 0j)
+            for n, v in ((4, nan), (16, 1.1), (32, 1.01))]
+    return {
+        "modular-function": lambda: _gate_passes(modular_function, MeasureError, huge),
+        "factorized-certificate-nan-last": lambda: FactorizedForm(
+            np.array([1 + 0j, nan]), np.array([0, 1]), 2).certificate().is_positive,
+        "factorized-certificate-nan-first": lambda: FactorizedForm(
+            np.array([nan, 1 + 0j]), np.array([0, 1]), 2).certificate().is_positive,
+        "certify-positive-type": lambda: sh.certify_positive_type(
+            np.array([1 + 0j, nan]), sh.counting_measure(units)).is_positive,
+        "state-spec-validate": lambda: _gate_passes(
+            sh.uniform_state_spec(units).validate, sh.NormalizationError,
+            sh.TimeGrid.uniform(0.0, 1.0, 2), sh.counting_measure(units), tol=nan),
+        "errors-decrease-burn-in": lambda: sh.errors_decrease(rows, burn_in=8),
+    }
+
+
+@pytest.mark.parametrize("name", list(_nan_gates()))
+def test_every_library_gate_fails_a_nan(name):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _nan_gates()[name]() is False
 
 
 def test_finite_propagator_weighted_measure(rng):
