@@ -365,7 +365,13 @@ def state_from_lagrangian(lag: Lagrangian, spec: StateSpec, g: FiniteGroupoid,
                           grid: TimeGrid,
                           measure: GroupoidMeasure | None = None) -> HistoryState:
     """Build the history state, enforcing Lagrangian symmetry and density
-    normalization against the measure (the counting measure if None)."""
+    normalization against the measure (the counting measure if None).  The
+    Lagrangian and the measure must be defined on g itself."""
+    for what, model in (("lagrangian", lag), ("measure", measure)):
+        if model is not None and model.groupoid is not g:
+            raise ValueError(f"the {what} is defined on another groupoid object "
+                             f"({model.groupoid!r}) than the state's ({g!r}); "
+                             "build both from the same object")
     bad = asymmetric_morphisms(lag)
     if bad:
         raise SymmetryError(

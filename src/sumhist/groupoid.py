@@ -322,58 +322,44 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     return product_with_group(n, _TRIVIAL_GROUP, name=f"pair:{n}")
 
 
-def _check_group_table(cayley: np.ndarray) -> tuple[int, np.ndarray]:
-    """Validate a multiplication table; return (identity, inverses).
+def _one_object(table: np.ndarray, unit: int, inverse: np.ndarray,
+                name: str) -> FiniteGroupoid:
+    """The one-object groupoid of a k×k group table, its unit and inverses."""
+    zeros = np.zeros(len(table), dtype=np.int64)
+    return FiniteGroupoid(1, zeros, zeros.copy(), np.array([unit]), inverse,
+                          table.astype(np.int32), name=name)
 
-    Associativity is Light's test (_light_associative), as for a groupoid
-    table with one object.  A table that fails it is scanned triple by
-    triple, and the first (a, b, c) that fails names the error."""
-    k = cayley.shape[0]
+
+def group_groupoid(cayley, name=None) -> FiniteGroupoid:
+    """One-object groupoid from a group multiplication table, refused with
+    InvalidGroupError unless validate_axioms finds every axiom.  The unit is
+    the table's two-sided identity and each inverse its first two-sided
+    inverse, 0 where there is none, so that the unit or inverse law fails."""
+    cayley = np.asarray(cayley)
+    k = cayley.shape[0] if cayley.ndim == 2 else 0
     if cayley.shape != (k, k) or k == 0:
         raise InvalidGroupError("multiplication table must be a nonempty square matrix")
+    if not np.issubdtype(cayley.dtype, np.integer):
+        raise InvalidGroupError(f"table entries must be integers, not {cayley.dtype}")
     if cayley.min() < 0 or cayley.max() >= k:
         raise InvalidGroupError("table entries out of range: not closed")
     idx = np.arange(k)
-    ident = np.flatnonzero((cayley == idx).all(axis=1) & (cayley == idx[:, None]).all(axis=0))
-    if len(ident) != 1:
-        raise InvalidGroupError("table has no (or no unique) identity element")
-    e = int(ident[0])
-    # every pair composes, in row-major order
-    pa, pb = np.divmod(np.arange(k * k), k)
-    ends = np.zeros(k, dtype=np.intp)
-    if not _light_associative(cayley, ends, ends, pa, pb, cayley.ravel()):
-        a, b, c = next((a[0], b[0], c[0])
-                       for a, b, c in _unassociative_triples(cayley, pa, pb) if len(a))
-        raise InvalidGroupError(f"table is not associative at ({a},{b},{c})")
-    # both[a, x]: x is a two-sided inverse of a
-    both = (cayley == e) & (cayley.T == e)
-    bad = np.flatnonzero(np.count_nonzero(both, axis=1) != 1)
-    if len(bad):
-        raise InvalidGroupError(f"element {bad[0]} has no unique two-sided inverse")
-    return e, np.argmax(both, axis=1).astype(np.int64)
-
-
-def group_groupoid(cayley, inverses=None, identity=None, name=None) -> FiniteGroupoid:
-    """One-object groupoid from a group multiplication table (validated)."""
-    cayley = np.asarray(cayley, dtype=np.int64)
-    e, inv = _check_group_table(cayley)
-    if identity is not None and identity != e:
-        raise InvalidGroupError(f"declared identity {identity} but table identity is {e}")
-    if inverses is not None and not np.array_equal(np.asarray(inverses), inv):
-        raise InvalidGroupError("declared inverses disagree with the table")
-    k = cayley.shape[0]
-    zeros = np.zeros(k, dtype=np.int64)
-    return FiniteGroupoid(1, zeros, zeros.copy(), np.array([e]), inv,
-                          cayley.astype(np.int32), name=name or f"group:{k}")
+    e = int(np.argmax((cayley == idx).all(axis=1) & (cayley == idx[:, None]).all(axis=0)))
+    inv = np.argmax((cayley == e) & (cayley.T == e), axis=1)
+    g = _one_object(cayley, e, inv, name or f"group:{k}")
+    report = validate_axioms(g, limit=1)
+    if not report.ok:
+        raise InvalidGroupError(f"table fails the group axioms: {report.violations[0]}")
+    return g
 
 
 def cyclic_groupoid(k: int) -> FiniteGroupoid:
-    """The cyclic group Z_k as a one-object groupoid."""
+    """The cyclic group Z_k as a one-object groupoid: unit 0, inverse -a mod k
+    and the table (a + b) mod k, built by construction."""
     if k < 1:
         raise ValueError("cyclic group order must be >= 1")
     a = np.arange(k)
-    table = (a[:, None] + a[None, :]) % k
-    return group_groupoid(table, name=f"cyclic:{k}")
+    return _one_object((a[:, None] + a[None, :]) % k, 0, -a % k, f"cyclic:{k}")
 
 
 _TRIVIAL_GROUP = cyclic_groupoid(1)   # read-only tables, shared by every pair groupoid
@@ -515,8 +501,6 @@ def builtin_groupoid(name: str) -> FiniteGroupoid:
             n, k = map(int, arg.split(","))
             _check_builtin_size(n, k)
             return product_with_group(n, cyclic_groupoid(k))
-    except InvalidGroupError:
-        raise
     except ValueError as exc:
         raise GroupoidFormatError(f"bad builtin groupoid spec {name!r}: {exc}") from exc
     raise GroupoidFormatError(f"unknown builtin groupoid {name!r}")

@@ -280,6 +280,18 @@ MUTANTS = (
            "np.sum(weights * end * v)",
            "np.sum(end * v)",
            ("tests/test_propagator.py", "-k", "every_route")),
+    Mutant("group-axioms-unchecked", "src/sumhist/groupoid.py",
+           "if not report.ok:",
+           "if False:",
+           ("tests/test_groupoid.py", "-k", "group_groupoid or small_table or loop_with")),
+    Mutant("cyclic-inverse-is-identity", "src/sumhist/groupoid.py",
+           "-a % k",
+           "a % k",
+           ("tests/test_groupoid.py", "tests/test_acceptance.py")),
+    Mutant("group-table-takes-non-integers", "src/sumhist/groupoid.py",
+           "if not np.issubdtype(cayley.dtype, np.integer):",
+           "if False:",
+           ("tests/test_groupoid.py", "-k", "not_integers")),
 )
 
 

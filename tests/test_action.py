@@ -156,6 +156,32 @@ def test_state_from_lagrangian_guards(rng):
                                  sh.StateSpec(np.full((1, 3), 0.2)), g, grid)
 
 
+def test_state_from_lagrangian_refuses_another_groupoids_model():
+    # pair:4 and pair_x_cyclic:2,4 both have 16 morphisms
+    g = sh.builtin_groupoid("pair_x_cyclic:2,4")
+    grid = sh.TimeGrid.uniform(0.0, 1.0, 3)
+    spec = sh.uniform_state_spec(g)
+    lag = sh.energy_lagrangian(sh.pair_groupoid(4), sh.LineLattice(4, 0.5), 1 / 3, 1.0)
+    with pytest.raises(ValueError, match=r"^the lagrangian is defined on another groupoid "
+                       r"object \(FiniteGroupoid\('pair:4'.*\) than the state's "
+                       r"\(FiniteGroupoid\('cyclic:4-pairs:2'"):
+        sh.state_from_lagrangian(lag, spec, g, grid)
+    other = sh.builtin_groupoid("pair_x_cyclic:2,4")
+    with pytest.raises(ValueError, match=r"^the measure is defined on another groupoid object "):
+        sh.state_from_lagrangian(sh.zero_lagrangian(g), spec, g, grid,
+                                 sh.counting_measure(other))
+    sh.state_from_lagrangian(sh.zero_lagrangian(g), spec, g, grid, sh.counting_measure(g))
+    # an equal but separate groupoid is refused too, and the message says so
+    g3 = sh.pair_groupoid(3)
+    lag3 = sh.energy_lagrangian(sh.pair_groupoid(3), sh.LineLattice(3, 0.5), 1 / 3, 1.0)
+    with pytest.raises(ValueError) as exc:
+        sh.state_from_lagrangian(lag3, sh.uniform_state_spec(g3), g3, grid)
+    shown = repr(g3)
+    assert str(exc.value) == (f"the lagrangian is defined on another groupoid object "
+                              f"({shown}) than the state's ({shown}); "
+                              "build both from the same object")
+
+
 def make_state(g, grid, rng, mode="real", uniform=False):
     lag = symmetric_lagrangian(g, rng)
     if uniform:

@@ -53,6 +53,19 @@ def test_group_groupoid_z2_z4():
             assert z4.compose(a, b) == (a + b) % 4
 
 
+def test_cyclic_builtins_match_their_checked_tables():
+    # cyclic:k is built by construction; the checked group table of (a + b)
+    # mod k must give the same unit, inverses and table, with the same dtypes
+    for k in range(1, 9):
+        a = np.arange(k)
+        checked = sh.group_groupoid((a[:, None] + a[None, :]) % k, name=f"cyclic:{k}")
+        built = sh.cyclic_groupoid(k)
+        assert built.name == checked.name
+        for field in ("src", "tgt", "unit_of", "inverse_of", "table"):
+            want, got = getattr(checked, field), getattr(built, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (k, field)
+
+
 def test_group_groupoid_rejects_non_associative():
     table = [[0, 1, 2], [1, 2, 0], [2, 0, 0]]
     with pytest.raises(sh.InvalidGroupError):
@@ -63,6 +76,14 @@ def test_group_groupoid_rejects_bad_inverses():
     table = [[0, 1], [1, 1]]  # 1 has no inverse
     with pytest.raises(sh.InvalidGroupError):
         sh.group_groupoid(table)
+
+
+def test_group_groupoid_rejects_entries_that_are_not_integers():
+    # a cast to int would read this as the Z_2 table [[0, 1], [1, 0]]
+    for table in ([[0.7, 1.9], [1.2, 0.4]], [[0.0, 1.0], [1.0, 0.0]], [[True]]):
+        with pytest.raises(sh.InvalidGroupError, match="^table entries must be integers"):
+            sh.group_groupoid(table)
+    assert sh.group_groupoid(np.array([[0, 1], [1, 0]], dtype=np.uint8)).inverse_of.tolist() == [0, 1]
 
 
 def test_product_with_group_shape():
@@ -292,7 +313,8 @@ def test_light_test_refutes_a_loop_with_identity_and_inverses(monkeypatch):
     a, b, c = np.argwhere(lhs != rhs)[0]
     with pytest.raises(sh.InvalidGroupError) as exc:
         sh.group_groupoid(LOOP5)
-    assert str(exc.value) == f"table is not associative at ({a},{b},{c})"
+    assert str(exc.value) == ("table fails the group axioms: [associativity] "
+                              f"({a}∘{b})∘{c} != {a}∘({b}∘{c})")
     ends = np.zeros(5, dtype=np.int64)
     loop = sh.FiniteGroupoid(1, ends, ends.copy(), np.array([0]), np.arange(5),
                              LOOP5.astype(np.int32), name="loop5")
@@ -325,11 +347,50 @@ def test_light_test_on_a_disconnected_description_file(tmp_path, monkeypatch):
     assert sum(1 for r in got for v in r if v.kind == "associativity") > 40
 
 
+def latin_squares(k, reduced=False):
+    """Every k×k Latin square over 0..k-1, or every reduced one (first row
+    and first column 0..k-1), in lexicographic order."""
+    rows = list(itertools.permutations(range(k)))
+
+    def extend(square):
+        if len(square) == k:
+            yield np.array(square)
+            return
+        for row in rows:
+            if (not reduced or row[0] == len(square)) and \
+                    all(r[j] != row[j] for r in square for j in range(k)):
+                yield from extend(square + [row])
+
+    return list(extend([tuple(range(k))] if reduced else []))
+
+
+def test_group_verdicts_over_every_small_table():
+    # every loop of order 4 or less is a group, so only the 5×5 corpus holds
+    # tables that the unit and inverse laws pass and associativity refuses
+    perms = list(itertools.permutations(range(3)))
+    corpora = [([np.array(t) for t in itertools.product(perms, repeat=3)], 216, 3),
+               (latin_squares(4), 576, 16),
+               (latin_squares(5, reduced=True), 56, 6)]
+    for tables, size, groups in corpora:
+        accepted = 0
+        for table in tables:
+            try:
+                g = sh.group_groupoid(table)
+            except sh.InvalidGroupError:
+                continue
+            assert np.array_equal(g.table, table)
+            accepted += 1
+        assert (len(tables), accepted) == (size, groups)
+
+
 def test_group_check_needs_no_cube_of_the_order():
-    # the dense (ab)c against a(bc) comparison held two k^3 arrays: 1 GiB here
+    # the dense (ab)c against a(bc) comparison held two k^3 arrays: 1 GiB here;
+    # cyclic_groupoid runs no check, so the table goes through group_groupoid
+    a = np.arange(400)
+    table = (a[:, None] + a[None, :]) % 400
     tracemalloc.start()
     try:
-        g = sh.cyclic_groupoid(400)
+        g = sh.group_groupoid(table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
