@@ -23,8 +23,8 @@ import numpy as np
 from . import io as sio
 from .action import (EUCLIDEAN, Lagrangian, NormalizationError,
                      StateSpec, asymmetric_morphisms,
-                     energy_lagrangian, family_certificate, family_form_value,
-                     family_gns_vector, full_interval_family,
+                     energy_lagrangian, family_certificate, family_form,
+                     family_form_value, full_interval_family,
                      state_from_lagrangian, uniform_state_spec, zero_lagrangian)
 from .algebra import GroupoidMeasure, counting_measure
 from .geometry import CircleLattice, LineLattice
@@ -183,11 +183,12 @@ def cmd_state_check(args) -> int:
         checks.append(("positivity_min_eigenvalue", repr(cert.min_eigenvalue),
                        cert.is_positive))
         rng = np.random.default_rng(args.seed)
+        form = family_form(state, family)
         residuals, scales = [], [1.0]
         for _ in range(5):
             f = rng.standard_normal(len(family)) + 1j * rng.standard_normal(len(family))
             lhs = family_form_value(state, family, f)
-            rhs = float(np.sum(np.abs(family_gns_vector(state, family, f)) ** 2))
+            rhs = float(np.sum(np.abs(form.vector(f)) ** 2))
             residuals.append(_modulus(lhs - rhs))
             scales.append(_modulus(lhs))
         # the bound scales with the largest form value (at least 1), which

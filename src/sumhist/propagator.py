@@ -621,31 +621,16 @@ def _lattice_amplitudes(geometry, cfg: SliceConfig, site0: int, site1s) -> list[
     return _weighted_chain(cfg, K, weights, K[:, site0], (K[s1] for s1 in site1s))
 
 
-def circle_propagator(cfg: SliceConfig, circumference: float, theta0: float,
-                      theta1: float, n_sites: int = 256) -> complex:
-    """Lattice path sum on a discretized circle with the arc-distance energy
-    Lagrangian, evaluated at the sites nearest the requested angles."""
-    return _circle_amplitudes(cfg, CircleLattice(n_sites, circumference),
-                              theta0, [theta1], 2)[0]
-
-
 def circle_propagators(cfg: SliceConfig, circumference: float, theta0: float,
                        theta1s, n_sites: int = 256) -> list[complex]:
-    """circle_propagator from theta0 to each of theta1s, from one lattice and
-    one start-column chain; every value is bit-identical to its single call."""
-    return _circle_amplitudes(cfg, CircleLattice(n_sites, circumference),
-                              theta0, theta1s, 2)
-
-
-def _circle_amplitudes(cfg: SliceConfig, geom: CircleLattice, theta0: float,
-                       theta1s, stacklevel: int) -> list[complex]:
-    """Circle lattice amplitudes; the coarse-lattice warning is attributed
-    stacklevel frames above the caller of this function."""
+    """Lattice path sum on a discretized circle with the arc-distance energy
+    Lagrangian, from the site nearest theta0 to the site nearest each of
+    theta1s by one start-column chain; a warning is attributed to the caller."""
+    geom = CircleLattice(n_sites, circumference)
     sigma_slice = math.sqrt(cfg.hbar * cfg.dt / cfg.mass)
     if sigma_slice < 2 * geom.spacing:
         warnings.warn("lattice too coarse for the requested slicing: one-slice "
-                      "kernel width is under two lattice spacings",
-                      stacklevel=stacklevel + 1)
+                      "kernel width is under two lattice spacings", stacklevel=2)
     s0 = geom.nearest_site(theta0)
     return _lattice_amplitudes(geom, cfg, s0, [geom.nearest_site(t) for t in theta1s])
 
@@ -703,13 +688,12 @@ def circle_convergence(cfg: SliceConfig, circumference: float, theta0: float,
                        theta1: float, sweep, n_sites: int = 256,
                        winding_max: int = 10) -> list[ConvergenceRow]:
     """Circle lattice path sum against the image-sum reference over a sweep."""
-    geom = CircleLattice(n_sites, circumference)
     # the reference reads T, m, hbar and the mode, not the slice count
     ref = image_sum_circle_kernel(cfg, circumference, theta0, theta1, winding_max)
     rows = []
     for n in sweep:
         c = replace(cfg, n_slices=n)
-        val = _circle_amplitudes(c, geom, theta0, [theta1], 1)[0]
+        val = circle_propagators(c, circumference, theta0, [theta1], n_sites)[0]
         rows.append(ConvergenceRow(n, c.dt, val, ref))
     return rows
 

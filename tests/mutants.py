@@ -292,6 +292,18 @@ MUTANTS = (
            "if not np.issubdtype(cayley.dtype, np.integer):",
            "if False:",
            ("tests/test_groupoid.py", "-k", "not_integers")),
+    Mutant("table-range-misses-entry-M", "src/sumhist/groupoid.py",
+           "(C < UNDEFINED) | (C >= M)",
+           "(C < UNDEFINED) | (C > M)",
+           ("tests/test_groupoid.py", "-k", "out_of_range_entries and table")),
+    Mutant("past-accumulated-takes-the-future-order", "src/sumhist/histories.py",
+           "return g.compose(g.inverse(acc[k]), acc[l])",
+           "return g.compose(acc[l], g.inverse(acc[k]))",
+           ("tests/test_histories.py", "-k", "past_accumulated")),
+    Mutant("convergence-json-reverses-its-header", "src/sumhist/io.py",
+           'render_rows(CONVERGENCE_HEADER, convergence_rows(rows), "json", path)',
+           'render_rows(CONVERGENCE_HEADER[::-1], convergence_rows(rows), "json", path)',
+           ("tests/test_cli.py", "-k", "json_rows_are_the_csv_rows")),
 )
 
 

@@ -308,7 +308,7 @@ def test_criterion_10_circle():
     cfg = SliceConfig(64, 0.5, mass=1.0, hbar=1.0, mode=EUCLIDEAN)
     for frac in (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75):
         th1 = frac * lc
-        val = sh.circle_propagator(cfg, lc, 0.0, th1, n_sites=256)
+        val = sh.circle_propagators(cfg, lc, 0.0, [th1], n_sites=256)[0]
         ref = sh.image_sum_circle_kernel(cfg, lc, 0.0, th1, winding_max=10)
         assert abs(val - ref) <= 1e-2 * abs(ref), frac
 

@@ -574,6 +574,19 @@ def test_converge_circle(capsys, tmp_path):
     assert errs[0] > errs[2]  # winding capture: genuine decrease
 
 
+@pytest.mark.parametrize("flags", [("--geometry", "line"),
+                                   ("--geometry", "circle", "--sites", "64")])
+def test_converge_json_rows_are_the_csv_rows(capsys, flags):
+    argv = ("converge", *flags, "--mode", "euclidean", "--T", "0.5", "--sweep", "1,2,4,8")
+    code, text, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    code, table, _ = run(capsys, *argv)
+    assert code == 0
+    rows = [{k: str(v) for k, v in r.items()} for r in json.loads(text)]
+    assert rows == list(csv.DictReader(io.StringIO(table)))
+    assert len(rows) == 4
+
+
 def test_converge_failure_exit_code(capsys, tmp_path):
     # a zero floor turns the roundoff-level jitter of the exactly sliced line
     # kernel into a failed monotone check; the table is still written

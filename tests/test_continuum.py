@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 import struct
 import warnings
@@ -84,7 +85,7 @@ def test_circle_matches_image_sum():
     lc = 2 * math.pi
     for frac in (0.0, 0.25, 0.5, 0.75):
         th1 = frac * lc
-        val = sh.circle_propagator(cfg, lc, 0.0, th1, n_sites=256)
+        val = sh.circle_propagators(cfg, lc, 0.0, [th1], n_sites=256)[0]
         ref = sh.image_sum_circle_kernel(cfg, lc, 0.0, th1, winding_max=10)
         assert abs(val - ref) <= 1e-2 * abs(ref)
 
@@ -93,7 +94,7 @@ def test_circle_short_time_ratio_to_line():
     lc = 2 * math.pi
     cfg = SliceConfig(8, 0.05, mode=EUCLIDEAN)
     th = lc / 4
-    val = sh.circle_propagator(cfg, lc, th, th, n_sites=256)
+    val = sh.circle_propagators(cfg, lc, th, [th], n_sites=256)[0]
     line = sh.line_kernel(1.0, 1.0, 0.05, 0.0, EUCLIDEAN)
     assert abs(val / line - 1.0) <= 1e-3
 
@@ -101,15 +102,15 @@ def test_circle_short_time_ratio_to_line():
 def test_circle_winding_symmetry():
     cfg = SliceConfig(16, 0.5, mode=EUCLIDEAN)
     lc = 2 * math.pi
-    a = sh.circle_propagator(cfg, lc, 0.3 * lc, 0.7 * lc, n_sites=128)
-    b = sh.circle_propagator(cfg, lc, 0.7 * lc, 0.3 * lc, n_sites=128)
+    a = sh.circle_propagators(cfg, lc, 0.3 * lc, [0.7 * lc], n_sites=128)[0]
+    b = sh.circle_propagators(cfg, lc, 0.7 * lc, [0.3 * lc], n_sites=128)[0]
     assert a == pytest.approx(b)
 
 
 def test_circle_coarse_lattice_warns():
     cfg = SliceConfig(8, 0.5, mode=EUCLIDEAN)
     with pytest.warns(UserWarning, match="coarse"):
-        sh.circle_propagator(cfg, 2 * math.pi, 0.0, 1.0, n_sites=16)
+        sh.circle_propagators(cfg, 2 * math.pi, 0.0, [1.0], n_sites=16)
 
 
 def test_image_sum_tail_warning():
@@ -155,6 +156,37 @@ def test_circle_convergence_builds_one_reference_per_sweep(monkeypatch):
         ref = image_sum(SliceConfig(r.n_slices, 0.7, 1.3, 0.9, EUCLIDEAN), 5.0, 0.4, 2.9, 6)
         assert struct.pack("2d", r.reference.real, r.reference.imag) == struct.pack(
             "2d", ref.real, ref.imag)
+
+
+def test_circle_convergence_runs_circle_propagators_once_per_sweep_entry(monkeypatch):
+    # converge and propagate on the circle run one route: each sweep entry is
+    # the one-endpoint list at its own slice count
+    import sumhist.propagator as sp
+    calls, route = [], sp.circle_propagators
+
+    def counting(c, circumference, theta0, theta1s, n_sites):
+        calls.append((c.n_slices, circumference, theta0, list(theta1s), n_sites))
+        return route(c, circumference, theta0, theta1s, n_sites)
+
+    monkeypatch.setattr(sp, "circle_propagators", counting)
+    cfg = SliceConfig(3, 0.7, mass=1.3, hbar=0.9, mode=EUCLIDEAN)
+    rows = sh.circle_convergence(cfg, 5.0, 0.4, 2.9, [2, 4, 8], n_sites=64, winding_max=6)
+    assert calls == [(n, 5.0, 0.4, [2.9], 64) for n in (2, 4, 8)]
+    for r in rows:
+        want = route(SliceConfig(r.n_slices, 0.7, 1.3, 0.9, EUCLIDEAN), 5.0, 0.4, [2.9], 64)
+        assert _zbytes([r.value]) == _zbytes(want)
+
+
+def test_circle_sweep_warns_at_its_line_in_circle_convergence():
+    import sumhist.propagator as sp
+    cfg = SliceConfig(8, 0.5, mode=EUCLIDEAN)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sh.circle_convergence(cfg, 2 * math.pi, 0.0, 1.0, [4, 8], n_sites=16)
+    body, first = inspect.getsourcelines(sp.circle_convergence)
+    coarse = [(w.filename, w.lineno) for w in caught if "coarse" in str(w.message)]
+    assert len(coarse) == 2
+    assert all(f == sp.__file__ and first < n < first + len(body) for f, n in coarse)
 
 
 def test_errors_decrease_detects_growth():
@@ -525,7 +557,7 @@ def test_circle_propagators_match_single_calls_bit_for_bit(mode):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # the coarse lattices
             got = sh.circle_propagators(cfg, lc, th0, ths, n_sites)
-            want = [sh.circle_propagator(cfg, lc, th0, t, n_sites) for t in ths]
+            want = [sh.circle_propagators(cfg, lc, th0, [t], n_sites)[0] for t in ths]
         assert _zbytes(got) == _zbytes(want)
 
 
@@ -534,7 +566,7 @@ def test_circle_coarse_lattice_warns_once_at_the_caller():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sh.circle_propagators(cfg, 2 * math.pi, 0.0, [0.0, 1.0, 2.0], n_sites=16)
-        sh.circle_propagator(cfg, 2 * math.pi, 0.0, 1.0, n_sites=16)
+        sh.circle_propagators(cfg, 2 * math.pi, 0.0, [1.0], n_sites=16)
     assert [w.filename for w in caught] == [__file__] * 2
 
 

@@ -153,6 +153,10 @@ def test_validate_mutation_scan(rng):
     ("tgt", 1, 2, "[range] tgt[1] out of range"),
     ("unit_of", 0, 4, "[unit] unit_of[0] = 4 is not a morphism"),
     ("inverse_of", 3, -1, "[inverse] inverse_of[3] = -1 is not a morphism"),
+    # pair:2 has M = 4 morphisms, so M itself is the first entry out of range
+    ("table", (1, 3), 4, "[range] table[1,3] = 4 out of range"),
+    ("table", (1, 3), -2, "[range] table[1,3] = -2 out of range"),
+    ("table", (1, 3), 10 ** 6, "[range] table[1,3] = 1000000 out of range"),
 ])
 def test_validate_reports_out_of_range_entries(field, index, value, first):
     import dataclasses

@@ -68,6 +68,16 @@ def test_accumulated_units_and_cocycle(rng):
             assert sh.accumulated(w, k, l) == g.inverse(sh.accumulated(w, l, k))
 
 
+def test_past_accumulated_is_the_inverse_of_the_future(rng):
+    # past x_l -> x_k against future x_k -> x_l, on a groupoid with a group factor
+    g = sh.builtin_groupoid("pair_x_cyclic:2,3")
+    for _ in range(20):
+        w = random_history(g, rng, n_steps=3)
+        past = sh.invert_history(w)
+        for l, k in itertools.product(range(len(w.accumulated)), repeat=2):
+            assert sh.accumulated(past, l, k) == g.inverse(sh.accumulated(w, l, k))
+
+
 def test_accumulated_range_check(rng):
     w = random_history(sh.pair_groupoid(2), rng, n_steps=2)
     with pytest.raises(IndexError):
